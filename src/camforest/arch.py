@@ -1,21 +1,25 @@
 """End-to-end behavioral inference on the programmed arrays.
 
 Programming turns every stored range into a conductance pair (optionally
-quantized and noised), tile by tile; padding slots hold wildcards. Inference
-drives the permuted feature voltages on each group's DLs, integrates every
-row's discharge current over the clock window, senses the surviving match
-lines, ANDs each original row across its groups, and reads the majority
-vote as per-class currents through a conductance matrix.
+quantized and noised), tile by tile; padding slots hold wildcards. It then
+sorts the programmed cells: a cell whose discharge gates stay at or below
+the transistor threshold across the whole DL window draws exactly 0.0 A for
+every (clipped) input and is skipped; the rest are listed in compact index
+arrays. Inference drives the feature voltages onto those active cells only,
+scatters their currents into zeroed rows summed in the dense row order (so
+every ML voltage is bit-identical to evaluating every cell), integrates over
+the clock window, senses the surviving match lines, ANDs each original row
+across its groups, and reads the majority vote as per-class currents
+through a conductance matrix.
 """
 
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cell import CellParams, Parasitics, row_total_current
+from .cell import CellParams, Parasitics, cell_current
 from .device import (
     DeviceModel,
     build_calibration,
@@ -28,9 +32,13 @@ from .device import (
 )
 from .errors import ConfigError, DataError
 from .forest import Forest
-from .mapper import TiledPlan, compile_forest, plan_inference_row_sets
+from .mapper import TiledPlan, compile_forest
 
 SWEEP_VARIABLES = ("sigma", "n_bits", "t_clk", "tile_h", "tile_w")
+
+# Byte budget of the kernel's per-chunk (samples, tiles * H * W) current
+# buffer; bounds the temporaries whatever the sample and tile counts.
+CHUNK_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -56,7 +64,11 @@ class ArchConfig:
 
 @dataclass(frozen=True)
 class ProgrammedArchitecture:
-    """Immutable programmed state shared read-only by inference."""
+    """Immutable programmed state shared read-only by inference.
+
+    Tiles of all groups are stacked in group order; a slot is one tile row
+    and its flat id is ``stacked tile * H + row``.
+    """
 
     plan: TiledPlan
     config: ArchConfig
@@ -68,6 +80,11 @@ class ProgrammedArchitecture:
     vote_matrix: np.ndarray   # (rows, n_classes)
     n_bits: int | None
     sigma_rel: float
+    active_m1: np.ndarray     # (cells,) conductances of cells that can draw current
+    active_m2: np.ndarray
+    active_input: np.ndarray  # (cells,) DL source: original feature, F = padding
+    active_cell: np.ndarray   # (cells,) flat slot * W + column
+    slot_rows: tuple          # per group: (map row ids, flat slot ids)
 
     @property
     def n_active_arrays(self) -> int:
@@ -91,33 +108,17 @@ class InferenceTrace:
     cycles: int
 
 
-def _group_feature_bounds(plan: TiledPlan, feature_bounds, g: int):
-    """Per-column (lo, hi, wildcard-pad) for one group, in map column order."""
-    cols = plan.group_columns(g)
-    lo = np.empty(plan.tile_w)
-    hi = np.empty(plan.tile_w)
-    lo[:] = 0.0
-    hi[:] = 1.0  # padding columns: any valid bounds, cells are wildcards
-    for k, c in enumerate(cols):
-        b = feature_bounds[plan.col_perm[c]]
-        lo[k], hi[k] = float(b[0]), float(b[1])
-    return lo, hi
-
-
-def _encode_group(plan, feature_bounds, device, cal, g, n_bits):
-    """Vectorized conductance grids (tiles, H, W) for one feature group."""
-    tiles = plan.groups[g]
-    h, w = plan.tile_h, plan.tile_w
-    lo = np.full((len(tiles), h, w), -math.inf)
-    hi = np.full((len(tiles), h, w), math.inf)
-    cols = plan.group_columns(g)
+def _slot_table(tiles, tile_h: int, empty: int) -> np.ndarray:
+    """(tiles, H) map row id per slot; padding slots hold ``empty``."""
+    table = np.full((len(tiles), tile_h), empty, dtype=np.intp)
     for t, tile in enumerate(tiles):
-        for slot, r in enumerate(tile):
-            ranges = plan.tmap.rows[r].ranges
-            for k, c in enumerate(cols):
-                lo[t, slot, k] = ranges[c].lo
-                hi[t, slot, k] = ranges[c].hi
-    b_lo, b_hi = _group_feature_bounds(plan, feature_bounds, g)
+        table[t, :len(tile)] = tile
+    return table
+
+
+def _encode(lo, hi, b_lo, b_hi, device, cal, n_bits):
+    """Conductance grids for stored bounds ``lo``/``hi`` (infinite on open
+    sides) under per-column feature bounds ``b_lo``/``b_hi``."""
     if n_bits is not None:
         widen = (b_hi - b_lo) / 2 ** (n_bits + 1)
         lo = snap_to_levels(lo, n_bits, b_lo, b_hi) - widen
@@ -130,6 +131,21 @@ def _encode_group(plan, feature_bounds, device, cal, g, n_bits):
     return g_m1, g_m2
 
 
+def _can_draw_current(g_m1, g_m2, params: CellParams) -> np.ndarray:
+    """Cells that draw current for some DL input in the (clipping) window.
+
+    Within a regime of the fitted T1 law each branch's current is monotone
+    in the DL voltage, so its maximum over the window lies at a window end
+    or on either side of a regime boundary inside it. A cell that draws
+    0.0 A at all of those draws exactly 0.0 A for every input."""
+    probes = [V_DL_MIN, V_DL_MAX]
+    for b in (params.v_sub_max, params.v_ohmic_min):
+        if V_DL_MIN < b <= V_DL_MAX:
+            probes += [np.nextafter(b, -np.inf), b]
+    v = np.reshape(probes, (-1,) + (1,) * np.ndim(g_m1))
+    return np.any(cell_current(g_m1, g_m2, v, params) > 0, axis=0)
+
+
 def program(plan: TiledPlan, device: DeviceModel, config: ArchConfig,
             feature_bounds, n_classes: int, n_bits: int | None = None,
             sigma_rel: float | None = None, seed=0) -> ProgrammedArchitecture:
@@ -139,7 +155,8 @@ def program(plan: TiledPlan, device: DeviceModel, config: ArchConfig,
     applies to the CAM cells only (the vote array is treated as ideal).
     Deterministic for a fixed seed.
     """
-    if len(feature_bounds) != plan.tmap.n_features:
+    n_features = plan.tmap.n_features
+    if len(feature_bounds) != n_features:
         raise DataError("feature_bounds length differs from plan features")
     sigma = device.sigma_rel if sigma_rel is None else float(sigma_rel)
     noisy_device = replace(device, sigma_rel=sigma)
@@ -147,21 +164,57 @@ def program(plan: TiledPlan, device: DeviceModel, config: ArchConfig,
                               config.v_ml0, config.v_sa, config.t_clk)
     cal = build_calibration(config.params, device, i_ref)
     rng = np.random.default_rng(seed)
-    m1, m2 = [], []
-    for g in range(plan.n_groups):
-        g_m1, g_m2 = _encode_group(plan, feature_bounds, device, cal, g, n_bits)
-        m1.append(inject_noise(g_m1, noisy_device, rng))
-        m2.append(inject_noise(g_m2, noisy_device, rng))
+    h, w = plan.tile_h, plan.tile_w
+    n_rows = len(plan.tmap.rows)
+    padded = plan.n_groups * w
+    # Map-order bounds padded with a wildcard row (for padding slots) and
+    # wildcard columns; padding columns take any valid feature bounds.
+    lo = np.full((n_rows + 1, padded), -np.inf)
+    hi = np.full((n_rows + 1, padded), np.inf)
+    lo[:n_rows, :n_features], hi[:n_rows, :n_features] = \
+        plan.tmap.bound_arrays()
+    col_feature = np.full(padded, n_features, dtype=np.intp)
+    col_feature[:n_features] = plan.col_perm
+    b_lo, b_hi = np.zeros(padded), np.ones(padded)
+    b_lo[:n_features], b_hi[:n_features] = \
+        np.asarray(feature_bounds, dtype=float)[col_feature[:n_features]].T
+
+    m1, m2, slot_rows = [], [], []
+    act_m1, act_m2, act_input, act_cell = [], [], [], []
+    first_slot = 0
+    for g, tiles in enumerate(plan.groups):
+        cols = slice(g * w, (g + 1) * w)
+        table = _slot_table(tiles, h, n_rows)
+        g_m1, g_m2 = _encode(lo[:, cols][table], hi[:, cols][table],
+                             b_lo[cols], b_hi[cols], device, cal, n_bits)
+        g_m1 = inject_noise(g_m1, noisy_device, rng)
+        g_m2 = inject_noise(g_m2, noisy_device, rng)
+        m1.append(g_m1)
+        m2.append(g_m2)
+        slots = first_slot + np.arange(table.size)
+        placed = table.ravel() < n_rows
+        slot_rows.append((table.ravel()[placed], slots[placed]))
+        active = _can_draw_current(g_m1, g_m2, config.params).ravel()
+        act_m1.append(g_m1.ravel()[active])
+        act_m2.append(g_m2.ravel()[active])
+        act_input.append(np.broadcast_to(col_feature[cols],
+                                         g_m1.shape).ravel()[active])
+        act_cell.append(first_slot * w + np.flatnonzero(active))
+        first_slot += table.size
     labels = np.array([row.class_label for row in plan.tmap.rows], dtype=int)
     if labels.size and labels.max() >= n_classes:
         raise DataError("row class exceeds n_classes")
     vote = np.full((labels.size, n_classes), device.g_hrs)
     vote[np.arange(labels.size), labels] = device.g_lrs
+
     return ProgrammedArchitecture(
         plan=plan, config=config, device=device, n_classes=n_classes,
         feature_bounds=tuple(tuple(map(float, b)) for b in feature_bounds),
         cells_m1=tuple(m1), cells_m2=tuple(m2), vote_matrix=vote,
-        n_bits=n_bits, sigma_rel=sigma)
+        n_bits=n_bits, sigma_rel=sigma,
+        active_m1=np.concatenate(act_m1), active_m2=np.concatenate(act_m2),
+        active_input=np.concatenate(act_input),
+        active_cell=np.concatenate(act_cell), slot_rows=tuple(slot_rows))
 
 
 def program_forest(forest: Forest, device: DeviceModel = DeviceModel(),
@@ -175,21 +228,30 @@ def program_forest(forest: Forest, device: DeviceModel = DeviceModel(),
                    forest.n_classes, n_bits, sigma_rel, seed)
 
 
-def _input_voltages(arch: ProgrammedArchitecture, X) -> list:
-    """Per-group (samples, W) DL voltages, columns in map order."""
-    X = np.asarray(X, dtype=float)
-    plan = arch.plan
-    v_all = np.empty_like(X)
-    for j, b in enumerate(arch.feature_bounds):
-        v_all[:, j] = feature_to_voltage(X[:, j], b)
-    mid = 0.5 * (V_DL_MIN + V_DL_MAX)
-    out = []
-    for g in range(plan.n_groups):
-        v = np.full((X.shape[0], plan.tile_w), mid)
-        for k, c in enumerate(plan.group_columns(g)):
-            v[:, k] = v_all[:, plan.col_perm[c]]
-        out.append(v)
-    return out
+def _input_voltages(arch: ProgrammedArchitecture, X) -> np.ndarray:
+    """(samples, F + 1) DL voltages in original feature order; the last
+    column is the mid-window voltage that drives padding columns."""
+    v = np.empty((X.shape[0], X.shape[1] + 1))
+    v[:, :-1] = feature_to_voltage(X, arch.feature_bounds)
+    v[:, -1] = 0.5 * (V_DL_MIN + V_DL_MAX)
+    return v
+
+
+def _ml_voltages(arch: ProgrammedArchitecture, v_in, t: float) -> np.ndarray:
+    """(samples, slots) ML voltages at sense time for DL inputs ``v_in``.
+
+    Only active cells run the cell law. Their currents land in a zeroed
+    (samples, slots, W) buffer whose rows are summed whole, so each row
+    total adds the same terms in the same order as summing every cell."""
+    cfg = arch.config
+    w = arch.plan.tile_w
+    n_slots = arch.plan.n_tiles * arch.plan.tile_h
+    current = np.zeros((v_in.shape[0], n_slots * w))
+    current[:, arch.active_cell] = cell_current(
+        arch.active_m1, arch.active_m2, v_in[:, arch.active_input], cfg.params)
+    row_current = current.reshape(len(v_in), n_slots, w).sum(axis=-1)
+    c_ml = cfg.parasitics.ml_capacitance(w)
+    return np.maximum(cfg.v_ml0 - row_current * t / c_ml, 0.0)
 
 
 def _evaluate(arch: ProgrammedArchitecture, X, t_clk=None, collect=False):
@@ -197,37 +259,36 @@ def _evaluate(arch: ProgrammedArchitecture, X, t_clk=None, collect=False):
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.ndim != 2 or X.shape[1] != arch.plan.tmap.n_features:
         raise DataError(f"samples must have {arch.plan.tmap.n_features} features")
+    if not np.all(np.isfinite(X)):
+        raise DataError("samples contain NaN or infinite features")
     cfg = arch.config
     t = cfg.t_clk if t_clk is None else float(t_clk)
     if t <= 0:
         raise ConfigError("t_clk must be positive")
     plan = arch.plan
-    c_ml = cfg.parasitics.ml_capacitance(plan.tile_w)
     n_rows = len(plan.tmap.rows)
     n_samples = X.shape[0]
-    v_groups = _input_voltages(arch, X)
+    v_in = _input_voltages(arch, X)
+    ml = np.empty((n_samples, plan.n_tiles * plan.tile_h), dtype=bool)
+    chunk = max(1, CHUNK_BYTES // (8 * max(1, plan.memory_cells)))
+    for s0 in range(0, n_samples, chunk):
+        v_ml = _ml_voltages(arch, v_in[s0:s0 + chunk], t)
+        ml[s0:s0 + chunk] = v_ml > cfg.v_sa
+        if s0 == 0:
+            first_v_ml = v_ml[0]
     matches = np.ones((n_samples, n_rows), dtype=bool)
-    tile_record = {} if collect else None
-    volt_record = {} if collect else None
-    cells_per_tile = plan.tile_h * plan.tile_w
-    chunk = max(1, 2_000_000 // max(1, cells_per_tile))
-    for g, tiles in enumerate(plan.groups):
-        if not tiles:
-            continue
-        g1 = arch.cells_m1[g][None, :, :, :]
-        g2 = arch.cells_m2[g][None, :, :, :]
-        for s0 in range(0, n_samples, chunk):
-            v = v_groups[g][s0:s0 + chunk, None, None, :]
-            current = row_total_current(g1, g2, v, cfg.params, fast=True)
-            v_ml = np.maximum(cfg.v_ml0 - current * t / c_ml, 0.0)
-            ml = v_ml > cfg.v_sa  # (chunk, tiles, H)
-            if collect:
-                for ti in range(len(tiles)):
-                    tile_record[(g, ti)] = ml[0, ti].copy()
-                    volt_record[(g, ti)] = v_ml[0, ti].copy()
-            for ti, tile in enumerate(tiles):
-                for slot, r in enumerate(tile):
-                    matches[s0:s0 + chunk, r] &= ml[:, ti, slot]
+    for rows, slots in arch.slot_rows:
+        matches[:, rows] &= ml[:, slots]
+    tile_record = volt_record = None
+    if collect:
+        tile_record, volt_record = {}, {}
+        h = plan.tile_h
+        slot = 0
+        for g, tiles in enumerate(plan.groups):
+            for ti in range(len(tiles)):
+                tile_record[(g, ti)] = ml[0, slot:slot + h].copy()
+                volt_record[(g, ti)] = first_v_ml[slot:slot + h].copy()
+                slot += h
     # Exact-count evaluation of v_read * (matches @ vote_matrix): per-class
     # counts are integers, so classes with equal counts get bitwise-equal
     # currents and argmax ties resolve to the lowest index, not to float

@@ -166,15 +166,19 @@ def upper_branch_current(v_dl, g_m2, params: CellParams):
     return discharge_current(inverter_output(v_div, params), params)
 
 
-def row_total_current(g_m1, g_m2, v_dl, params: CellParams, fast: bool = True):
-    """Summed discharge current of one row of cells (last axis = cells)."""
+def cell_current(g_m1, g_m2, v_dl, params: CellParams, fast: bool = True):
+    """ML discharge current of each cell: lower plus upper branch."""
     node = divider_node_fast if fast else solve_divider
     v1 = node(v_dl, g_m1, params)
     v2 = node(v_dl, g_m2, params)
-    per_cell = discharge_current(v1, params) + discharge_current(
+    return discharge_current(v1, params) + discharge_current(
         inverter_output(v2, params), params
     )
-    return per_cell.sum(axis=-1)
+
+
+def row_total_current(g_m1, g_m2, v_dl, params: CellParams, fast: bool = True):
+    """Summed discharge current of one row of cells (last axis = cells)."""
+    return cell_current(g_m1, g_m2, v_dl, params, fast).sum(axis=-1)
 
 
 def ml_voltage_at(g_m1, g_m2, v_dl, t, v_ml0, c_ml_total, params: CellParams):

@@ -81,9 +81,12 @@ def feature_to_voltage(x, feature_bounds, v_dl_min: float = V_DL_MIN,
 
     Input samples are clipped into the window; stored thresholds are mapped
     with clip=False so widened bounds may extend into the calibration slack.
+    ``feature_bounds`` is one (min, max) pair or an (F, 2) array of them,
+    one per feature along the last axis of ``x``.
     """
-    lo, hi = float(feature_bounds[0]), float(feature_bounds[1])
-    if not lo < hi:
+    bounds = np.asarray(feature_bounds, dtype=float)
+    lo, hi = bounds[..., 0], bounds[..., 1]
+    if not np.all(lo < hi):
         raise ValueError("degenerate feature bounds")
     v = v_dl_min + (np.asarray(x, dtype=float) - lo) * (v_dl_max - v_dl_min) / (hi - lo)
     if clip:

@@ -205,6 +205,31 @@ def test_evaluate_accuracy_validations():
         infer_batch(arch, X[:2], t_clk=-1.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_features_rejected(bad):
+    # A NaN row matches no row and would silently vote for class 0.
+    _, arch, X, y = _iris_tree_arch()
+    Xb = X[:5].copy()
+    Xb[2, 1] = bad
+    with pytest.raises(DataError, match="NaN or infinite"):
+        infer_batch(arch, Xb)
+    with pytest.raises(DataError, match="NaN or infinite"):
+        infer(arch, Xb[2])
+    with pytest.raises(DataError, match="NaN or infinite"):
+        evaluate_accuracy(arch, Xb, y[:5])
+
+
+def test_leaf_only_forest_programs_no_tiles():
+    # Every tree is a single leaf: no row is written into any tile and the
+    # kernel has no match line to evaluate.
+    X = np.random.default_rng(0).random((20, 3))
+    forest = train_forest(X, np.zeros(20, dtype=int), n_trees=2, max_depth=3)
+    arch = program_forest(forest)
+    assert arch.plan.n_tiles == 0
+    assert np.array_equal(infer_batch(arch, X), forest.predict(X))
+    assert infer(arch, X[0]).ml_voltages == {}
+
+
 def test_sweep_single_point_equals_direct_evaluation():
     X, y = load_iris()
     forest = train_forest(X, y, n_trees=5, max_depth=3, seed=4)

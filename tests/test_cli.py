@@ -226,6 +226,24 @@ def test_csv_dataset_roundtrip(ini, run, tmp_path):
     assert (tmp_path / "out" / "model.json").exists()
 
 
+def test_non_finite_features_exit_three(ini, run, tmp_path):
+    out = str(tmp_path / "model")
+    assert run("train", "--config", ini(), "--out", out)[0] == 0
+    X, y = load_iris()
+    X[10, 2] = np.nan
+    data = tmp_path / "nan.csv"
+    save_csv(str(data), X, y)
+    text = BASE.replace("builtin = iris", f"path = {data}").replace(
+        "test_fraction = 0.25", "test_fraction = 0.0")
+    cfg = ini(text, "nan.ini")
+    model = os.path.join(out, "model.json")
+    for command in ("simulate", "validate"):
+        code, cap = run(command, model, "--config", cfg,
+                        "--out", str(tmp_path / command))
+        assert code == 3 and "NaN or infinite" in cap.err
+        assert not (tmp_path / command / "manifest.json").exists()
+
+
 def test_exit_codes(ini, run, tmp_path):
     code, cap = run("train", "--config",
                     ini("[meta]\nversion = 1\nbogus = 1\n", "a.ini"))
