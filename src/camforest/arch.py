@@ -2,15 +2,17 @@
 
 Programming turns every stored range into a conductance pair (optionally
 quantized and noised), tile by tile; padding slots hold wildcards. It then
-sorts the programmed cells: a cell whose discharge gates stay at or below
-the transistor threshold across the whole DL window draws exactly 0.0 A for
-every (clipped) input and is skipped; the rest are listed in compact index
-arrays. Inference drives the feature voltages onto those active cells only,
-scatters their currents into zeroed rows summed in the dense row order (so
-every ML voltage is bit-identical to evaluating every cell), integrates over
-the clock window, senses the surviving match lines, ANDs each original row
-across its groups, and reads the majority vote as per-class currents
-through a conductance matrix.
+sorts the programmed branches: a branch whose discharge gate stays at or
+below the transistor threshold across the whole DL window draws exactly
+0.0 A for every (clipped) input and is skipped. The remaining branches (the
+kernel's terms) are listed in compact index arrays, grouped by how many
+terms their row holds. Inference computes each input's T1 current once,
+runs the rest of the cell law on the terms only and adds each row's terms
+so that every ML voltage is bit-identical to evaluating every cell: one or
+two terms directly, three or more in a zeroed buffer summed in the dense
+row order. It then integrates over the clock window, senses the match
+lines, ANDs each original row across its groups, and reads the majority
+vote as per-class currents through the conductance matrix.
 """
 
 import os
@@ -19,7 +21,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cell import CellParams, Parasitics, cell_current
+from .cell import (
+    CellParams,
+    Parasitics,
+    lower_branch_t1,
+    t1_current,
+    upper_branch_t1,
+)
 from .device import (
     DeviceModel,
     build_calibration,
@@ -36,9 +44,10 @@ from .mapper import TiledPlan, compile_forest
 
 SWEEP_VARIABLES = ("sigma", "n_bits", "t_clk", "tile_h", "tile_w")
 
-# Byte budget of the kernel's per-chunk (samples, tiles * H * W) current
-# buffer; bounds the temporaries whatever the sample and tile counts.
-CHUNK_BYTES = 4 << 20
+# Byte budget of one chunk of the kernel's per-sample temporaries (one float
+# per term plus the rows of the >= 3-term buffer): large enough to amortise
+# the per-chunk numpy calls, small enough to keep a chunk's passes in cache.
+CHUNK_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
@@ -85,6 +94,16 @@ class ProgrammedArchitecture:
     active_input: np.ndarray  # (cells,) DL source: original feature, F = padding
     active_cell: np.ndarray   # (cells,) flat slot * W + column
     slot_rows: tuple          # per group: (map row ids, flat slot ids)
+    # Kernel terms: the branches of active cells that can draw current,
+    # lower branches first, then upper branches.
+    term_cell: np.ndarray     # (terms,) index into the active_* arrays
+    n_lower: int              # terms[:n_lower] are lower branches
+    # Row totals by the slot's term count: (slots, terms) for one term,
+    # (slots, terms a, terms b) for two, and for three or more (slots,
+    # first terms, their buffer positions, second terms, their positions);
+    # a position is slot rank * W + column and a second term is the upper
+    # branch of a cell whose lower branch is its first term.
+    row_terms: tuple
 
     @property
     def n_active_arrays(self) -> int:
@@ -131,19 +150,28 @@ def _encode(lo, hi, b_lo, b_hi, device, cal, n_bits):
     return g_m1, g_m2
 
 
-def _can_draw_current(g_m1, g_m2, params: CellParams) -> np.ndarray:
-    """Cells that draw current for some DL input in the (clipping) window.
+def _branches_can_draw(g_m1, g_m2, params: CellParams) -> tuple:
+    """(lower, upper): cells whose lower/upper branch draws current for
+    some DL input in the (clipping) window.
 
     Within a regime of the fitted T1 law each branch's current is monotone
     in the DL voltage, so its maximum over the window lies at a window end
-    or on either side of a regime boundary inside it. A cell that draws
+    or on either side of a regime boundary inside it. A branch that draws
     0.0 A at all of those draws exactly 0.0 A for every input."""
     probes = [V_DL_MIN, V_DL_MAX]
     for b in (params.v_sub_max, params.v_ohmic_min):
         if V_DL_MIN < b <= V_DL_MAX:
             probes += [np.nextafter(b, -np.inf), b]
     v = np.reshape(probes, (-1,) + (1,) * np.ndim(g_m1))
-    return np.any(cell_current(g_m1, g_m2, v, params) > 0, axis=0)
+    i_t1 = t1_current(v, None, params)
+    return (np.any(lower_branch_t1(i_t1, g_m1, params) > 0, axis=0),
+            np.any(upper_branch_t1(i_t1, g_m2, params) > 0, axis=0))
+
+
+def _can_draw_current(g_m1, g_m2, params: CellParams) -> np.ndarray:
+    """Cells that draw current for some DL input in the window."""
+    lower, upper = _branches_can_draw(g_m1, g_m2, params)
+    return lower | upper
 
 
 def program(plan: TiledPlan, device: DeviceModel, config: ArchConfig,
@@ -158,6 +186,10 @@ def program(plan: TiledPlan, device: DeviceModel, config: ArchConfig,
     n_features = plan.tmap.n_features
     if len(feature_bounds) != n_features:
         raise DataError("feature_bounds length differs from plan features")
+    bounds = np.asarray(feature_bounds, dtype=float)
+    if bounds.shape != (n_features, 2) or not (
+            np.all(np.isfinite(bounds)) and np.all(bounds[:, 0] < bounds[:, 1])):
+        raise DataError("feature bounds must be finite with min < max")
     sigma = device.sigma_rel if sigma_rel is None else float(sigma_rel)
     noisy_device = replace(device, sigma_rel=sigma)
     i_ref = reference_current(config.parasitics.ml_capacitance(plan.tile_w),
@@ -176,11 +208,11 @@ def program(plan: TiledPlan, device: DeviceModel, config: ArchConfig,
     col_feature = np.full(padded, n_features, dtype=np.intp)
     col_feature[:n_features] = plan.col_perm
     b_lo, b_hi = np.zeros(padded), np.ones(padded)
-    b_lo[:n_features], b_hi[:n_features] = \
-        np.asarray(feature_bounds, dtype=float)[col_feature[:n_features]].T
+    b_lo[:n_features], b_hi[:n_features] = bounds[col_feature[:n_features]].T
 
     m1, m2, slot_rows = [], [], []
     act_m1, act_m2, act_input, act_cell = [], [], [], []
+    act_lower, act_upper = [], []
     first_slot = 0
     for g, tiles in enumerate(plan.groups):
         cols = slice(g * w, (g + 1) * w)
@@ -194,7 +226,10 @@ def program(plan: TiledPlan, device: DeviceModel, config: ArchConfig,
         slots = first_slot + np.arange(table.size)
         placed = table.ravel() < n_rows
         slot_rows.append((table.ravel()[placed], slots[placed]))
-        active = _can_draw_current(g_m1, g_m2, config.params).ravel()
+        lower, upper = _branches_can_draw(g_m1, g_m2, config.params)
+        active = (lower | upper).ravel()
+        act_lower.append(lower.ravel()[active])
+        act_upper.append(upper.ravel()[active])
         act_m1.append(g_m1.ravel()[active])
         act_m2.append(g_m2.ravel()[active])
         act_input.append(np.broadcast_to(col_feature[cols],
@@ -207,14 +242,37 @@ def program(plan: TiledPlan, device: DeviceModel, config: ArchConfig,
     vote = np.full((labels.size, n_classes), device.g_hrs)
     vote[np.arange(labels.size), labels] = device.g_lrs
 
+    act_m1, act_m2, act_input, act_cell, lower, upper = (
+        np.concatenate(a) for a in (act_m1, act_m2, act_input, act_cell,
+                                    act_lower, act_upper))
+    term_cell = np.concatenate([np.flatnonzero(lower), np.flatnonzero(upper)])
+    second = np.concatenate([np.zeros(lower.sum(), dtype=bool), lower[upper]])
     return ProgrammedArchitecture(
         plan=plan, config=config, device=device, n_classes=n_classes,
-        feature_bounds=tuple(tuple(map(float, b)) for b in feature_bounds),
+        feature_bounds=tuple(map(tuple, bounds.tolist())),
         cells_m1=tuple(m1), cells_m2=tuple(m2), vote_matrix=vote,
         n_bits=n_bits, sigma_rel=sigma,
-        active_m1=np.concatenate(act_m1), active_m2=np.concatenate(act_m2),
-        active_input=np.concatenate(act_input),
-        active_cell=np.concatenate(act_cell), slot_rows=tuple(slot_rows))
+        active_m1=act_m1, active_m2=act_m2, active_input=act_input,
+        active_cell=act_cell, slot_rows=tuple(slot_rows),
+        term_cell=term_cell, n_lower=int(lower.sum()),
+        row_terms=_row_terms(act_cell[term_cell], second, first_slot, w))
+
+
+def _row_terms(term_pos, second, n_slots: int, w: int) -> tuple:
+    """``ProgrammedArchitecture.row_terms`` from each term's flat cell
+    position and whether it is the second term of its cell."""
+    slot = term_pos // w
+    per_slot = np.bincount(slot, minlength=n_slots)
+    count = per_slot[slot]
+    one = np.flatnonzero(count == 1)
+    two = np.flatnonzero(count == 2)
+    two = two[np.argsort(slot[two], kind="stable")]
+    many = np.flatnonzero(count >= 3)
+    multi_slots = np.flatnonzero(per_slot >= 3)
+    pos = np.searchsorted(multi_slots, slot[many]) * w + term_pos[many] % w
+    later = second[many]
+    return ((slot[one], one), (slot[two[::2]], two[::2], two[1::2]),
+            (multi_slots, many[~later], pos[~later], many[later], pos[later]))
 
 
 def program_forest(forest: Forest, device: DeviceModel = DeviceModel(),
@@ -240,16 +298,35 @@ def _input_voltages(arch: ProgrammedArchitecture, X) -> np.ndarray:
 def _ml_voltages(arch: ProgrammedArchitecture, v_in, t: float) -> np.ndarray:
     """(samples, slots) ML voltages at sense time for DL inputs ``v_in``.
 
-    Only active cells run the cell law. Their currents land in a zeroed
-    (samples, slots, W) buffer whose rows are summed whole, so each row
-    total adds the same terms in the same order as summing every cell."""
+    The T1 current depends on the input alone, so it is computed once per
+    (sample, feature). The rest of the cell law runs on the terms only: the
+    branches of active cells that can draw current (a cell's other branch
+    adds exactly 0.0). Each row total must equal the dense sum over all W
+    cell currents bit for bit, where every skipped cell adds 0.0. A slot
+    with one term takes that term and one with two takes a + b, since
+    adding zeros changes neither. Slots with three or more assemble their
+    cell currents (lower + upper for a two-term cell) in a zeroed
+    (samples, slots, W) buffer summed whole, in the dense order."""
     cfg = arch.config
     w = arch.plan.tile_w
-    n_slots = arch.plan.n_tiles * arch.plan.tile_h
-    current = np.zeros((v_in.shape[0], n_slots * w))
-    current[:, arch.active_cell] = cell_current(
-        arch.active_m1, arch.active_m2, v_in[:, arch.active_input], cfg.params)
-    row_current = current.reshape(len(v_in), n_slots, w).sum(axis=-1)
+    n = len(v_in)
+    p = cfg.params
+    lower, upper = np.split(arch.term_cell, [arch.n_lower])
+    i_t1 = t1_current(v_in, None, p)
+    terms = np.concatenate(
+        [lower_branch_t1(i_t1[:, arch.active_input[lower]],
+                         arch.active_m1[lower], p),
+         upper_branch_t1(i_t1[:, arch.active_input[upper]],
+                         arch.active_m2[upper], p)], axis=1)
+    (s1, t1), (s2, ta, tb), (s3, first, first_pos, second, second_pos) = \
+        arch.row_terms
+    row_current = np.zeros((n, arch.plan.n_tiles * arch.plan.tile_h))
+    row_current[:, s1] = terms[:, t1]
+    row_current[:, s2] = terms[:, ta] + terms[:, tb]
+    buffer = np.zeros((n, s3.size * w))
+    buffer[:, first_pos] = terms[:, first]
+    buffer[:, second_pos] += terms[:, second]
+    row_current[:, s3] = buffer.reshape(n, s3.size, w).sum(axis=-1)
     c_ml = cfg.parasitics.ml_capacitance(w)
     return np.maximum(cfg.v_ml0 - row_current * t / c_ml, 0.0)
 
@@ -269,16 +346,25 @@ def _evaluate(arch: ProgrammedArchitecture, X, t_clk=None, collect=False):
     n_rows = len(plan.tmap.rows)
     n_samples = X.shape[0]
     v_in = _input_voltages(arch, X)
-    ml = np.empty((n_samples, plan.n_tiles * plan.tile_h), dtype=bool)
-    chunk = max(1, CHUNK_BYTES // (8 * max(1, plan.memory_cells)))
+    per_sample = arch.term_cell.size + arch.row_terms[2][0].size * plan.tile_w
+    chunk = max(1, CHUNK_BYTES // (8 * max(1, per_sample)))
+    # Exact-count evaluation of v_read * (matches @ vote_matrix): each vote
+    # row holds g_lrs on its class and g_hrs elsewhere, so per-class
+    # currents follow from integer counts. Classes with equal counts get
+    # bitwise-equal currents and argmax ties resolve to the lowest index,
+    # not to float summation-order noise.
+    onehot = (arch.vote_matrix == arch.device.g_lrs).astype(np.int64)
+    matches = np.ones((n_samples, n_rows), dtype=bool)
+    counts = np.empty((n_samples, arch.n_classes), dtype=np.int64)
     for s0 in range(0, n_samples, chunk):
         v_ml = _ml_voltages(arch, v_in[s0:s0 + chunk], t)
-        ml[s0:s0 + chunk] = v_ml > cfg.v_sa
+        ml = v_ml > cfg.v_sa
+        block = matches[s0:s0 + chunk]
+        for rows, slots in arch.slot_rows:
+            block[:, rows] &= ml[:, slots]
+        counts[s0:s0 + chunk] = block.astype(np.int64) @ onehot
         if s0 == 0:
-            first_v_ml = v_ml[0]
-    matches = np.ones((n_samples, n_rows), dtype=bool)
-    for rows, slots in arch.slot_rows:
-        matches[:, rows] &= ml[:, slots]
+            first_ml, first_v_ml = ml[0], v_ml[0]
     tile_record = volt_record = None
     if collect:
         tile_record, volt_record = {}, {}
@@ -286,18 +372,9 @@ def _evaluate(arch: ProgrammedArchitecture, X, t_clk=None, collect=False):
         slot = 0
         for g, tiles in enumerate(plan.groups):
             for ti in range(len(tiles)):
-                tile_record[(g, ti)] = ml[0, slot:slot + h].copy()
+                tile_record[(g, ti)] = first_ml[slot:slot + h].copy()
                 volt_record[(g, ti)] = first_v_ml[slot:slot + h].copy()
                 slot += h
-    # Exact-count evaluation of v_read * (matches @ vote_matrix): per-class
-    # counts are integers, so classes with equal counts get bitwise-equal
-    # currents and argmax ties resolve to the lowest index, not to float
-    # summation-order noise.
-    labels = np.array([row.class_label for row in plan.tmap.rows], dtype=int)
-    onehot = np.zeros((n_rows, arch.n_classes), dtype=np.int64)
-    if n_rows:
-        onehot[np.arange(n_rows), labels] = 1
-    counts = matches.astype(np.int64) @ onehot
     total = matches.sum(axis=1, keepdims=True)
     currents = cfg.v_read * (arch.device.g_hrs * total +
                              (arch.device.g_lrs - arch.device.g_hrs) * counts)
@@ -330,14 +407,15 @@ def infer(arch: ProgrammedArchitecture, sample, t_clk=None) -> InferenceTrace:
     )
 
 
-def evaluate_accuracy(arch: ProgrammedArchitecture, X, y,
-                      t_clk=None) -> tuple:
-    """(fraction correct, confusion matrix[true, predicted])."""
+def evaluate_accuracy(arch: ProgrammedArchitecture, X, y, t_clk=None,
+                      rng=None) -> tuple:
+    """(fraction correct, confusion matrix[true, predicted]); ``rng`` drives
+    the vote noise as in ``infer_batch``."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     if X.size == 0 or y.size == 0:
         raise DataError("empty evaluation dataset")
-    pred = infer_batch(arch, X, t_clk)
+    pred = infer_batch(arch, X, t_clk, rng)
     k = arch.n_classes
     confusion = np.zeros((k, k), dtype=int)
     np.add.at(confusion, (y, pred), 1)

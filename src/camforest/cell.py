@@ -119,14 +119,18 @@ def solve_divider(v_dl, g_m, params: CellParams):
     return np.where(clamped, params.v_sl_lo, 0.5 * (lo + hi))
 
 
-def divider_node_fast(v_dl, g_m, params: CellParams):
-    """Closed-form divider node: the fitted T1 law is drain-independent,
-    so the balance equation is linear. Agrees with solve_divider to solver
-    tolerance; used on batched hot paths."""
-    i_t1 = t1_current(v_dl, None, params)
+def divider_node_t1(i_t1, g_m, params: CellParams):
+    """Closed-form divider node for T1 current ``i_t1``: the fitted T1 law
+    is drain-independent, so the balance equation is linear."""
     g_safe = np.maximum(np.asarray(g_m, dtype=float), 1e-30)
     v = params.v_sl_hi - i_t1 / g_safe
     return np.clip(v, params.v_sl_lo, params.v_sl_hi)
+
+
+def divider_node_fast(v_dl, g_m, params: CellParams):
+    """Closed-form divider node for gate drive ``v_dl``. Agrees with
+    solve_divider to solver tolerance; used on batched hot paths."""
+    return divider_node_t1(t1_current(v_dl, None, params), g_m, params)
 
 
 def discharge_current(v_gate, params: CellParams):
@@ -166,14 +170,31 @@ def upper_branch_current(v_dl, g_m2, params: CellParams):
     return discharge_current(inverter_output(v_div, params), params)
 
 
+def lower_branch_t1(i_t1, g_m1, params: CellParams):
+    """Lower-side ML discharge current for T1 current ``i_t1`` (closed-form
+    divider node).
+
+    Both divider transistors of a cell share its data line, so one T1
+    current serves both branches; callers evaluating many cells on few
+    inputs compute it once per input."""
+    return discharge_current(divider_node_t1(i_t1, g_m1, params), params)
+
+
+def upper_branch_t1(i_t1, g_m2, params: CellParams):
+    """Upper-side ML discharge current for T1 current ``i_t1`` (closed-form
+    divider node)."""
+    return discharge_current(
+        inverter_output(divider_node_t1(i_t1, g_m2, params), params), params)
+
+
 def cell_current(g_m1, g_m2, v_dl, params: CellParams, fast: bool = True):
     """ML discharge current of each cell: lower plus upper branch."""
-    node = divider_node_fast if fast else solve_divider
-    v1 = node(v_dl, g_m1, params)
-    v2 = node(v_dl, g_m2, params)
-    return discharge_current(v1, params) + discharge_current(
-        inverter_output(v2, params), params
-    )
+    if fast:
+        i_t1 = t1_current(v_dl, None, params)
+        return lower_branch_t1(i_t1, g_m1, params) + upper_branch_t1(
+            i_t1, g_m2, params)
+    return lower_branch_current(v_dl, g_m1, params) + upper_branch_current(
+        v_dl, g_m2, params)
 
 
 def row_total_current(g_m1, g_m2, v_dl, params: CellParams, fast: bool = True):

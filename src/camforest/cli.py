@@ -203,12 +203,6 @@ def _perf_config(cfg) -> PerfConfig:
     )
 
 
-def _accuracy_confusion(pred, y, n_classes):
-    confusion = np.zeros((n_classes, n_classes), dtype=int)
-    np.add.at(confusion, (y, pred), 1)
-    return float(np.mean(pred == y)), confusion
-
-
 def _programming_payload(arch) -> dict:
     return {
         "t_clk": arch.config.t_clk,
@@ -289,12 +283,9 @@ def cmd_simulate(args, cfg, config_sha):
     arch, _ = _architecture_from_input(args, cfg, seed)
     if int(np.max(y_ev)) >= arch.n_classes:
         raise DataError("dataset labels exceed the model's class count")
-    if arch.config.vote_sigma > 0.0:
-        rng = np.random.default_rng([seed, 1])
-        pred = infer_batch(arch, X_ev, rng=rng)
-        accuracy, confusion = _accuracy_confusion(pred, y_ev, arch.n_classes)
-    else:
-        accuracy, confusion = evaluate_accuracy(arch, X_ev, y_ev)
+    rng = (np.random.default_rng([seed, 1])
+           if arch.config.vote_sigma > 0.0 else None)
+    accuracy, confusion = evaluate_accuracy(arch, X_ev, y_ev, rng=rng)
     print(f"accuracy {accuracy:.4f} on {len(y_ev)} samples")
     k = arch.n_classes
     if args.format == "json":

@@ -85,9 +85,6 @@ class Forest:
     def predict(self, X) -> np.ndarray:
         return np.argmax(self.votes(X), axis=1)
 
-    def bounds_array(self) -> np.ndarray:
-        return np.asarray(self.feature_bounds, dtype=float)
-
 
 def _gini(counts) -> float:
     n = counts.sum()

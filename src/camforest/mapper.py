@@ -323,7 +323,16 @@ def plan_from_json(text: str) -> tuple:
     if plan.memory_cells != obj.get("memory_cells"):
         raise ModelFormatError("stored memory_cells disagrees with packing")
     fb = obj.get("feature_bounds")
-    bounds = tuple((float(a), float(b)) for a, b in fb) if fb else None
+    if not fb:
+        return plan, None
+    try:
+        bounds = tuple((float(a), float(b)) for a, b in fb)
+    except (TypeError, ValueError) as exc:
+        raise ModelFormatError(f"malformed feature_bounds: {exc!r}") from None
+    if len(bounds) != n_features or not all(
+            math.isfinite(a) and math.isfinite(b) and a < b for a, b in bounds):
+        raise ModelFormatError("feature_bounds must hold one finite (min, max) "
+                               "pair with min < max per feature")
     return plan, bounds
 
 

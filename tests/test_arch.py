@@ -219,6 +219,18 @@ def test_non_finite_features_rejected(bad):
         evaluate_accuracy(arch, Xb, y[:5])
 
 
+@pytest.mark.parametrize("bound", [(1.0, 1.0), (2.0, 1.0), (0.0, np.inf),
+                                   (np.nan, 1.0)])
+def test_program_rejects_bad_feature_bounds(bound):
+    X, y = load_iris()
+    model = train_tree(X, y, max_depth=3)
+    bounds = list(model.feature_bounds)
+    bounds[2] = bound
+    with pytest.raises(DataError, match="feature bounds"):
+        program(compile_forest(model, 16, 16), D, ArchConfig(), bounds,
+                model.n_classes)
+
+
 def test_leaf_only_forest_programs_no_tiles():
     # Every tree is a single leaf: no row is written into any tile and the
     # kernel has no match line to evaluate.

@@ -6,18 +6,22 @@ import pytest
 from camforest.cell import (
     CellParams,
     Parasitics,
+    cell_current,
     discharge_current,
     divider_node_fast,
     divider_residual,
     inverter_output,
     lower_branch_current,
+    lower_branch_t1,
     ml_voltage_at,
     row_matches,
     row_total_current,
     solve_divider,
     t1_current,
     upper_branch_current,
+    upper_branch_t1,
 )
+from camforest.device import V_DL_MAX, V_DL_MIN, DeviceModel
 
 P = CellParams()
 PAR = Parasitics()
@@ -92,6 +96,24 @@ def test_fast_node_matches_bisection():
     exact = solve_divider(v_dl, g, P)
     fast = divider_node_fast(v_dl, g, P)
     assert np.max(np.abs(exact - fast)) < 1e-6
+
+
+def test_t1_entry_point_bitwise_equals_cell_current():
+    edges = [P.v_sub_max, P.v_ohmic_min]
+    v = np.concatenate([
+        [V_DL_MIN, V_DL_MAX], edges,
+        [np.nextafter(b, d) for b in edges for d in (-np.inf, np.inf)],
+        np.linspace(V_DL_MIN, V_DL_MAX, 41)])
+    d = DeviceModel()
+    g = np.array([0.0, d.g_hrs, d.g_lrs, 3e-6, 2e-5, 8e-5])
+    g1, g2 = (a.reshape(-1, 1) for a in np.meshgrid(g, g))
+    i_t1 = t1_current(v, None, P)
+    new = lower_branch_t1(i_t1, g1, P) + upper_branch_t1(i_t1, g2, P)
+    written_out = discharge_current(divider_node_fast(v, g1, P), P) + \
+        discharge_current(inverter_output(divider_node_fast(v, g2, P), P), P)
+    for ref in (cell_current(g1, g2, v, P), written_out):
+        assert np.array_equal(new.view(np.int64), ref.view(np.int64))
+    assert np.any(new == 0.0) and np.any(new > 0.0)
 
 
 def test_branch_current_monotonicity():

@@ -244,6 +244,22 @@ def test_non_finite_features_exit_three(ini, run, tmp_path):
         assert not (tmp_path / command / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("bound", [[1.0, 1.0], [0.0, float("inf")]])
+def test_bad_plan_feature_bounds_exit_three(ini, run, tmp_path, bound):
+    cfg = ini()
+    model = str(tmp_path / "m" / "model.json")
+    run("train", "--config", cfg, "--out", str(tmp_path / "m"))
+    run("compile", model, "--config", cfg, "--out", str(tmp_path / "p"))
+    plan = tmp_path / "p" / "plan.json"
+    obj = json.loads(plan.read_text())
+    obj["feature_bounds"][0] = bound
+    plan.write_text(json.dumps(obj))
+    code, cap = run("simulate", str(plan), "--config", cfg,
+                    "--out", str(tmp_path / "s"))
+    assert code == 3 and "feature_bounds" in cap.err
+    assert not (tmp_path / "s" / "manifest.json").exists()
+
+
 def test_exit_codes(ini, run, tmp_path):
     code, cap = run("train", "--config",
                     ini("[meta]\nversion = 1\nbogus = 1\n", "a.ini"))

@@ -1,9 +1,10 @@
 """Sparse match kernel against the dense every-cell oracle.
 
-The kernel runs the cell law only on cells that can draw current. These
-tests evaluate every cell of the full (tiles, H, W) grids with
-``row_total_current`` and require bit-identical ML voltages, so skipping
-cells must never change a result, not even in the last bit.
+The kernel runs the cell law only on the branches of cells that can draw
+current and adds short rows directly. These tests evaluate every cell of
+the full (tiles, H, W) grids with ``row_total_current`` and require
+bit-identical ML voltages, so skipping cells or branches and the direct
+sums must never change a result, not even in the last bit.
 """
 
 from dataclasses import replace
@@ -20,7 +21,13 @@ from camforest.arch import (
     infer,
     program,
 )
-from camforest.cell import cell_current, row_total_current
+from camforest.cell import (
+    cell_current,
+    lower_branch_t1,
+    row_total_current,
+    t1_current,
+    upper_branch_t1,
+)
 from camforest.datasets import gaussian_blobs, load_iris
 from camforest.device import V_DL_MAX, V_DL_MIN, DeviceModel, feature_to_voltage
 from camforest.forest import train_forest
@@ -136,6 +143,48 @@ def test_chunked_evaluation_matches_one_chunk(iris, monkeypatch):
     assert np.array_equal(whole[1], split[1])
 
 
+def test_fixtures_cover_every_row_sum_path(iris, blobs64):
+    """The bit-identity cases reach every way the kernel adds a row total:
+    slots with one, two and three or more active cells and terms, a pair
+    made of one cell's two branches, and two-branch cells in the buffer."""
+    for forest, _ in (blobs64, iris):
+        arch = program(compile_forest(forest, 16, 16), D, CFG,
+                       forest.feature_bounds, forest.n_classes)
+        cells = np.bincount(arch.active_cell // arch.plan.tile_w,
+                            minlength=arch.plan.n_tiles * arch.plan.tile_h)
+        assert {1, 2} <= set(cells.tolist()) and cells.max() >= 3
+        assert all(path[0].size for path in arch.row_terms)
+    # Iris (the last fixture) has cells that draw current on both sides.
+    (_, _), (pair_slots, _, _), (_, _, _, second, _) = arch.row_terms
+    assert np.any(cells[pair_slots] == 1)
+    assert second.size > 0
+
+
+@pytest.mark.parametrize("data", ["iris", "blobs64"])
+def test_chunks_split_mid_batch_stay_bit_identical(data, request, monkeypatch):
+    forest, X = request.getfixturevalue(data)
+    arch = program(compile_forest(forest, 16, 16), D, CFG,
+                   forest.feature_bounds, forest.n_classes, sigma_rel=0.1,
+                   seed=2)
+    X = np.vstack([X[:100], _threshold_inputs(forest, X[:30])])
+    per_sample = 8 * (arch.term_cell.size
+                      + arch.row_terms[2][0].size * arch.plan.tile_w)
+    chunks = []
+
+    def recorded(*args):
+        chunks.append(_ml_voltages(*args))
+        return chunks[-1]
+
+    # 7 samples per chunk: 130 samples end in a partial chunk.
+    monkeypatch.setattr("camforest.arch.CHUNK_BYTES", 7 * per_sample + 5)
+    monkeypatch.setattr("camforest.arch._ml_voltages", recorded)
+    matches, _, _ = _evaluate(arch, X)
+    assert [len(c) for c in chunks] == [7] * 18 + [4]
+    dense = _dense_ml_voltages(arch, X, CFG.t_clk)
+    _assert_bit_identical(np.concatenate(chunks), dense)
+    assert np.array_equal(matches, _dense_matches(arch, dense))
+
+
 def _skipped_cells(arch):
     """(g_m1, g_m2) of every programmed cell the kernel does not evaluate."""
     m1 = np.concatenate([g.ravel() for g in arch.cells_m1])
@@ -156,6 +205,25 @@ def test_skipped_cells_draw_no_current_across_window(data, request):
     v = np.linspace(V_DL_MIN, V_DL_MAX, 10_001)[:, None]
     for s0 in range(0, len(v), 500):
         assert np.all(cell_current(g1, g2, v[s0:s0 + 500], CFG.params) == 0.0)
+
+
+@pytest.mark.parametrize("data", ["iris", "blobs64"])
+def test_branches_without_terms_draw_no_current_across_window(data, request):
+    forest, _ = request.getfixturevalue(data)
+    arch = program(compile_forest(forest, 16, 16), D, CFG,
+                   forest.feature_bounds, forest.n_classes, sigma_rel=0.1,
+                   seed=7)
+    cells = np.arange(arch.active_cell.size)
+    lower, upper = np.split(arch.term_cell, [arch.n_lower])
+    no_lower, no_upper = np.setdiff1d(cells, lower), np.setdiff1d(cells, upper)
+    # Nearly every active cell draws current on one side only.
+    assert no_lower.size + no_upper.size > cells.size // 2
+    i_t1 = t1_current(np.linspace(V_DL_MIN, V_DL_MAX, 10_001)[:, None], None,
+                      CFG.params)
+    for s0 in range(0, len(i_t1), 500):
+        i = i_t1[s0:s0 + 500]
+        assert np.all(lower_branch_t1(i, arch.active_m1[no_lower], CFG.params) == 0)
+        assert np.all(upper_branch_t1(i, arch.active_m2[no_upper], CFG.params) == 0)
 
 
 def test_active_cells_are_the_ones_that_can_draw_current(iris):

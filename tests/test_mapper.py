@@ -1,5 +1,6 @@
 """Path extraction, reordering, tile packing, and schedule semantics."""
 
+import json
 import math
 
 import numpy as np
@@ -280,6 +281,21 @@ def test_plan_json_rejects_malformed():
         plan_from_json(text.replace('"version": 1', '"version": 5'))
     with pytest.raises(ModelFormatError):
         plan_from_json(text.replace('"memory_cells": ', '"memory_cells": 1'))
+
+
+@pytest.mark.parametrize("bound", [[1.0, 1.0], [2.0, 1.0], [0.0, math.inf],
+                                   [-math.inf, 1.0], [math.nan, 1.0], None])
+def test_plan_json_rejects_bad_feature_bounds(bound):
+    X, y = load_iris()
+    forest = train_forest(X, y, n_trees=3, max_depth=3, seed=0)
+    plan = compile_forest(forest, tile_h=8, tile_w=4)
+    obj = json.loads(plan_to_json(plan, feature_bounds=forest.feature_bounds))
+    if bound is None:
+        del obj["feature_bounds"][1]
+    else:
+        obj["feature_bounds"][1] = bound
+    with pytest.raises(ModelFormatError, match="feature_bounds"):
+        plan_from_json(json.dumps(obj))
 
 
 def test_pack_rejects_bad_col_perm():
