@@ -58,7 +58,8 @@ for x in np.linspace(0.0, 1.0, 21):
 # behavioral simulator reproduce software predictions bit for bit.
 #
 # Look closely at the two edges: ranges are half-open, (lo, hi]. The
-# calibration places the lower edge so that an input AT the stored
-# bound draws exactly the reference current, leaving the line at the
-# sense threshold, which reads as a mismatch; the upper edge is placed
-# one quantization-widening out, so the bound itself still matches.
+# calibration places each edge so that an input AT the stored bound
+# draws the reference current give or take a relative margin of 1e-9:
+# a hair more on the lower side, which leaves the line just below the
+# sense threshold (a mismatch), a hair less on the upper side, which
+# leaves it just above (a match).

@@ -31,10 +31,10 @@ from .cell import (
 from .device import (
     DeviceModel,
     build_calibration,
+    encode_bounds,
     feature_to_voltage,
     inject_noise,
     reference_current,
-    snap_to_levels,
     V_DL_MAX,
     V_DL_MIN,
 )
@@ -135,21 +135,6 @@ def _slot_table(tiles, tile_h: int, empty: int) -> np.ndarray:
     return table
 
 
-def _encode(lo, hi, b_lo, b_hi, device, cal, n_bits):
-    """Conductance grids for stored bounds ``lo``/``hi`` (infinite on open
-    sides) under per-column feature bounds ``b_lo``/``b_hi``."""
-    if n_bits is not None:
-        widen = (b_hi - b_lo) / 2 ** (n_bits + 1)
-        lo = snap_to_levels(lo, n_bits, b_lo, b_hi) - widen
-        hi = snap_to_levels(hi, n_bits, b_lo, b_hi) + widen
-    scale = (V_DL_MAX - V_DL_MIN) / (b_hi - b_lo)
-    v_lo = V_DL_MIN + (lo - b_lo) * scale
-    v_hi = V_DL_MIN + (hi - b_lo) * scale
-    g_m1 = np.where(np.isinf(lo), device.g_hrs, cal.g_for_lower(v_lo))
-    g_m2 = np.where(np.isinf(hi), device.g_lrs, cal.g_for_upper(v_hi))
-    return g_m1, g_m2
-
-
 def _branches_can_draw(g_m1, g_m2, params: CellParams) -> tuple:
     """(lower, upper): cells whose lower/upper branch draws current for
     some DL input in the (clipping) window.
@@ -207,8 +192,8 @@ def program(plan: TiledPlan, device: DeviceModel, config: ArchConfig,
         plan.tmap.bound_arrays()
     col_feature = np.full(padded, n_features, dtype=np.intp)
     col_feature[:n_features] = plan.col_perm
-    b_lo, b_hi = np.zeros(padded), np.ones(padded)
-    b_lo[:n_features], b_hi[:n_features] = bounds[col_feature[:n_features]].T
+    col_bounds = np.tile([0.0, 1.0], (padded, 1))
+    col_bounds[:n_features] = bounds[col_feature[:n_features]]
 
     m1, m2, slot_rows = [], [], []
     act_m1, act_m2, act_input, act_cell = [], [], [], []
@@ -217,8 +202,8 @@ def program(plan: TiledPlan, device: DeviceModel, config: ArchConfig,
     for g, tiles in enumerate(plan.groups):
         cols = slice(g * w, (g + 1) * w)
         table = _slot_table(tiles, h, n_rows)
-        g_m1, g_m2 = _encode(lo[:, cols][table], hi[:, cols][table],
-                             b_lo[cols], b_hi[cols], device, cal, n_bits)
+        g_m1, g_m2 = encode_bounds(lo[:, cols][table], hi[:, cols][table],
+                                   col_bounds[cols], device, cal, n_bits)
         g_m1 = inject_noise(g_m1, noisy_device, rng)
         g_m2 = inject_noise(g_m2, noisy_device, rng)
         m1.append(g_m1)
@@ -436,10 +421,11 @@ def sweep(forest: Forest, X, y, variable: str, grid, trials: int, seed: int,
           workers: int | None = None) -> SweepResult:
     """Monte-Carlo accuracy sweep over one variable.
 
-    Each (point, trial) reprograms with its own RNG substream, so results
-    are independent of scheduling. Sweeping t_clk keeps the programming
-    calibrated at the configured clock and only changes the evaluation
-    window, mimicking a fixed part driven at a different speed.
+    Each (point, trial) reprograms with its own RNG substream and draws its
+    vote noise from another, so results are independent of scheduling.
+    Sweeping t_clk keeps the programming calibrated at the configured clock
+    and only changes the evaluation window, mimicking a fixed part driven
+    at a different speed.
     """
     if variable not in SWEEP_VARIABLES:
         raise ConfigError(f"unknown sweep variable {variable!r}; "
@@ -466,10 +452,6 @@ def sweep(forest: Forest, X, y, variable: str, grid, trials: int, seed: int,
         sg = float(value) if variable == "sigma" else sigma_rel
         t_eval = float(value) if variable == "t_clk" else None
         plan = plan_for(h, w)
-        # Warm the calibration cache before threads share it.
-        i_ref = reference_current(config.parasitics.ml_capacitance(w),
-                                  config.v_ml0, config.v_sa, config.t_clk)
-        build_calibration(config.params, device, i_ref)
         for trial in range(trials):
             jobs.append((i, value, trial, plan, nb, sg, t_eval))
 
@@ -477,7 +459,9 @@ def sweep(forest: Forest, X, y, variable: str, grid, trials: int, seed: int,
         i, value, trial, plan, nb, sg, t_eval = job
         arch = program(plan, device, config, forest.feature_bounds,
                        forest.n_classes, nb, sg, seed=[seed, i, trial])
-        acc, _ = evaluate_accuracy(arch, X, y, t_clk=t_eval)
+        vote_rng = (np.random.default_rng([seed, i, trial, 1])
+                    if config.vote_sigma > 0.0 else None)
+        acc, _ = evaluate_accuracy(arch, X, y, t_clk=t_eval, rng=vote_rng)
         return (i, trial, float(value), acc)
 
     n_workers = workers if workers else min(32, os.cpu_count() or 1)

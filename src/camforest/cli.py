@@ -470,9 +470,10 @@ def cmd_validate(args, cfg, config_sha):
     a = cfg["arch"]
     plan = compile_forest(forest, a["tile_h"], a["tile_w"],
                           reorder_map=a["reorder"])
-    arch = program(plan, _device(cfg), _arch_config(cfg),
-                   forest.feature_bounds, forest.n_classes,
-                   n_bits=None, sigma_rel=0.0)
+    # The ideal program: no programming, quantization or vote noise.
+    ideal = dataclasses.replace(_arch_config(cfg), vote_sigma=0.0)
+    arch = program(plan, _device(cfg), ideal, forest.feature_bounds,
+                   forest.n_classes, n_bits=None, sigma_rel=0.0)
     hardware = infer_batch(arch, X_ev)
     software = forest.predict(X_ev)
     mismatches = int(np.sum(hardware != software))

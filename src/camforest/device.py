@@ -2,9 +2,9 @@
 
 Feature values map affinely onto the DL voltage window. A stored bound is
 "placed" by choosing the conductance whose match edge (the DL voltage where
-the cell's discharge current equals the row's sensing budget) lands on the
-bound. The edge-vs-conductance curve is tabulated once per operating point
-by sweeping the divider solver and inverted by monotone interpolation.
+the branch's discharge current equals the row's sensing budget) lands on
+the bound. The fitted T1 law is drain-independent, so the divider balance
+is linear and that conductance has a closed form (see ``Calibration``).
 
 The default window (0.31 V .. 0.49 V) sits inside a single regime of the
 fitted transistor law, where edges are uniformly sharp and the required
@@ -16,17 +16,28 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cell import CellParams, discharge_current, inverter_output, solve_divider
+from .cell import (
+    INVERTER_RAIL,
+    CellParams,
+    discharge_current,
+    inverter_output,
+    solve_divider,
+    t1_current,
+)
 from .errors import CalibrationError
 
 # DL input window (V). Chosen inside the 0.3..0.5 regime of the fitted law;
 # see README calibration notes.
 V_DL_MIN = 0.31
 V_DL_MAX = 0.49
-# Calibration sweep domain; slightly wider than the window so clamped edges
+# Calibration domain; slightly wider than the window so clamped edges
 # are unreachable by clipped inputs.
 CAL_V_LO = 0.3005
 CAL_V_HI = 0.4995
+# Relative sense margin of every edge: at its stored bound the lower branch
+# draws i_ref * (1 + m) (mismatch) and the upper i_ref * (1 - m) (match), so
+# (lo, hi] holds on the bounds; cell-law rounding is about 1e-13 relative.
+EDGE_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -101,108 +112,113 @@ def reference_current(c_ml_total: float, v_ml0: float, v_sa_threshold: float,
 
 
 def _branch_currents(v, g, params, side):
+    """Branch current through the bisection divider solver (a reference
+    independent of the closed-form calibration)."""
     v_div = solve_divider(v, g, params)
     if side == "lower":
         return discharge_current(v_div, params)
     return discharge_current(inverter_output(v_div, params), params)
 
 
-def _edge_table(params, device, i_ref, v_lo, v_hi, n_grid, side):
-    """Match-edge voltage for every conductance whose edge lies in the domain."""
-    g_grid = np.geomspace(device.g_hrs, device.g_lrs, n_grid)
-    c_lo = _branch_currents(np.full(n_grid, v_lo), g_grid, params, side)
-    c_hi = _branch_currents(np.full(n_grid, v_hi), g_grid, params, side)
-    if side == "lower":
-        # Current falls with v: edge in-domain iff it brackets i_ref downward.
-        valid = (c_lo >= i_ref) & (c_hi <= i_ref)
-    else:
-        valid = (c_lo <= i_ref) & (c_hi >= i_ref)
-    g_valid = g_grid[valid]
-    if g_valid.size < 2:
-        raise CalibrationError(
-            f"{side} branch: match edges unreachable in ({v_lo}, {v_hi}) V; "
-            "operating point cannot encode thresholds"
-        )
-    lo = np.full(g_valid.size, v_lo)
-    hi = np.full(g_valid.size, v_hi)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        cur = _branch_currents(mid, g_valid, params, side)
-        if side == "lower":
-            above = cur > i_ref  # still discharging: edge lies above mid
-        else:
-            above = cur < i_ref
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-    edges = 0.5 * (lo + hi)
-    if np.any(np.diff(edges) <= 0):
-        raise CalibrationError(
-            f"{side} branch: edge-vs-conductance curve not monotone; "
-            "operating point is miscalibrated"
-        )
-    return g_valid, edges
-
-
 @dataclass(frozen=True)
 class Calibration:
-    """Inverse match-edge maps for one (cell params, i_ref) operating point."""
+    """Closed-form match-edge placement for one operating point.
+
+    i_ref (with the edge margin) alone fixes the divider node at each
+    branch's edge: ``v_div_lower`` opens the discharge gate to that current,
+    ``v_div_upper`` drives the inverter to it. The conductance placing an
+    edge at e balances T1 there: g = I_T1(e) / (v_sl_hi - v_div).
+    """
 
     i_ref: float
-    lower_g: np.ndarray
-    lower_edge: np.ndarray
-    upper_g: np.ndarray
-    upper_edge: np.ndarray
+    params: CellParams
+    g_hrs: float
+    g_lrs: float
+    v_div_lower: float
+    v_div_upper: float
+
+    def _g_for(self, edge_v, v_div):
+        edge = np.clip(edge_v, CAL_V_LO, CAL_V_HI)
+        g = t1_current(edge, None, self.params) / (self.params.v_sl_hi - v_div)
+        return np.clip(g, self.g_hrs, self.g_lrs)
 
     def g_for_lower(self, edge_v):
-        """Conductance placing the lower-bound edge at ``edge_v`` (clamped
-        to the attainable span; clamped edges are unreachable by clipped
-        inputs, i.e. permissive)."""
-        return np.interp(edge_v, self.lower_edge, self.lower_g)
+        """Conductance placing the lower-bound edge at ``edge_v``; edges clamp
+        to the domain (beyond clipped inputs: permissive), g to the rails."""
+        return self._g_for(edge_v, self.v_div_lower)
 
     def g_for_upper(self, edge_v):
-        return np.interp(edge_v, self.upper_edge, self.upper_g)
+        """Conductance placing the upper-bound edge at ``edge_v``."""
+        return self._g_for(edge_v, self.v_div_upper)
 
 
-_CAL_CACHE: dict = {}
+def build_calibration(params: CellParams, device: DeviceModel,
+                      i_ref: float) -> Calibration:
+    """Divider-node targets of both branches' match edges.
+
+    Raises CalibrationError when i_ref is out of reach of the discharge gate
+    or the inverter, when a T1 regime boundary (where the law jumps) lies in
+    the domain, or when no in-domain edge of a branch fits in [g_hrs, g_lrs].
+    """
+    for b in (params.v_sub_max, params.v_ohmic_min):
+        if CAL_V_LO < b <= CAL_V_HI:
+            raise CalibrationError(f"T1 regime boundary {b} V inside the "
+                                   "calibration domain; edges not monotone")
+    # Discharge-gate voltages at which each branch draws its edge current.
+    gate_lower = params.v_th_t2 + math.sqrt(i_ref * (1 + EDGE_MARGIN) / params.k2)
+    gate_upper = params.v_th_t2 + math.sqrt(i_ref * (1 - EDGE_MARGIN) / params.k2)
+    if not 0 < gate_upper < INVERTER_RAIL:
+        raise CalibrationError("upper branch: i_ref beyond the inverter rail")
+    v_div_upper = -params.gamma - math.log(
+        gate_upper / (INVERTER_RAIL - gate_upper)) / params.beta
+    ends = t1_current(np.array([CAL_V_LO, CAL_V_HI]), None, params)
+    for side, v_div in (("lower", gate_lower), ("upper", v_div_upper)):
+        if not params.v_sl_lo < v_div < params.v_sl_hi:
+            raise CalibrationError(f"{side} branch: i_ref out of reach "
+                                   "(divider node beyond the rails)")
+        g_lo, g_hi = ends / (params.v_sl_hi - v_div)
+        if g_hi < device.g_hrs or g_lo > device.g_lrs:
+            raise CalibrationError(
+                f"{side} branch: no match edge in ({CAL_V_LO}, {CAL_V_HI}) V "
+                "fits [g_hrs, g_lrs]; operating point cannot encode thresholds")
+    return Calibration(i_ref, params, device.g_hrs, device.g_lrs, gate_lower,
+                       v_div_upper)
 
 
-def build_calibration(params: CellParams, device: DeviceModel, i_ref: float,
-                      v_lo: float = CAL_V_LO, v_hi: float = CAL_V_HI,
-                      n_grid: int = 1024) -> Calibration:
-    """Tabulate and invert both branches' match edges (cached)."""
-    key = (params, device.g_hrs, device.g_lrs, i_ref, v_lo, v_hi, n_grid)
-    cal = _CAL_CACHE.get(key)
-    if cal is None:
-        lg, le = _edge_table(params, device, i_ref, v_lo, v_hi, n_grid, "lower")
-        ug, ue = _edge_table(params, device, i_ref, v_lo, v_hi, n_grid, "upper")
-        cal = Calibration(i_ref, lg, le, ug, ue)
-        _CAL_CACHE[key] = cal
-    return cal
+def encode_bounds(lo, hi, feature_bounds, device: DeviceModel,
+                  calibration: Calibration, n_bits: int | None = None):
+    """(g_m1, g_m2) grids for stored bounds ``lo``/``hi`` (infinite on open
+    sides) under ``feature_bounds``, one (min, max) pair or an (F, 2) array
+    of them along the last axis of ``lo``/``hi``.
+
+    Open sides take the wildcard conductances, g_hrs on the lower memristor
+    and g_lrs on the upper, which keep that discharge path off across the
+    window. With ``n_bits`` bounds snap to 2**n_bits levels, widened by
+    half an LSB so inputs on a quantized threshold still match.
+    """
+    if n_bits is not None:
+        b = np.asarray(feature_bounds, dtype=float)
+        b_lo, b_hi = b[..., 0], b[..., 1]
+        widen = (b_hi - b_lo) / 2 ** (n_bits + 1)
+        lo = snap_to_levels(lo, n_bits, b_lo, b_hi) - widen
+        hi = snap_to_levels(hi, n_bits, b_lo, b_hi) + widen
+    v_lo = feature_to_voltage(lo, feature_bounds, clip=False)
+    v_hi = feature_to_voltage(hi, feature_bounds, clip=False)
+    g_m1 = np.where(np.isinf(lo), device.g_hrs, calibration.g_for_lower(v_lo))
+    g_m2 = np.where(np.isinf(hi), device.g_lrs, calibration.g_for_upper(v_hi))
+    return g_m1, g_m2
 
 
 def encode_range(r: ThresholdRange, feature_bounds, device: DeviceModel,
-                 calibration: Calibration, v_dl_min: float = V_DL_MIN,
-                 v_dl_max: float = V_DL_MAX, widen: float = 0.0) -> ConductancePair:
+                 calibration: Calibration, widen: float = 0.0) -> ConductancePair:
     """Conductance pair whose match window realizes ``r``.
 
     ``widen`` (feature units, typically LSB/2 when thresholds are quantized)
-    relaxes each finite bound outward. Unbounded sides take the wildcard
-    conductances: g_hrs on the lower memristor, g_lrs on the upper, which
-    keep that side's discharge path off across the whole window.
+    relaxes each finite bound outward.
     """
-    if math.isinf(r.lo):
-        g_m1 = device.g_hrs
-    else:
-        v = feature_to_voltage(r.lo - widen, feature_bounds, v_dl_min, v_dl_max,
-                               clip=False)
-        g_m1 = float(calibration.g_for_lower(v))
-    if math.isinf(r.hi):
-        g_m2 = device.g_lrs
-    else:
-        v = feature_to_voltage(r.hi + widen, feature_bounds, v_dl_min, v_dl_max,
-                               clip=False)
-        g_m2 = float(calibration.g_for_upper(v))
-    return ConductancePair(g_m1, g_m2)
+    g_m1, g_m2 = encode_bounds(r.lo - widen, r.hi + widen, feature_bounds,
+                               device, calibration)
+    return ConductancePair(float(g_m1), float(g_m2))
 
 
 def snap_to_levels(x, n_bits: int, lo: float, hi: float):

@@ -124,15 +124,7 @@ def reorder(tmap: ThresholdMap, group_width: int | None = None) -> tuple:
         occ = row.occupied()[col_perm]
         keys.append((_leftmost_group(occ, w, n_groups), -int(occ.sum()), i))
     row_perm = np.array([k[2] for k in sorted(keys)])
-    new_rows = tuple(
-        MapRow(
-            ranges=tuple(tmap.rows[r].ranges[c] for c in col_perm),
-            class_label=tmap.rows[r].class_label,
-            tree_index=tmap.rows[r].tree_index,
-        )
-        for r in row_perm
-    )
-    return col_perm, row_perm, ThresholdMap(new_rows, tmap.n_features)
+    return col_perm, row_perm, apply_permutations(tmap, col_perm, row_perm)
 
 
 def apply_permutations(tmap: ThresholdMap, col_perm, row_perm) -> ThresholdMap:

@@ -167,6 +167,23 @@ def test_sweep_json_format(ini, run, tmp_path):
     assert len(data["summary"]) == 3
 
 
+def test_vote_noise_validates_and_sweeps_deterministically(ini, run, tmp_path):
+    cfg = ini(BASE + "\n[arch]\nvote_sigma = 0.05\n")
+    assert run("train", "--config", cfg, "--out", str(tmp_path / "m"))[0] == 0
+    model = str(tmp_path / "m" / "model.json")
+    code, cap = run("validate", model, "--config", cfg,
+                    "--out", str(tmp_path / "v"))
+    assert code == 0 and "equivalent: true" in cap.out
+    for out, threads in (("w1", "1"), ("w4", "4")):
+        assert run("sweep", "--config", cfg, "--out", str(tmp_path / out),
+                   "--threads", threads)[0] == 0
+    for name in ("sweep.csv", "sweep_summary.csv", "sweep.svg",
+                 "manifest.json"):
+        b1 = (tmp_path / "w1" / name).read_bytes()
+        b4 = (tmp_path / "w4" / name).read_bytes()
+        assert b1 == b4, name
+
+
 def test_perf_from_geometry_matches_published_point(ini, run, tmp_path):
     text = ("[meta]\nversion = 1\n"
             "[perf]\nt_clk = 1e-9\nn_arrays = 16\ntile_h = 16\n"

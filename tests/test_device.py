@@ -5,13 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from camforest.cell import CellParams, Parasitics
+from camforest.cell import (
+    CellParams,
+    Parasitics,
+    lower_branch_t1,
+    t1_current,
+    upper_branch_t1,
+)
 from camforest.device import (
     CAL_V_HI,
     CAL_V_LO,
     V_DL_MAX,
     V_DL_MIN,
-    Calibration,
     ConductancePair,
     DeviceModel,
     ThresholdRange,
@@ -49,19 +54,40 @@ def test_feature_to_voltage_affine_and_clip():
         feature_to_voltage(1.0, (2.0, 2.0))
 
 
-def test_calibration_tables_monotone_and_in_domain():
+def test_placed_edges_straddle_i_ref_at_their_targets():
+    # An input exactly on a stored bound must sense as (lo, hi] says: the
+    # lower branch draws at least i_ref there (mismatch), the upper less
+    # than i_ref (match), each by the edge margin and no more.
     cal = build_calibration(P, D, I_REF16)
-    for g, e in ((cal.lower_g, cal.lower_edge), (cal.upper_g, cal.upper_edge)):
-        assert np.all(np.diff(g) > 0)
-        assert np.all(np.diff(e) > 0)
-        assert e[0] >= CAL_V_LO and e[-1] <= CAL_V_HI
-        assert g[0] >= D.g_hrs and g[-1] <= D.g_lrs
+    v = np.linspace(V_DL_MIN, V_DL_MAX, 10_001)
+    g1, g2 = cal.g_for_lower(v), cal.g_for_upper(v)
+    i_t1 = t1_current(v, None, P)
+    for lower, upper in (
+            (lower_branch_t1(i_t1, g1, P), upper_branch_t1(i_t1, g2, P)),
+            (_branch_currents(v, g1, P, "lower"),
+             _branch_currents(v, g2, P, "upper"))):
+        assert np.all(lower >= I_REF16) and np.all(lower < I_REF16 * (1 + 1e-8))
+        assert np.all(upper < I_REF16) and np.all(upper > I_REF16 * (1 - 1e-8))
 
 
-def test_calibration_is_cached():
-    a = build_calibration(P, D, I_REF16)
-    b = build_calibration(P, D, I_REF16)
-    assert a is b
+def test_calibration_g_monotone_and_clamped():
+    v = np.linspace(0.28, 0.52, 2401)
+    inside = (v > CAL_V_LO) & (v < CAL_V_HI)
+    cal = build_calibration(P, D, I_REF16)
+    for g in (cal.g_for_lower(v), cal.g_for_upper(v)):
+        assert np.all(np.diff(g[inside]) > 0)
+        # Edges beyond the domain take the domain ends' conductances.
+        assert np.all(g[v <= CAL_V_LO] == g[v <= CAL_V_LO][-1])
+        assert np.all(g[v >= CAL_V_HI] == g[v >= CAL_V_HI][0])
+        assert D.g_hrs < g[0] < g[-1] < D.g_lrs
+    # Rails inside the in-domain span clamp g at both ends.
+    narrow = DeviceModel(g_hrs=2e-6, g_lrs=10e-6)
+    cal = build_calibration(P, narrow, I_REF16)
+    for g in (cal.g_for_lower(v), cal.g_for_upper(v)):
+        assert np.all(np.diff(g) >= 0)
+        assert g[0] == narrow.g_hrs and g[-1] == narrow.g_lrs
+        free = inside & (g > narrow.g_hrs) & (g < narrow.g_lrs)
+        assert np.all(np.diff(g[free]) > 0) and free.sum() > 100
 
 
 def _measured_edge(g, side, i_ref):
@@ -140,6 +166,15 @@ def test_calibration_fails_when_unreachable():
     with pytest.raises(CalibrationError):
         # Device floor above every in-window lower-edge conductance.
         build_calibration(P, DeviceModel(g_hrs=50e-6, g_lrs=200e-6), I_REF16)
+    with pytest.raises(CalibrationError):
+        # Device ceiling below every in-domain edge conductance.
+        build_calibration(P, DeviceModel(g_hrs=0.1e-6, g_lrs=1e-6), I_REF16)
+    with pytest.raises(CalibrationError, match="lower branch: i_ref out of"):
+        # The lower branch's gate voltage lies above the divider rail.
+        build_calibration(CellParams(v_sl_hi=0.36), D, I_REF16)
+    with pytest.raises(CalibrationError):
+        # The subthreshold/intermediate boundary splits the domain.
+        build_calibration(CellParams(v_sub_max=0.35), D, I_REF16)
 
 
 def test_threshold_range_semantics():

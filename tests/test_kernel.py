@@ -19,6 +19,7 @@ from camforest.arch import (
     _input_voltages,
     _ml_voltages,
     infer,
+    infer_batch,
     program,
 )
 from camforest.cell import (
@@ -79,9 +80,8 @@ def _assert_bit_identical(a, b):
     assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
-def _threshold_inputs(forest, X):
-    """Samples with features set exactly on the forest's split thresholds."""
-    X = np.array(X, dtype=float)
+def _splits(forest):
+    """Per feature, the thresholds of every split node in the forest."""
     splits = [[] for _ in range(forest.n_features)]
     for tree in forest.trees:
         stack = [tree.root]
@@ -90,10 +90,28 @@ def _threshold_inputs(forest, X):
             if not node.is_leaf:
                 splits[node.feature].append(node.threshold)
                 stack += [node.left, node.right]
-    for j, values in enumerate(splits):
+    return splits
+
+
+def _threshold_inputs(forest, X):
+    """Samples with features set exactly on the forest's split thresholds."""
+    X = np.array(X, dtype=float)
+    for j, values in enumerate(_splits(forest)):
         if values:
             X[:, j] = np.resize(np.array(values), len(X))
     return X
+
+
+def _single_threshold_inputs(forest, X):
+    """One sample per split node, with only its feature moved exactly onto
+    its threshold."""
+    rows = []
+    for j, values in enumerate(_splits(forest)):
+        for t in values:
+            x = np.array(X[len(rows) % len(X)], dtype=float)
+            x[j] = t
+            rows.append(x)
+    return np.array(rows)
 
 
 @pytest.fixture(scope="module")
@@ -192,6 +210,18 @@ def _skipped_cells(arch):
     skipped = np.ones(m1.size, dtype=bool)
     skipped[arch.active_cell] = False
     return m1[skipped], m2[skipped]
+
+
+@pytest.mark.parametrize("data", ["iris", "blobs64"])
+def test_single_threshold_inputs_predict_as_software(data, request):
+    """An input on a stored bound senses on the side (lo, hi] prescribes,
+    through the calibration's edge margin."""
+    forest, X = request.getfixturevalue(data)
+    arch = program(compile_forest(forest, 16, 16), D, CFG,
+                   forest.feature_bounds, forest.n_classes)
+    X_t = _single_threshold_inputs(forest, X)
+    assert len(X_t) >= 30
+    assert np.array_equal(infer_batch(arch, X_t), forest.predict(X_t))
 
 
 @pytest.mark.parametrize("data", ["iris", "blobs64"])
