@@ -153,12 +153,6 @@ def _branches_can_draw(g_m1, g_m2, params: CellParams) -> tuple:
             np.any(upper_branch_t1(i_t1, g_m2, params) > 0, axis=0))
 
 
-def _can_draw_current(g_m1, g_m2, params: CellParams) -> np.ndarray:
-    """Cells that draw current for some DL input in the window."""
-    lower, upper = _branches_can_draw(g_m1, g_m2, params)
-    return lower | upper
-
-
 def program(plan: TiledPlan, device: DeviceModel, config: ArchConfig,
             feature_bounds, n_classes: int, n_bits: int | None = None,
             sigma_rel: float | None = None, seed=0) -> ProgrammedArchitecture:
@@ -221,9 +215,9 @@ def program(plan: TiledPlan, device: DeviceModel, config: ArchConfig,
                                          g_m1.shape).ravel()[active])
         act_cell.append(first_slot * w + np.flatnonzero(active))
         first_slot += table.size
-    labels = np.array([row.class_label for row in plan.tmap.rows], dtype=int)
-    if labels.size and labels.max() >= n_classes:
-        raise DataError("row class exceeds n_classes")
+    labels = plan.tmap.labels
+    if labels.size and not 0 <= labels.min() <= labels.max() < n_classes:
+        raise DataError("row class outside [0, n_classes)")
     vote = np.full((labels.size, n_classes), device.g_hrs)
     vote[np.arange(labels.size), labels] = device.g_lrs
 

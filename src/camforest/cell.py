@@ -127,12 +127,6 @@ def divider_node_t1(i_t1, g_m, params: CellParams):
     return np.clip(v, params.v_sl_lo, params.v_sl_hi)
 
 
-def divider_node_fast(v_dl, g_m, params: CellParams):
-    """Closed-form divider node for gate drive ``v_dl``. Agrees with
-    solve_divider to solver tolerance; used on batched hot paths."""
-    return divider_node_t1(t1_current(v_dl, None, params), g_m, params)
-
-
 def discharge_current(v_gate, params: CellParams):
     """Quadratic discharge-transistor current for gate voltage ``v_gate``."""
     over = np.maximum(np.asarray(v_gate, dtype=float) - params.v_th_t2, 0.0)

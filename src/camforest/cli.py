@@ -269,7 +269,7 @@ def _architecture_from_input(args, cfg, seed):
             raise ModelFormatError("plan lacks feature_bounds; re-export it "
                                    "with bounds to simulate")
         forest = None
-        n_classes = max(r.class_label for r in plan.tmap.rows) + 1
+        n_classes = int(plan.tmap.labels.max()) + 1
     arch = program(plan, _device(cfg), _arch_config(cfg), bounds, n_classes,
                    n_bits=a["n_bits"], sigma_rel=a["sigma"],
                    seed=[prog_seed, 0])

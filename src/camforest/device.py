@@ -12,17 +12,16 @@ conductances span about one decade inside the device range.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cell import (
     INVERTER_RAIL,
     CellParams,
-    discharge_current,
-    inverter_output,
-    solve_divider,
+    lower_branch_current,
     t1_current,
+    upper_branch_current,
 )
 from .errors import CalibrationError
 
@@ -73,10 +72,6 @@ class ThresholdRange:
     def wildcard(self) -> bool:
         return math.isinf(self.lo) and math.isinf(self.hi)
 
-    def contains(self, x) -> bool:
-        # Half-open: a path predicate `f <= t` keeps t inside, `f > t` excludes it.
-        return bool(np.all((x > self.lo) & (x <= self.hi)))
-
 
 @dataclass(frozen=True)
 class ConductancePair:
@@ -114,10 +109,9 @@ def reference_current(c_ml_total: float, v_ml0: float, v_sa_threshold: float,
 def _branch_currents(v, g, params, side):
     """Branch current through the bisection divider solver (a reference
     independent of the closed-form calibration)."""
-    v_div = solve_divider(v, g, params)
     if side == "lower":
-        return discharge_current(v_div, params)
-    return discharge_current(inverter_output(v_div, params), params)
+        return lower_branch_current(v, g, params)
+    return upper_branch_current(v, g, params)
 
 
 @dataclass(frozen=True)
@@ -229,32 +223,6 @@ def snap_to_levels(x, n_bits: int, lo: float, hi: float):
     idx = np.ceil((np.asarray(x, dtype=float) - lo) / step - 0.5)
     snapped = lo + np.clip(idx, 0, n - 1) * step
     return np.where(np.isinf(x), x, snapped)
-
-
-def quantize_range(r: ThresholdRange, n_bits: int, feature_bounds) -> ThresholdRange:
-    """Snap finite bounds to the nearest of 2**n_bits uniform levels."""
-    if n_bits < 1:
-        raise ValueError("n_bits must be at least 1")
-    lo, hi = float(feature_bounds[0]), float(feature_bounds[1])
-    return replace(r, lo=float(snap_to_levels(r.lo, n_bits, lo, hi)),
-                   hi=float(snap_to_levels(r.hi, n_bits, lo, hi)))
-
-
-def quantize_thresholds(rows, n_bits: int, feature_bounds):
-    """Quantize every range of a rows x features grid of ThresholdRange.
-
-    ``feature_bounds`` is a (F, 2) array-like of per-feature (min, max).
-    Wildcards pass through unchanged; quantization is idempotent.
-    """
-    return [
-        [quantize_range(r, n_bits, feature_bounds[j]) for j, r in enumerate(row)]
-        for row in rows
-    ]
-
-
-def lsb(feature_bounds, n_bits: int) -> float:
-    """Quantization step of one feature at n_bits."""
-    return (float(feature_bounds[1]) - float(feature_bounds[0])) / 2 ** n_bits
 
 
 def inject_noise(g, device: DeviceModel, rng: np.random.Generator):

@@ -186,8 +186,8 @@ def train_tree(X, y, max_depth: int = 6, n_classes: int | None = None) -> Forest
     if max_depth < 1:
         raise DataError("max_depth must be at least 1")
     k = n_classes if n_classes is not None else int(y.max()) + 1
-    rng = np.random.default_rng(0)  # unused: all features always offered
-    root = _grow(X, y, 0, max_depth, k, X.shape[1], rng)
+    # Every feature is offered at every split, so _grow draws nothing.
+    root = _grow(X, y, 0, max_depth, k, X.shape[1], None)
     return Forest(trees=(Tree(root),), n_features=X.shape[1], n_classes=k,
                   feature_bounds=_bounds(X))
 

@@ -9,7 +9,7 @@ it has at least one occupied cell, and matches implicitly elsewhere.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,6 +19,8 @@ from .forest import Forest
 
 PLAN_FORMAT = "camforest-plan"
 PLAN_VERSION = 1
+# The one wildcard range that extracted rows share (ranges are immutable).
+_WILDCARD = ThresholdRange()
 
 
 @dataclass(frozen=True)
@@ -35,26 +37,39 @@ class MapRow:
 
 @dataclass(frozen=True)
 class ThresholdMap:
+    """Map rows plus their read-only arrays, built once: ``lo``/``hi``
+    (rows, F) bounds with infinities at wildcards, ``labels`` (rows,)
+    classes and ``occupied`` (rows, F) non-wildcard cells."""
+
     rows: tuple
     n_features: int
+    lo: np.ndarray = field(init=False, repr=False, compare=False)
+    hi: np.ndarray = field(init=False, repr=False, compare=False)
+    labels: np.ndarray = field(init=False, repr=False, compare=False)
+    occupied: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for row in self.rows:
             if len(row.ranges) != self.n_features:
                 raise InvariantError("row length differs from n_features")
+        # Flat float lists: no per-cell containers for the collector to track.
+        cells = [r for row in self.rows for r in row.ranges]
+        shape = (len(self.rows), self.n_features)
+        lo = np.array([r.lo for r in cells], dtype=float).reshape(shape)
+        hi = np.array([r.hi for r in cells], dtype=float).reshape(shape)
+        labels = np.array([row.class_label for row in self.rows], dtype=np.intp)
+        for name, value in (("lo", lo), ("hi", hi), ("labels", labels),
+                            ("occupied", ~(np.isinf(lo) & np.isinf(hi)))):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     def occupancy(self) -> np.ndarray:
         """Count of non-wildcard cells per column."""
-        counts = np.zeros(self.n_features, dtype=int)
-        for row in self.rows:
-            counts += row.occupied()
-        return counts
+        return self.occupied.sum(axis=0)
 
     def bound_arrays(self) -> tuple:
         """(lo, hi) arrays of shape (rows, F) with infinities at wildcards."""
-        lo = np.array([[r.lo for r in row.ranges] for row in self.rows])
-        hi = np.array([[r.hi for r in row.ranges] for row in self.rows])
-        return lo, hi
+        return self.lo, self.hi
 
 
 def extract_paths(forest: Forest) -> ThresholdMap:
@@ -63,7 +78,8 @@ def extract_paths(forest: Forest) -> ThresholdMap:
     for t_idx, tree in enumerate(forest.trees):
         def walk(node, lo, hi):
             if node.is_leaf:
-                ranges = tuple(ThresholdRange(a, b) for a, b in zip(lo, hi))
+                ranges = tuple(ThresholdRange(a, b) if a > -inf or b < inf
+                               else _WILDCARD for a, b in zip(lo, hi))
                 rows.append(MapRow(ranges, node.label, t_idx))
                 return
             f, th = node.feature, node.threshold
@@ -89,22 +105,14 @@ def map_matches(tmap: ThresholdMap, X) -> np.ndarray:
 
 
 def map_votes(tmap: ThresholdMap, matched: np.ndarray, n_classes: int) -> np.ndarray:
-    labels = np.array([row.class_label for row in tmap.rows])
     onehot = np.zeros((len(tmap.rows), n_classes), dtype=int)
-    onehot[np.arange(len(tmap.rows)), labels] = 1
+    onehot[np.arange(len(tmap.rows)), tmap.labels] = 1
     return matched.astype(int) @ onehot
 
 
 def map_predict(tmap: ThresholdMap, X, n_classes: int) -> np.ndarray:
     """Software evaluation of the map itself (used as the semantic oracle)."""
     return np.argmax(map_votes(tmap, map_matches(tmap, X), n_classes), axis=1)
-
-
-def _leftmost_group(occ: np.ndarray, group_width: int, n_groups: int) -> int:
-    hits = np.nonzero(occ)[0]
-    if hits.size == 0:
-        return n_groups  # fully-wildcard rows sort last
-    return int(hits[0]) // group_width
 
 
 def reorder(tmap: ThresholdMap, group_width: int | None = None) -> tuple:
@@ -115,15 +123,14 @@ def reorder(tmap: ThresholdMap, group_width: int | None = None) -> tuple:
     occupancy, then by original index. col_perm[i] is the original feature
     shown in column i, so inference permutes its inputs the same way.
     """
-    counts = tmap.occupancy()
-    col_perm = np.argsort(-counts, kind="stable")
+    col_perm = np.argsort(-tmap.occupancy(), kind="stable")
     w = group_width if group_width is not None else 1
-    n_groups = max(1, math.ceil(tmap.n_features / w))
-    keys = []
-    for i, row in enumerate(tmap.rows):
-        occ = row.occupied()[col_perm]
-        keys.append((_leftmost_group(occ, w, n_groups), -int(occ.sum()), i))
-    row_perm = np.array([k[2] for k in sorted(keys)])
+    occ = tmap.occupied[:, col_perm]
+    # Fully wildcard rows take group ceil(F / w), past every real group.
+    n_groups = math.ceil(tmap.n_features / w)
+    leftmost = np.where(occ, np.arange(tmap.n_features) // w, n_groups).min(
+        axis=1, initial=n_groups)
+    row_perm = np.lexsort((-occ.sum(axis=1), leftmost))
     return col_perm, row_perm, apply_permutations(tmap, col_perm, row_perm)
 
 
@@ -184,64 +191,14 @@ def pack_tiles(tmap: ThresholdMap, tile_h: int, tile_w: int,
         col_perm = tuple(int(c) for c in col_perm)
         if sorted(col_perm) != list(range(tmap.n_features)):
             raise InvariantError("col_perm is not a permutation")
-    n_groups = math.ceil(tmap.n_features / tile_w)
-    occ = np.array([row.occupied() for row in tmap.rows]) \
-        if tmap.rows else np.zeros((0, tmap.n_features), dtype=bool)
     groups = []
-    for g in range(n_groups):
-        cols = slice(g * tile_w, min((g + 1) * tile_w, tmap.n_features))
-        tiles, current = [], []
-        for r in range(len(tmap.rows)):
-            if occ[r, cols].any():
-                current.append(r)
-                if len(current) == tile_h:
-                    tiles.append(tuple(current))
-                    current = []
-        if current:
-            tiles.append(tuple(current))
-        groups.append(tuple(tiles))
+    for start in range(0, tmap.n_features, tile_w):
+        rows = np.flatnonzero(
+            tmap.occupied[:, start:start + tile_w].any(axis=1)).tolist()
+        groups.append(tuple(tuple(rows[i:i + tile_h])
+                            for i in range(0, len(rows), tile_h)))
     return TiledPlan(tmap=tmap, tile_h=tile_h, tile_w=tile_w,
                      col_perm=col_perm, groups=tuple(groups))
-
-
-@dataclass(frozen=True)
-class RowSchedule:
-    """Tile coordinates to AND together for one map row, plus the groups
-    where the row matches implicitly (no occupied cell there)."""
-
-    coords: tuple           # (group, tile, slot) triples
-    implicit_groups: tuple
-
-
-def plan_inference_row_sets(plan: TiledPlan) -> tuple:
-    """Per-row AND schedule; verifies no row was lost or duplicated."""
-    n_rows = len(plan.tmap.rows)
-    coords = [[] for _ in range(n_rows)]
-    for g, tiles in enumerate(plan.groups):
-        for t, tile in enumerate(tiles):
-            for slot, r in enumerate(tile):
-                coords[r].append((g, t, slot))
-    occ = np.array([row.occupied() for row in plan.tmap.rows]) \
-        if n_rows else np.zeros((0, plan.tmap.n_features), dtype=bool)
-    schedules = []
-    for r in range(n_rows):
-        implicit = []
-        for g in range(plan.n_groups):
-            cols = slice(g * plan.tile_w,
-                         min((g + 1) * plan.tile_w, plan.tmap.n_features))
-            has = bool(occ[r, cols].any())
-            placed = sum(1 for c in coords[r] if c[0] == g)
-            if has and placed != 1:
-                raise InvariantError(
-                    f"row {r} appears {placed} times in group {g}")
-            if not has:
-                if placed:
-                    raise InvariantError(
-                        f"wildcard row {r} was written into group {g}")
-                implicit.append(g)
-        schedules.append(RowSchedule(coords=tuple(coords[r]),
-                                     implicit_groups=tuple(implicit)))
-    return tuple(schedules)
 
 
 def _range_to_obj(r: ThresholdRange):
@@ -305,6 +262,10 @@ def plan_from_json(text: str) -> tuple:
             )
             for row in obj["rows"]
         )
+        if not rows:
+            raise ModelFormatError("plan has no rows")
+        if any(row.class_label < 0 or row.tree_index < 0 for row in rows):
+            raise ModelFormatError("row class and tree must be non-negative")
         tmap = ThresholdMap(rows, n_features)
         plan = pack_tiles(tmap, int(obj["tile_h"]), int(obj["tile_w"]),
                           obj["col_perm"])

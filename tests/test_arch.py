@@ -1,5 +1,7 @@
 """Programming and end-to-end inference behavior."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from camforest.datasets import (
 from camforest.device import DeviceModel
 from camforest.errors import ConfigError, DataError
 from camforest.forest import Forest, train_forest, train_tree
-from camforest.mapper import compile_forest
+from camforest.mapper import ThresholdMap, compile_forest, pack_tiles
 
 D = DeviceModel()
 
@@ -229,6 +231,19 @@ def test_program_rejects_bad_feature_bounds(bound):
     with pytest.raises(DataError, match="feature bounds"):
         program(compile_forest(model, 16, 16), D, ArchConfig(), bounds,
                 model.n_classes)
+
+
+@pytest.mark.parametrize("label", [-1, 3])
+def test_program_rejects_labels_outside_classes(label):
+    X, y = load_iris()
+    model = train_tree(X, y, max_depth=3)
+    plan = compile_forest(model, 16, 16)
+    rows = list(plan.tmap.rows)
+    rows[1] = replace(rows[1], class_label=label)
+    bad = pack_tiles(ThresholdMap(tuple(rows), plan.tmap.n_features), 16, 16,
+                     plan.col_perm)
+    with pytest.raises(DataError, match="row class"):
+        program(bad, D, ArchConfig(), model.feature_bounds, model.n_classes)
 
 
 def test_leaf_only_forest_programs_no_tiles():

@@ -8,7 +8,7 @@ from camforest.cell import (
     Parasitics,
     cell_current,
     discharge_current,
-    divider_node_fast,
+    divider_node_t1,
     divider_residual,
     inverter_output,
     lower_branch_current,
@@ -94,7 +94,7 @@ def test_fast_node_matches_bisection():
     v_dl, g = np.meshgrid(np.linspace(0.31, 0.49, 40),
                           np.geomspace(0.5e-6, 200e-6, 40))
     exact = solve_divider(v_dl, g, P)
-    fast = divider_node_fast(v_dl, g, P)
+    fast = divider_node_t1(t1_current(v_dl, None, P), g, P)
     assert np.max(np.abs(exact - fast)) < 1e-6
 
 
@@ -109,8 +109,8 @@ def test_t1_entry_point_bitwise_equals_cell_current():
     g1, g2 = (a.reshape(-1, 1) for a in np.meshgrid(g, g))
     i_t1 = t1_current(v, None, P)
     new = lower_branch_t1(i_t1, g1, P) + upper_branch_t1(i_t1, g2, P)
-    written_out = discharge_current(divider_node_fast(v, g1, P), P) + \
-        discharge_current(inverter_output(divider_node_fast(v, g2, P), P), P)
+    written_out = discharge_current(divider_node_t1(i_t1, g1, P), P) + \
+        discharge_current(inverter_output(divider_node_t1(i_t1, g2, P), P), P)
     for ref in (cell_current(g1, g2, v, P), written_out):
         assert np.array_equal(new.view(np.int64), ref.view(np.int64))
     assert np.any(new == 0.0) and np.any(new > 0.0)

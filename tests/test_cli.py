@@ -277,6 +277,31 @@ def test_bad_plan_feature_bounds_exit_three(ini, run, tmp_path, bound):
     assert not (tmp_path / "s" / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("commands, field, value, message", [
+    (("simulate", "perf"), "rows", [], "no rows"),
+    (("simulate",), "class", -1, "non-negative")])
+def test_bad_plan_rows_exit_three(ini, run, tmp_path, commands, field, value,
+                                  message):
+    cfg = ini()
+    model = str(tmp_path / "m" / "model.json")
+    run("train", "--config", cfg, "--out", str(tmp_path / "m"))
+    run("compile", model, "--config", cfg, "--out", str(tmp_path / "p"))
+    plan = tmp_path / "p" / "plan.json"
+    obj = json.loads(plan.read_text())
+    if field == "rows":
+        # An empty map with a layout that agrees with it.
+        obj["rows"], obj["memory_cells"] = value, 0
+        obj["groups"] = [[] for _ in obj["groups"]]
+    else:
+        obj["rows"][0][field] = value
+    plan.write_text(json.dumps(obj))
+    for command in commands:
+        code, cap = run(command, str(plan), "--config", cfg,
+                        "--out", str(tmp_path / command))
+        assert code == 3 and message in cap.err
+        assert not (tmp_path / command / "manifest.json").exists()
+
+
 def test_exit_codes(ini, run, tmp_path):
     code, cap = run("train", "--config",
                     ini("[meta]\nversion = 1\nbogus = 1\n", "a.ini"))

@@ -25,12 +25,11 @@ from camforest.device import (
     encode_range,
     feature_to_voltage,
     inject_noise,
-    lsb,
-    quantize_range,
-    quantize_thresholds,
     reference_current,
+    snap_to_levels,
 )
 from camforest.errors import CalibrationError
+from camforest.mapper import MapRow, ThresholdMap, map_matches
 
 P = CellParams()
 D = DeviceModel()
@@ -178,11 +177,11 @@ def test_calibration_fails_when_unreachable():
 
 
 def test_threshold_range_semantics():
-    r = ThresholdRange(1.0, 2.0)
-    assert not r.contains(1.0)   # half-open at the bottom
-    assert r.contains(2.0)       # closed at the top
-    assert r.contains(1.5)
-    assert not r.contains(2.5)
+    # Half-open: a path predicate `f <= t` keeps t inside, `f > t` excludes it.
+    tmap = ThresholdMap((MapRow((ThresholdRange(1.0, 2.0),), 0, 0),), 1)
+    x = np.array([[1.0], [2.0], [1.5], [2.5], [np.nextafter(1.0, 2.0)]])
+    assert map_matches(tmap, x)[:, 0].tolist() == [False, True, True, False,
+                                                   True]
     assert ThresholdRange().wildcard
     assert not ThresholdRange(hi=2.0).wildcard
     with pytest.raises(ValueError):
@@ -190,38 +189,37 @@ def test_threshold_range_semantics():
 
 
 def test_quantize_range_snaps_to_levels():
-    b = (0.0, 1.0)
-    q = quantize_range(ThresholdRange(0.31, 0.74), 2, b)
-    assert q.lo == pytest.approx(1 / 3)
-    assert q.hi == pytest.approx(2 / 3)
-    q8 = quantize_range(ThresholdRange(0.31, 0.74), 8, b)
-    assert abs(q8.lo - 0.31) <= 0.5 / 255
-    assert abs(q8.hi - 0.74) <= 0.5 / 255
+    lo, hi = snap_to_levels([0.31, 0.74], 2, 0.0, 1.0)
+    assert lo == pytest.approx(1 / 3)
+    assert hi == pytest.approx(2 / 3)
+    lo8, hi8 = snap_to_levels([0.31, 0.74], 8, 0.0, 1.0)
+    assert abs(lo8 - 0.31) <= 0.5 / 255
+    assert abs(hi8 - 0.74) <= 0.5 / 255
+    # Ties take the lower level; values beyond [lo, hi] clamp to its ends.
+    assert snap_to_levels([0.5, 1.5, -2.0, 9.0], 2, 0.0, 3.0).tolist() == \
+        [0.0, 1.0, 0.0, 3.0]
 
 
 def test_quantize_preserves_wildcards_and_is_idempotent():
-    b = (0.0, 1.0)
-    assert quantize_range(ThresholdRange(), 4, b) == ThresholdRange()
+    assert snap_to_levels([-math.inf, math.inf], 4, 0.0, 1.0).tolist() == \
+        [-math.inf, math.inf]
     rng = np.random.default_rng(3)
     for _ in range(50):
-        lo, hi = np.sort(rng.uniform(0, 1, 2))
+        x = np.sort(rng.uniform(0, 1, 2))
         n = int(rng.integers(1, 9))
-        q1 = quantize_range(ThresholdRange(lo, hi), n, b)
-        q2 = quantize_range(q1, n, b)
-        assert q1 == q2
+        q1 = snap_to_levels(x, n, 0.0, 1.0)
+        q2 = snap_to_levels(q1, n, 0.0, 1.0)
+        assert np.array_equal(q1, q2)
 
 
 def test_quantize_thresholds_grid():
-    bounds = [(0.0, 1.0), (0.0, 2.0)]
-    rows = [[ThresholdRange(0.2, 0.9), ThresholdRange(hi=1.1)]]
-    out = quantize_thresholds(rows, 1, bounds)
-    assert out[0][0] == ThresholdRange(0.0, 1.0)
-    assert out[0][1].lo == -math.inf
-    assert out[0][1].hi == pytest.approx(2.0)
-
-
-def test_lsb():
-    assert lsb((0.0, 8.0), 3) == pytest.approx(1.0)
+    # Per-feature bounds broadcast along the last axis, as encode_bounds
+    # passes them.
+    b_lo, b_hi = np.array([0.0, 0.0]), np.array([1.0, 2.0])
+    lo = snap_to_levels(np.array([[0.2, -math.inf]]), 1, b_lo, b_hi)
+    hi = snap_to_levels(np.array([[0.9, 1.1]]), 1, b_lo, b_hi)
+    assert lo.tolist() == [[0.0, -math.inf]]
+    assert hi[0, 0] == 1.0 and hi[0, 1] == pytest.approx(2.0)
 
 
 def test_inject_noise_statistics():

@@ -14,7 +14,7 @@ import pytest
 
 from camforest.arch import (
     ArchConfig,
-    _can_draw_current,
+    _branches_can_draw,
     _evaluate,
     _input_voltages,
     _ml_voltages,
@@ -278,7 +278,8 @@ def test_regime_boundary_inside_window_is_probed():
     window = cell_current(g1, g2, np.linspace(V_DL_MIN, V_DL_MAX, 10_001)[:, None],
                           params)
     assert np.all(ends == 0.0) and np.any(window > 0.0)
-    assert _can_draw_current(g1, g2, params).all()
+    lower, upper = _branches_can_draw(g1, g2, params)
+    assert (lower | upper).all()
 
 
 def test_row_with_three_near_edge_cells(iris):

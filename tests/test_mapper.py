@@ -20,7 +20,6 @@ from camforest.mapper import (
     map_predict,
     pack_tiles,
     plan_from_json,
-    plan_inference_row_sets,
     plan_to_json,
     raw_cells,
     reorder,
@@ -175,11 +174,6 @@ def test_pack_skips_rows_without_occupied_cells_in_group():
     assert plan.groups[0] == ((0, 2),)
     assert plan.groups[1] == ((1,),)
     assert plan.memory_cells == 2 * 2 * 1
-    sched = plan_inference_row_sets(plan)
-    assert sched[0].coords == ((0, 0, 0),)
-    assert sched[0].implicit_groups == (1,)
-    assert sched[1].coords == ((1, 0, 0),)
-    assert sched[1].implicit_groups == (0,)
 
 
 def test_pack_counts_padding_in_memory_cells():
@@ -206,6 +200,76 @@ def test_reordered_packing_never_larger_unreordered():
             col_perm, _, newmap = reorder(tmap, group_width=w)
             packed = pack_tiles(newmap, h, w, col_perm)
             assert packed.memory_cells <= plain.memory_cells
+
+
+def _random_map(rng, n_rows, n_features):
+    """Random ranges: wildcard, lower-only, upper-only or two-sided cells,
+    with a share of fully wildcard rows."""
+    rows = []
+    for r in range(n_rows):
+        p_wild = 1.0 if rng.random() < 0.2 else rng.uniform(0.2, 0.9)
+        ranges = []
+        for _ in range(n_features):
+            lo, hi = np.sort(rng.uniform(0, 1, 2))
+            kind = 0 if rng.random() < p_wild else int(rng.integers(1, 4))
+            ranges.append(ThresholdRange(lo if kind & 1 else -INF,
+                                         hi if kind & 2 else INF))
+        rows.append(_row(ranges, int(rng.integers(0, 3)), r % 4))
+    return ThresholdMap(tuple(rows), n_features)
+
+
+def _reorder_oracle(occ, n_features, w):
+    """Documented sort keys, in plain Python: columns by descending
+    occupancy (stable); rows by leftmost occupied group (fully wildcard
+    rows last), then descending occupied count, then index."""
+    counts = [sum(row[c] for row in occ) for c in range(n_features)]
+    col_perm = sorted(range(n_features), key=lambda c: -counts[c])
+    keys = []
+    for i, row in enumerate(occ):
+        hits = [j for j, c in enumerate(col_perm) if row[c]]
+        group = hits[0] // w if hits else math.ceil(n_features / w)
+        keys.append((group, -len(hits), i))
+    return col_perm, [k[2] for k in sorted(keys)]
+
+
+def _pack_oracle(occ, n_features, h, w):
+    """Greedy top-to-bottom sweep, in plain Python."""
+    groups = []
+    for start in range(0, n_features, w):
+        tiles, current = [], []
+        for r, row in enumerate(occ):
+            if any(row[start:start + w]):
+                current.append(r)
+                if len(current) == h:
+                    tiles.append(tuple(current))
+                    current = []
+        if current:
+            tiles.append(tuple(current))
+        groups.append(tuple(tiles))
+    return tuple(groups)
+
+
+def test_reorder_and_pack_match_plain_python_oracle():
+    rng = np.random.default_rng(61)
+    shapes = [(0, 5, 2, 3), (4, 7, 1, 3), (6, 5, 3, 5), (12, 10, 2, 4)]
+    shapes += [(int(rng.integers(0, 25)), int(rng.integers(1, 14)),
+                int(rng.integers(1, 5)), int(rng.integers(1, 6)))
+               for _ in range(150)]
+    for n_rows, n_features, h, w in shapes:
+        tmap = _random_map(rng, n_rows, n_features)
+        occ = [[not r.wildcard for r in row.ranges] for row in tmap.rows]
+        assert tmap.occupied.tolist() == [row.occupied().tolist()
+                                          for row in tmap.rows] == occ
+        col_perm, row_perm, new = reorder(tmap, group_width=w)
+        want_cols, want_rows = _reorder_oracle(occ, n_features, w)
+        assert col_perm.tolist() == want_cols
+        assert row_perm.tolist() == want_rows
+        new_occ = [[occ[r][c] for c in want_cols] for r in want_rows]
+        assert new.occupied.tolist() == new_occ
+        assert pack_tiles(new, h, w, col_perm).groups == \
+            _pack_oracle(new_occ, n_features, h, w)
+        assert pack_tiles(tmap, h, w).groups == \
+            _pack_oracle(occ, n_features, h, w)
 
 
 def test_removing_wildcard_row_or_column_never_increases_cells():
@@ -237,7 +301,13 @@ def test_schedule_and_evaluation_matches_untiled_oracle():
     y = rng.integers(0, 3, size=200)
     forest = train_forest(X, y, n_trees=5, max_depth=5, seed=4)
     plan = compile_forest(forest, tile_h=4, tile_w=3)
-    sched = plan_inference_row_sets(plan)
+    # The groups holding each row, read from the packed layout; a row
+    # matches implicitly in every other group.
+    row_groups = [[] for _ in plan.tmap.rows]
+    for g, tiles in enumerate(plan.groups):
+        for tile in tiles:
+            for r in tile:
+                row_groups[r].append(g)
     samples = rng.uniform(-0.1, 1.1, size=(500, 7))
 
     # Ideal per-slot evaluation: a tile slot matches iff every cell of that
@@ -252,11 +322,8 @@ def test_schedule_and_evaluation_matches_untiled_oracle():
 
     direct = map_matches(plan.tmap, perm_x)
     for s in range(0, 500, 7):
-        for r, rs in enumerate(sched):
-            via_tiles = all(
-                slot_matches(s, g, plan.groups[g][t][slot])
-                for g, t, slot in rs.coords
-            )
+        for r, groups in enumerate(row_groups):
+            via_tiles = all(slot_matches(s, g, r) for g in groups)
             assert via_tiles == direct[s, r]
 
 
@@ -281,6 +348,23 @@ def test_plan_json_rejects_malformed():
         plan_from_json(text.replace('"version": 1', '"version": 5'))
     with pytest.raises(ModelFormatError):
         plan_from_json(text.replace('"memory_cells": ', '"memory_cells": 1'))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("rows", [], "no rows"), ("class", -1, "non-negative"),
+    ("tree", -2, "non-negative")])
+def test_plan_json_rejects_bad_rows(field, value, message):
+    X, y = load_iris()
+    obj = json.loads(plan_to_json(compile_forest(train_tree(X, y, max_depth=2),
+                                                 4, 4)))
+    if field == "rows":
+        # An empty map with a layout that agrees with it.
+        obj["rows"], obj["memory_cells"] = value, 0
+        obj["groups"] = [[] for _ in obj["groups"]]
+    else:
+        obj["rows"][-1][field] = value
+    with pytest.raises(ModelFormatError, match=message):
+        plan_from_json(json.dumps(obj))
 
 
 @pytest.mark.parametrize("bound", [[1.0, 1.0], [2.0, 1.0], [0.0, math.inf],
