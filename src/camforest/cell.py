@@ -97,6 +97,10 @@ def divider_residual(v_div, v_dl, g_m, params: CellParams):
     )
 
 
+def _select(condition, a, b):
+    return a if condition else b
+
+
 def solve_divider(v_dl, g_m, params: CellParams):
     """Divider-node voltage where the memristor and T1 currents balance.
 
@@ -107,15 +111,25 @@ def solve_divider(v_dl, g_m, params: CellParams):
     """
     v_dl = np.asarray(v_dl, dtype=float)
     g_m = np.asarray(g_m, dtype=float)
-    shape = np.broadcast_shapes(v_dl.shape, g_m.shape)
-    lo = np.full(shape, params.v_sl_lo)
-    hi = np.full(shape, params.v_sl_hi)
-    clamped = divider_residual(lo, v_dl, g_m, params) <= 0.0
+    # The T1 law ignores the divider node, so its current is fixed across
+    # the halvings; each residual is divider_residual's expression.
+    i_t1 = t1_current(v_dl, None, params)
+    if v_dl.ndim == 0 and g_m.ndim == 0:
+        # Plain floats: the same IEEE operations without numpy's per-call
+        # cost on 0-d arrays (scalar callers bisect on top of this one).
+        g_m, i_t1 = float(g_m), float(i_t1)
+        lo, hi, select = params.v_sl_lo, params.v_sl_hi, _select
+    else:
+        shape = np.broadcast_shapes(v_dl.shape, g_m.shape)
+        lo = np.full(shape, params.v_sl_lo)
+        hi = np.full(shape, params.v_sl_hi)
+        select = np.where
+    clamped = g_m * (params.v_sl_hi - lo) - i_t1 <= 0.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        above = divider_residual(mid, v_dl, g_m, params) > 0.0
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
+        above = g_m * (params.v_sl_hi - mid) - i_t1 > 0.0
+        lo = select(above, mid, lo)
+        hi = select(above, hi, mid)
     return np.where(clamped, params.v_sl_lo, 0.5 * (lo + hi))
 
 

@@ -8,7 +8,7 @@ half-open: the left child keeps x <= threshold.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,33 +35,55 @@ class Node:
 
 @dataclass(frozen=True)
 class Tree:
+    """A tree plus its read-only node table, built once from ``root``.
+
+    Nodes are numbered breadth-first from the root (0). ``feature``,
+    ``threshold``, ``left`` and ``right`` hold each split; a leaf points
+    back to itself and carries its class in ``label`` (-1 at splits), so a
+    walk of ``depth`` levels needs no leaf test.
+    """
+
     root: Node
+    feature: np.ndarray = field(init=False, repr=False, compare=False)
+    threshold: np.ndarray = field(init=False, repr=False, compare=False)
+    left: np.ndarray = field(init=False, repr=False, compare=False)
+    right: np.ndarray = field(init=False, repr=False, compare=False)
+    label: np.ndarray = field(init=False, repr=False, compare=False)
+    n_levels: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        nodes, levels, table = [self.root], [0], []
+        for i, node in enumerate(nodes):
+            if node.is_leaf:
+                table.append((0, 0.0, i, i, node.label))
+            else:
+                k = len(nodes)
+                table.append((node.feature, node.threshold, k, k + 1, -1))
+                nodes += [node.left, node.right]
+                levels += [levels[i] + 1] * 2
+        for name, dtype, column in zip(
+                ("feature", "threshold", "left", "right", "label"),
+                (np.intp, float, np.intp, np.intp, np.intp), zip(*table)):
+            value = np.array(column, dtype=dtype)
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "n_levels", max(levels))
 
     def predict(self, X) -> np.ndarray:
+        """Leaf label per sample; ``X`` is a finite (samples, F) array."""
         X = np.asarray(X, dtype=float)
-        out = np.empty(X.shape[0], dtype=int)
-        for i, row in enumerate(X):
-            node = self.root
-            while not node.is_leaf:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            out[i] = node.label
-        return out
+        rows = np.arange(X.shape[0])
+        node = np.zeros(X.shape[0], dtype=np.intp)
+        for _ in range(self.n_levels):
+            node = np.where(X[rows, self.feature[node]] <= self.threshold[node],
+                            self.left[node], self.right[node])
+        return self.label[node]
 
     def depth(self) -> int:
-        def d(node):
-            if node.is_leaf:
-                return 0
-            return 1 + max(d(node.left), d(node.right))
-
-        return d(self.root)
+        return self.n_levels
 
     def n_leaves(self) -> int:
-        def c(node):
-            if node.is_leaf:
-                return 1
-            return c(node.left) + c(node.right)
-
-        return c(self.root)
+        return int(np.count_nonzero(self.left == np.arange(self.left.size)))
 
 
 @dataclass(frozen=True)
@@ -74,12 +96,19 @@ class Forest:
     feature_bounds: tuple  # per-feature (min, max) seen at training time
 
     def votes(self, X) -> np.ndarray:
-        """Per-class vote counts, shape (n_samples, n_classes)."""
+        """Per-class vote counts, shape (n_samples, n_classes).
+
+        ``X`` must be a finite 2-D array with one column per feature."""
         X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.n_features:
+            raise DataError(f"samples must be a 2-D array with "
+                            f"{self.n_features} features")
+        if not np.all(np.isfinite(X)):
+            raise DataError("samples contain NaN or infinite features")
         counts = np.zeros((X.shape[0], self.n_classes), dtype=int)
+        rows = np.arange(X.shape[0])
         for tree in self.trees:
-            labels = tree.predict(X)
-            counts[np.arange(X.shape[0]), labels] += 1
+            counts[rows, tree.predict(X)] += 1
         return counts
 
     def predict(self, X) -> np.ndarray:
@@ -285,16 +314,8 @@ def from_json(text: str) -> Forest:
     if not tree_objs:
         raise ModelFormatError("model has no trees")
     trees = tuple(Tree(_node_from_obj(t, n_features)) for t in tree_objs)
-    for t in trees:
-        _check_labels(t.root, n_classes)
+    top = max(int(t.label.max()) for t in trees)
+    if top >= n_classes:
+        raise ModelFormatError(f"leaf label {top} out of range")
     return Forest(trees=trees, n_features=n_features, n_classes=n_classes,
                   feature_bounds=tuple(fb))
-
-
-def _check_labels(node: Node, n_classes: int):
-    if node.is_leaf:
-        if node.label >= n_classes:
-            raise ModelFormatError(f"leaf label {node.label} out of range")
-        return
-    _check_labels(node.left, n_classes)
-    _check_labels(node.right, n_classes)

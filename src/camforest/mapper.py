@@ -266,6 +266,8 @@ def plan_from_json(text: str) -> tuple:
             raise ModelFormatError("plan has no rows")
         if any(row.class_label < 0 or row.tree_index < 0 for row in rows):
             raise ModelFormatError("row class and tree must be non-negative")
+        if any(len(row.ranges) != n_features for row in rows):
+            raise ModelFormatError("row ranges must hold one range per feature")
         tmap = ThresholdMap(rows, n_features)
         plan = pack_tiles(tmap, int(obj["tile_h"]), int(obj["tile_w"]),
                           obj["col_perm"])

@@ -90,6 +90,19 @@ def test_solve_divider_short_limit():
     assert abs(v - P.v_sl_hi) < 1e-3
 
 
+def test_solve_divider_scalar_calls_match_array_call():
+    # Scalar calls bisect on plain floats; the array call is the reference.
+    rng = np.random.default_rng(8)
+    v_dl = np.concatenate([rng.uniform(-0.2, 1.9, 600),
+                           [P.v_sub_max, P.v_ohmic_min, V_DL_MIN, V_DL_MAX]])
+    g = np.concatenate([10 ** rng.uniform(-9, -2, 600),
+                        [0.0, 1e-9, 2e-6, 2e-4]])
+    batch = solve_divider(v_dl, g, P)
+    for k in range(v_dl.size):
+        single = solve_divider(v_dl[k], g[k], P)
+        assert single.shape == () and single == batch[k]
+
+
 def test_fast_node_matches_bisection():
     v_dl, g = np.meshgrid(np.linspace(0.31, 0.49, 40),
                           np.geomspace(0.5e-6, 200e-6, 40))

@@ -279,7 +279,9 @@ def test_bad_plan_feature_bounds_exit_three(ini, run, tmp_path, bound):
 
 @pytest.mark.parametrize("commands, field, value, message", [
     (("simulate", "perf"), "rows", [], "no rows"),
-    (("simulate",), "class", -1, "non-negative")])
+    (("simulate",), "class", -1, "non-negative"),
+    (("simulate",), "ranges", lambda r: r[:-1], "one range per feature"),
+    (("simulate",), "ranges", lambda r: r + r[-1:], "one range per feature")])
 def test_bad_plan_rows_exit_three(ini, run, tmp_path, commands, field, value,
                                   message):
     cfg = ini()
@@ -293,7 +295,8 @@ def test_bad_plan_rows_exit_three(ini, run, tmp_path, commands, field, value,
         obj["rows"], obj["memory_cells"] = value, 0
         obj["groups"] = [[] for _ in obj["groups"]]
     else:
-        obj["rows"][0][field] = value
+        row = obj["rows"][0]
+        row[field] = value(row[field]) if callable(value) else value
     plan.write_text(json.dumps(obj))
     for command in commands:
         code, cap = run(command, str(plan), "--config", cfg,

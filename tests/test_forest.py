@@ -1,12 +1,13 @@
 """Trainer, prediction, and serialization of trees and forests."""
 
+import hashlib
 import itertools
 import math
 
 import numpy as np
 import pytest
 
-from camforest.datasets import load_iris, train_test_split
+from camforest.datasets import gaussian_blobs, load_iris, train_test_split
 from camforest.errors import DataError, ModelFormatError
 from camforest.forest import (
     Forest,
@@ -26,14 +27,42 @@ def _traverse(node, x):
     return node.label
 
 
+def _reference_votes(forest, x):
+    votes = [0] * forest.n_classes
+    for t in forest.trees:
+        votes[_traverse(t.root, x)] += 1
+    return votes
+
+
 def _forest_reference(forest, X):
     preds = []
     for x in X:
-        votes = [0] * forest.n_classes
-        for t in forest.trees:
-            votes[_traverse(t.root, x)] += 1
+        votes = _reference_votes(forest, x)
         preds.append(votes.index(max(votes)))
     return np.array(preds)
+
+
+def _recursive_depth(node):
+    if node.is_leaf:
+        return 0
+    return 1 + max(_recursive_depth(node.left), _recursive_depth(node.right))
+
+
+def _recursive_leaves(node):
+    if node.is_leaf:
+        return 1
+    return _recursive_leaves(node.left) + _recursive_leaves(node.right)
+
+
+def _random_node(rng, n_features, n_classes, depth, grid):
+    """Random tree; thresholds come from a small per-feature grid, so
+    splits repeat values and inputs can sit exactly on them."""
+    if depth == 0 or rng.random() < 0.2:
+        return Node(label=int(rng.integers(n_classes)))
+    f = int(rng.integers(n_features))
+    return Node(feature=f, threshold=float(rng.choice(grid[f])),
+                left=_random_node(rng, n_features, n_classes, depth - 1, grid),
+                right=_random_node(rng, n_features, n_classes, depth - 1, grid))
 
 
 def _brute_force_stump(X, y, n_classes):
@@ -154,6 +183,86 @@ def test_forest_prediction_matches_reference_traversal():
         X_eval = rng.uniform(-0.2, 1.2, size=(250, 6))
         assert np.array_equal(forest.predict(X_eval),
                               _forest_reference(forest, X_eval))
+
+
+def test_table_walk_matches_recursive_reference_on_random_forests():
+    rng = np.random.default_rng(21)
+    ties = on_threshold = leaf_only = 0
+    for case in range(60):
+        n_features = int(rng.integers(1, 6))
+        n_classes = int(rng.integers(1, 4))
+        grid = [np.round(rng.uniform(-1, 1, 4), 2) for _ in range(n_features)]
+        # Single trees, leaf-only trees (depth 0) and even tree counts,
+        # whose votes can tie.
+        n_trees = 1 if case % 3 == 0 else int(rng.integers(2, 7))
+        trees = tuple(
+            Tree(_random_node(rng, n_features, n_classes,
+                              int(rng.integers(0, 7)), grid))
+            for _ in range(n_trees))
+        forest = Forest(trees=trees, n_features=n_features,
+                        n_classes=n_classes,
+                        feature_bounds=((-1.0, 1.0),) * n_features)
+        # Every split threshold, one ulp either side of it, and values
+        # between: the threshold itself must go left.
+        columns = []
+        for g in grid:
+            values = np.concatenate([g, np.nextafter(g, -np.inf),
+                                     np.nextafter(g, np.inf),
+                                     rng.uniform(-1.2, 1.2, 4)])
+            columns.append(rng.choice(values, size=300))
+        X = np.stack(columns, axis=1)
+        for t in trees:
+            leaf_only += t.root.is_leaf
+            assert t.depth() == _recursive_depth(t.root)
+            assert t.n_leaves() == _recursive_leaves(t.root)
+            assert np.array_equal(t.predict(X),
+                                  [_traverse(t.root, x) for x in X])
+        votes = forest.votes(X)
+        reference = [_reference_votes(forest, x) for x in X]
+        assert np.array_equal(votes, reference)
+        assert np.array_equal(forest.predict(X), _forest_reference(forest, X))
+        ties += sum(sorted(v)[-2:] == [max(v)] * 2 for v in reference
+                    if len(v) > 1)
+        on_threshold += int(np.isin(X, np.concatenate(grid)).any(1).sum())
+    assert ties > 0 and on_threshold > 0 and leaf_only > 0
+
+
+# sha256 of each trained model's to_json text; the node table must leave
+# training and serialisation byte-identical.
+_MODEL_DIGESTS = {
+    "iris": "6c365cd37a16d507b8dafdbd34aad8252d7b4eee970c1a23dfeae9370efcecd5",
+    "blobs16": "48c4eba3a589e4791cc70e493ac4b2b655ae8121a5bfe3eb0cc3b39492a455af",
+    "wide64": "084b15859cc73136a9f53550491cd3633342d849957f977cd7f09bc0f7f27241",
+}
+
+
+@pytest.mark.parametrize("name, n_trees, max_depth", [
+    ("iris", 15, 4), ("blobs16", 32, 6), ("wide64", 64, 8)])
+def test_trained_model_json_is_unchanged(name, n_trees, max_depth):
+    if name == "iris":
+        X, y = load_iris()
+    else:
+        F = int(name[-2:])
+        X, y, _, _ = train_test_split(*gaussian_blobs(7000, F, 4, 0),
+                                      test_fraction=5 / 7, seed=0)
+    text = to_json(train_forest(X, y, n_trees=n_trees, max_depth=max_depth,
+                                seed=0))
+    assert hashlib.sha256(text.encode()).hexdigest() == _MODEL_DIGESTS[name]
+
+
+def test_votes_reject_samples_outside_the_contract():
+    X, y = load_iris()
+    forest = train_forest(X, y, n_trees=3, max_depth=3, seed=0)
+    for bad in (X[0],                      # 1-D
+                X[None],                   # 3-D
+                X[:, :3],                  # a feature too few
+                np.hstack([X, X[:, :1]]),  # a feature too many
+                np.where(np.arange(4) == 2, np.nan, X),
+                np.where(np.arange(4) == 0, -np.inf, X)):
+        with pytest.raises(DataError):
+            forest.votes(bad)
+        with pytest.raises(DataError):
+            forest.predict(bad)
 
 
 def test_vote_tie_breaks_to_lowest_label():
