@@ -39,7 +39,7 @@ from .errors import (
 )
 from .forest import MODEL_FORMAT, MODEL_VERSION, from_json, to_json, train_forest
 from .mapper import PLAN_FORMAT, PLAN_VERSION, compile_forest, plan_from_json, plan_to_json
-from .perf import PerfConfig, ScaleFactors, perf_report
+from .perf import ML_MODES, PerfConfig, ScaleFactors, perf_report
 
 MANIFEST_FILE = "manifest.json"
 
@@ -406,6 +406,10 @@ def cmd_perf(args, cfg, config_sha):
     seed = _resolve_seed(args, cfg, "perf", stochastic=False)
     p = cfg["perf"]
     pcfg = _perf_config(cfg)
+    ml_mode = p["ml_mode"] or "dimensional"
+    if ml_mode not in ML_MODES:
+        raise ConfigError("[perf] ml_mode must be one of "
+                          f"{', '.join(ML_MODES)}")
     geometry = {k: p[k] for k in
                 ("tile_h", "tile_w", "n_tiles", "n_arrays", "n_nodes")}
     if args.input is not None:
@@ -440,9 +444,9 @@ def cmd_perf(args, cfg, config_sha):
         mode: perf_report(geometry["tile_h"], geometry["tile_w"],
                           geometry["n_tiles"], geometry["n_arrays"],
                           geometry["n_nodes"], pcfg, ml_mode=mode)
-        for mode in ("dimensional", "as_printed")
+        for mode in ML_MODES
     }
-    main_report = reports[p["ml_mode"] or "dimensional"]
+    main_report = reports[ml_mode]
     print(f"throughput {main_report.throughput:.4g} dec/s, "
           f"energy {main_report.energy_per_decision:.4g} J/dec")
     fields = ["p_static", "p_dl", "p_ml", "p_total", "tau_dl", "throughput",

@@ -23,7 +23,7 @@ from .cell import (
     t1_current,
     upper_branch_current,
 )
-from .errors import CalibrationError
+from .errors import CalibrationError, ConfigError
 
 # DL input window (V). Chosen inside the 0.3..0.5 regime of the fitted law;
 # see README calibration notes.
@@ -50,11 +50,11 @@ class DeviceModel:
 
     def __post_init__(self):
         if not 0 < self.g_hrs < self.g_lrs:
-            raise ValueError("need 0 < g_hrs < g_lrs")
+            raise ConfigError("need 0 < g_hrs < g_lrs")
         if self.n_levels < 2:
-            raise ValueError("n_levels must be at least 2")
+            raise ConfigError("n_levels must be at least 2")
         if self.sigma_rel < 0:
-            raise ValueError("sigma_rel must be non-negative")
+            raise ConfigError("sigma_rel must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -218,6 +218,8 @@ def encode_range(r: ThresholdRange, feature_bounds, device: DeviceModel,
 def snap_to_levels(x, n_bits: int, lo: float, hi: float):
     """Nearest of 2**n_bits uniform levels on [lo, hi]; ties take the lower
     level. Infinities pass through. Accepts scalars or arrays."""
+    if n_bits < 1:
+        raise ConfigError("n_bits must be at least 1")
     n = 2 ** n_bits
     step = (hi - lo) / (n - 1)
     idx = np.ceil((np.asarray(x, dtype=float) - lo) / step - 0.5)

@@ -8,7 +8,7 @@ half-open: the left child keeps x <= threshold.
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,56 +18,80 @@ MODEL_FORMAT = "camforest-model"
 MODEL_VERSION = 1
 
 
-@dataclass(frozen=True)
-class Node:
-    """Internal split (feature, threshold, children) or leaf (label)."""
-
-    feature: int = -1
-    threshold: float = math.nan
-    left: "Node | None" = None
-    right: "Node | None" = None
-    label: int = -1
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Tree:
-    """A tree plus its read-only node table, built once from ``root``.
+    """A tree as a read-only node table; build it with ``Tree.from_obj``.
 
-    Nodes are numbered breadth-first from the root (0). ``feature``,
-    ``threshold``, ``left`` and ``right`` hold each split; a leaf points
-    back to itself and carries its class in ``label`` (-1 at splits), so a
-    walk of ``depth`` levels needs no leaf test.
+    Nodes are numbered in preorder from the root (0): parents come before
+    children, and leaves run left to right. ``feature``, ``threshold``,
+    ``left`` and ``right`` hold each split; a leaf points back to itself
+    and carries its class in ``label`` (-1 at splits), so a walk of
+    ``n_levels`` (the depth) steps needs no leaf test.
     """
 
-    root: Node
-    feature: np.ndarray = field(init=False, repr=False, compare=False)
-    threshold: np.ndarray = field(init=False, repr=False, compare=False)
-    left: np.ndarray = field(init=False, repr=False, compare=False)
-    right: np.ndarray = field(init=False, repr=False, compare=False)
-    label: np.ndarray = field(init=False, repr=False, compare=False)
-    n_levels: int = field(init=False, repr=False, compare=False)
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    label: np.ndarray
+    n_levels: int
 
-    def __post_init__(self):
-        nodes, levels, table = [self.root], [0], []
-        for i, node in enumerate(nodes):
-            if node.is_leaf:
-                table.append((0, 0.0, i, i, node.label))
+    @classmethod
+    def from_obj(cls, obj) -> "Tree":
+        """Table of a model-format tree: ``{"feature", "threshold", "left",
+        "right"}`` splits and ``{"label"}`` leaves, nested."""
+        table, n_levels = [], 0
+        stack = [(obj, 0, None)]  # (node, level, parent if a right child)
+        while stack:
+            node, level, parent = stack.pop()
+            i = len(table)
+            if parent is not None:
+                table[parent][3] = i
+            n_levels = max(n_levels, level)
+            if not isinstance(node, dict):
+                raise ModelFormatError("node must be an object")
+            if "label" in node:
+                if not isinstance(node["label"], int):
+                    raise ModelFormatError("leaf label must be an integer")
+                table.append([0, 0.0, i, i, node["label"]])
+                continue
+            try:
+                f, th = node["feature"], node["threshold"]
+                stack += [(node["right"], level + 1, i),
+                          (node["left"], level + 1, None)]
+            except KeyError as exc:
+                raise ModelFormatError(
+                    f"split node missing key {exc}") from None
+            if not isinstance(f, int):
+                raise ModelFormatError("split feature must be an integer")
+            if not isinstance(th, (int, float)) or not math.isfinite(th):
+                raise ModelFormatError("split threshold must be finite")
+            table.append([f, float(th), i + 1, None, -1])
+        try:
+            columns = [np.array(column, dtype=dtype) for column, dtype in zip(
+                zip(*table), (np.intp, float, np.intp, np.intp, np.intp))]
+        except OverflowError:
+            raise ModelFormatError(
+                "split feature or leaf label too large") from None
+        for column in columns:
+            column.setflags(write=False)
+        return cls(*columns, n_levels=n_levels)
+
+    def to_obj(self) -> dict:
+        """The model-format object of this tree (inverse of ``from_obj``)."""
+        feature, threshold, left, right, label = (
+            a.tolist() for a in (self.feature, self.threshold, self.left,
+                                 self.right, self.label))
+        objs = [None] * len(label)
+        # Children follow their parent in preorder, so a backward pass
+        # finds both of a split's subtrees already built.
+        for i in reversed(range(len(label))):
+            if left[i] == i:
+                objs[i] = {"label": label[i]}
             else:
-                k = len(nodes)
-                table.append((node.feature, node.threshold, k, k + 1, -1))
-                nodes += [node.left, node.right]
-                levels += [levels[i] + 1] * 2
-        for name, dtype, column in zip(
-                ("feature", "threshold", "left", "right", "label"),
-                (np.intp, float, np.intp, np.intp, np.intp), zip(*table)):
-            value = np.array(column, dtype=dtype)
-            value.setflags(write=False)
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "n_levels", max(levels))
+                objs[i] = {"feature": feature[i], "threshold": threshold[i],
+                           "left": objs[left[i]], "right": objs[right[i]]}
+        return objs[0]
 
     def predict(self, X) -> np.ndarray:
         """Leaf label per sample; ``X`` is a finite (samples, F) array."""
@@ -94,6 +118,17 @@ class Forest:
     n_features: int
     n_classes: int
     feature_bounds: tuple  # per-feature (min, max) seen at training time
+
+    def __post_init__(self):
+        for tree in self.trees:
+            leaf = tree.left == np.arange(tree.left.size)
+            labels, features = tree.label[leaf], tree.feature[~leaf]
+            if not np.all((labels >= 0) & (labels < self.n_classes)):
+                raise ModelFormatError(
+                    f"leaf label outside [0, {self.n_classes})")
+            if not np.all((features >= 0) & (features < self.n_features)):
+                raise ModelFormatError(
+                    f"split feature outside [0, {self.n_features})")
 
     def votes(self, X) -> np.ndarray:
         """Per-class vote counts, shape (n_samples, n_classes).
@@ -160,11 +195,12 @@ def _majority(y, n_classes) -> int:
     return int(np.argmax(np.bincount(y, minlength=n_classes)))
 
 
-def _grow(X, y, depth, max_depth, n_classes, max_features, rng) -> Node:
+def _grow(X, y, depth, max_depth, n_classes, max_features, rng) -> dict:
+    """Model-format object of the CART subtree grown on (X, y)."""
     counts = np.bincount(y, minlength=n_classes)
     node_gini = _gini(counts)
     if depth >= max_depth or node_gini == 0.0 or y.size < 2:
-        return Node(label=_majority(y, n_classes))
+        return {"label": _majority(y, n_classes)}
     n_feat = X.shape[1]
     if max_features < n_feat:
         feat_ids = np.sort(rng.choice(n_feat, size=max_features, replace=False))
@@ -172,14 +208,14 @@ def _grow(X, y, depth, max_depth, n_classes, max_features, rng) -> Node:
         feat_ids = np.arange(n_feat)
     best = _best_split(X, y, feat_ids, n_classes)
     if best is None or best[2] >= node_gini - 1e-15:
-        return Node(label=_majority(y, n_classes))
+        return {"label": _majority(y, n_classes)}
     f, th, _ = best
     mask = X[:, f] <= th
     left = _grow(X[mask], y[mask], depth + 1, max_depth, n_classes,
                  max_features, rng)
     right = _grow(X[~mask], y[~mask], depth + 1, max_depth, n_classes,
                   max_features, rng)
-    return Node(feature=f, threshold=th, left=left, right=right)
+    return {"feature": f, "threshold": th, "left": left, "right": right}
 
 
 def _check_data(X, y):
@@ -217,8 +253,8 @@ def train_tree(X, y, max_depth: int = 6, n_classes: int | None = None) -> Forest
     k = n_classes if n_classes is not None else int(y.max()) + 1
     # Every feature is offered at every split, so _grow draws nothing.
     root = _grow(X, y, 0, max_depth, k, X.shape[1], None)
-    return Forest(trees=(Tree(root),), n_features=X.shape[1], n_classes=k,
-                  feature_bounds=_bounds(X))
+    return Forest(trees=(Tree.from_obj(root),), n_features=X.shape[1],
+                  n_classes=k, feature_bounds=_bounds(X))
 
 
 def train_forest(X, y, n_trees: int = 15, max_depth: int = 6, seed: int = 0,
@@ -236,42 +272,9 @@ def train_forest(X, y, n_trees: int = 15, max_depth: int = 6, seed: int = 0,
         rng = np.random.default_rng([seed, t])
         idx = rng.integers(0, X.shape[0], size=X.shape[0])
         root = _grow(X[idx], y[idx], 0, max_depth, k, m, rng)
-        trees.append(Tree(root))
+        trees.append(Tree.from_obj(root))
     return Forest(trees=tuple(trees), n_features=X.shape[1], n_classes=k,
                   feature_bounds=_bounds(X))
-
-
-def _node_to_obj(node: Node):
-    if node.is_leaf:
-        return {"label": node.label}
-    return {
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "left": _node_to_obj(node.left),
-        "right": _node_to_obj(node.right),
-    }
-
-
-def _node_from_obj(obj, n_features) -> Node:
-    if not isinstance(obj, dict):
-        raise ModelFormatError("node must be an object")
-    if "label" in obj:
-        label = obj["label"]
-        if not isinstance(label, int) or label < 0:
-            raise ModelFormatError("leaf label must be a non-negative integer")
-        return Node(label=label)
-    try:
-        f = obj["feature"]
-        th = obj["threshold"]
-        left = _node_from_obj(obj["left"], n_features)
-        right = _node_from_obj(obj["right"], n_features)
-    except KeyError as exc:
-        raise ModelFormatError(f"split node missing key {exc}") from None
-    if not isinstance(f, int) or not 0 <= f < n_features:
-        raise ModelFormatError(f"split feature {f} out of range")
-    if not isinstance(th, (int, float)) or not math.isfinite(th):
-        raise ModelFormatError("split threshold must be finite")
-    return Node(feature=f, threshold=float(th), left=left, right=right)
 
 
 def to_json(forest: Forest) -> str:
@@ -281,7 +284,7 @@ def to_json(forest: Forest) -> str:
         "n_features": forest.n_features,
         "n_classes": forest.n_classes,
         "feature_bounds": [list(b) for b in forest.feature_bounds],
-        "trees": [_node_to_obj(t.root) for t in forest.trees],
+        "trees": [t.to_obj() for t in forest.trees],
     }
     return json.dumps(obj, sort_keys=True, indent=1)
 
@@ -313,9 +316,6 @@ def from_json(text: str) -> Forest:
         fb.append((float(b[0]), float(b[1])))
     if not tree_objs:
         raise ModelFormatError("model has no trees")
-    trees = tuple(Tree(_node_from_obj(t, n_features)) for t in tree_objs)
-    top = max(int(t.label.max()) for t in trees)
-    if top >= n_classes:
-        raise ModelFormatError(f"leaf label {top} out of range")
-    return Forest(trees=trees, n_features=n_features, n_classes=n_classes,
+    return Forest(trees=tuple(Tree.from_obj(t) for t in tree_objs),
+                  n_features=n_features, n_classes=n_classes,
                   feature_bounds=tuple(fb))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .device import ThresholdRange
-from .errors import InvariantError, ModelFormatError
+from .errors import ConfigError, InvariantError, ModelFormatError
 from .forest import Forest
 
 PLAN_FORMAT = "camforest-plan"
@@ -73,27 +73,31 @@ class ThresholdMap:
 
 
 def extract_paths(forest: Forest) -> ThresholdMap:
-    """One map row per leaf; left branches tighten hi, right branches lo."""
+    """One map row per leaf, in preorder (left to right); a left branch
+    tightens its child's hi, a right branch its child's lo."""
     rows = []
+    inf = math.inf
     for t_idx, tree in enumerate(forest.trees):
-        def walk(node, lo, hi):
-            if node.is_leaf:
+        feature, threshold, left, right, label = (
+            a.tolist() for a in (tree.feature, tree.threshold, tree.left,
+                                 tree.right, tree.label))
+        # bounds[i] = (lo, hi) lists of node i's path; parents come first.
+        bounds = [None] * len(label)
+        bounds[0] = ([-inf] * forest.n_features, [inf] * forest.n_features)
+        for i, (lo, hi) in enumerate(bounds):
+            if left[i] == i:
                 ranges = tuple(ThresholdRange(a, b) if a > -inf or b < inf
                                else _WILDCARD for a, b in zip(lo, hi))
-                rows.append(MapRow(ranges, node.label, t_idx))
-                return
-            f, th = node.feature, node.threshold
-            if not min(hi[f], th) > lo[f]:
+                rows.append(MapRow(ranges, label[i], t_idx))
+                continue
+            f, th = feature[i], threshold[i]
+            # Both children's ranges are non-empty iff th lies strictly
+            # inside the path's range; it then tightens one side of each.
+            if not lo[f] < th < hi[f]:
                 raise InvariantError(
                     f"tree {t_idx}: contradictory path on feature {f}")
-            if not hi[f] > max(lo[f], th):
-                raise InvariantError(
-                    f"tree {t_idx}: contradictory path on feature {f}")
-            walk(node.left, lo, hi[:f] + [min(hi[f], th)] + hi[f + 1:])
-            walk(node.right, lo[:f] + [max(lo[f], th)] + lo[f + 1:], hi)
-
-        inf = math.inf
-        walk(tree.root, [-inf] * forest.n_features, [inf] * forest.n_features)
+            bounds[left[i]] = (lo, hi[:f] + [th] + hi[f + 1:])
+            bounds[right[i]] = (lo[:f] + [th] + lo[f + 1:], hi)
     return ThresholdMap(rows=tuple(rows), n_features=forest.n_features)
 
 
@@ -125,6 +129,8 @@ def reorder(tmap: ThresholdMap, group_width: int | None = None) -> tuple:
     """
     col_perm = np.argsort(-tmap.occupancy(), kind="stable")
     w = group_width if group_width is not None else 1
+    if w < 1:
+        raise ConfigError("group width must be positive")
     occ = tmap.occupied[:, col_perm]
     # Fully wildcard rows take group ceil(F / w), past every real group.
     n_groups = math.ceil(tmap.n_features / w)
@@ -184,7 +190,7 @@ def pack_tiles(tmap: ThresholdMap, tile_h: int, tile_w: int,
     """Greedy top-to-bottom sweep: a row joins a group's current tile iff
     it has an occupied cell in that group's columns."""
     if tile_h < 1 or tile_w < 1:
-        raise ValueError("tile dimensions must be positive")
+        raise ConfigError("tile dimensions must be positive")
     if col_perm is None:
         col_perm = tuple(range(tmap.n_features))
     else:
@@ -271,7 +277,7 @@ def plan_from_json(text: str) -> tuple:
         tmap = ThresholdMap(rows, n_features)
         plan = pack_tiles(tmap, int(obj["tile_h"]), int(obj["tile_w"]),
                           obj["col_perm"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise ModelFormatError(f"malformed plan: {exc!r}") from None
     if [[list(t) for t in g] for g in plan.groups] != obj["groups"]:
         raise ModelFormatError("stored tile layout disagrees with packing")

@@ -246,33 +246,3 @@ def report_for_plan(plan, n_nodes: int, config: PerfConfig = None,
                        final_ml_voltages=final_ml_voltages, v_ml0=v_ml0,
                        i_d0=i_d0, ml_mode=ml_mode)
 
-
-def perf_grid(tile_hs, tile_ws, t_clks, n_tiles: int, n_arrays: int,
-              n_nodes: int, config: PerfConfig = None) -> list:
-    """Evaluate perf_report over a (H, W, t_clk) grid.
-
-    Returns one dict per point with the geometry and the headline report
-    numbers, in deterministic H-major order. r_out is re-optimized per
-    point so every configuration meets its own settling budget.
-    """
-    if config is None:
-        config = PerfConfig()
-    rows = []
-    for h in tile_hs:
-        for w in tile_ws:
-            for t in t_clks:
-                r_out = choose_r_out(t, h, config.r_w,
-                                     config.c_dl * config.scale.cap_scale)
-                point = PerfConfig(v_dd=config.v_dd, v_sl_hi=config.v_sl_hi,
-                                   t_clk=t, r_out=r_out, r_w=config.r_w,
-                                   c_dl=config.c_dl, c_ml=config.c_ml,
-                                   scale=config.scale,
-                                   pipelined=config.pipelined)
-                rep = perf_report(h, w, n_tiles, n_arrays, n_nodes, point)
-                rows.append({
-                    "tile_h": h, "tile_w": w, "t_clk": t, "r_out": r_out,
-                    "p_total": rep.p_total, "tau_dl": rep.tau_dl,
-                    "throughput": rep.throughput,
-                    "energy_per_decision": rep.energy_per_decision,
-                })
-    return rows

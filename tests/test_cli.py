@@ -341,6 +341,23 @@ def test_exit_codes(ini, run, tmp_path):
     code, cap = run("sweep", "--config", ini(empty_grid, "e.ini"))
     assert code == 2 and "grid" in cap.err
 
+    # Values the library rejects are configuration errors too.
+    run("train", "--config", ini(), "--out", str(tmp_path / "m"))
+    model = str(tmp_path / "m" / "model.json")
+    for command, section, setting, word in [
+            ("simulate", "arch", "tile_h = 0", "tile"),
+            ("compile", "arch", "tile_w = 0", "width"),
+            ("simulate", "arch", "sigma = -0.1", "sigma"),
+            ("simulate", "device", "n_levels = 1", "n_levels"),
+            ("simulate", "device", "g_hrs = 2e-4", "g_hrs"),
+            ("perf", "perf", "ml_mode = foo", "ml_mode"),
+            ("simulate", "arch", "n_bits = 0", "n_bits"),
+            ("compile", "arch", "n_bits = -1", "n_bits")]:
+        bad_value = ini(BASE + f"[{section}]\n{setting}\n", "f.ini")
+        code, cap = run(command, model, "--config", bad_value,
+                        "--out", str(tmp_path / "f"))
+        assert code == 2 and word in cap.err, (setting, code, cap.err)
+
 
 def test_noise_simulation_requires_seed(ini, run, tmp_path):
     noisy = ("[meta]\nversion = 1\n[dataset]\nbuiltin = iris\n"

@@ -28,7 +28,7 @@ from camforest.device import (
     reference_current,
     snap_to_levels,
 )
-from camforest.errors import CalibrationError
+from camforest.errors import CalibrationError, ConfigError
 from camforest.mapper import MapRow, ThresholdMap, map_matches
 
 P = CellParams()
@@ -246,9 +246,9 @@ def test_inject_noise_clips_at_rails():
 
 
 def test_device_model_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         DeviceModel(g_hrs=5e-4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         DeviceModel(n_levels=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         DeviceModel(sigma_rel=-0.1)

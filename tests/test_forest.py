@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import json
 import math
 
 import numpy as np
@@ -11,7 +12,6 @@ from camforest.datasets import gaussian_blobs, load_iris, train_test_split
 from camforest.errors import DataError, ModelFormatError
 from camforest.forest import (
     Forest,
-    Node,
     Tree,
     from_json,
     to_json,
@@ -20,49 +20,67 @@ from camforest.forest import (
 )
 
 
+def _tree_objs(forest):
+    """Model-format tree objects, read back from the serialised model."""
+    return json.loads(to_json(forest))["trees"]
+
+
 def _traverse(node, x):
-    """Independent recursive reference for tree prediction."""
-    while not node.is_leaf:
-        node = node.left if x[node.feature] <= node.threshold else node.right
-    return node.label
+    """Independent reference for tree prediction over a tree object."""
+    while "label" not in node:
+        node = node["left" if x[node["feature"]] <= node["threshold"]
+                    else "right"]
+    return node["label"]
 
 
-def _reference_votes(forest, x):
-    votes = [0] * forest.n_classes
-    for t in forest.trees:
-        votes[_traverse(t.root, x)] += 1
+def _reference_votes(objs, n_classes, x):
+    votes = [0] * n_classes
+    for obj in objs:
+        votes[_traverse(obj, x)] += 1
     return votes
 
 
 def _forest_reference(forest, X):
+    objs = _tree_objs(forest)
     preds = []
     for x in X:
-        votes = _reference_votes(forest, x)
+        votes = _reference_votes(objs, forest.n_classes, x)
         preds.append(votes.index(max(votes)))
     return np.array(preds)
 
 
 def _recursive_depth(node):
-    if node.is_leaf:
+    if "label" in node:
         return 0
-    return 1 + max(_recursive_depth(node.left), _recursive_depth(node.right))
+    return 1 + max(_recursive_depth(node["left"]),
+                   _recursive_depth(node["right"]))
 
 
 def _recursive_leaves(node):
-    if node.is_leaf:
+    if "label" in node:
         return 1
-    return _recursive_leaves(node.left) + _recursive_leaves(node.right)
+    return _recursive_leaves(node["left"]) + _recursive_leaves(node["right"])
 
 
-def _random_node(rng, n_features, n_classes, depth, grid):
-    """Random tree; thresholds come from a small per-feature grid, so
-    splits repeat values and inputs can sit exactly on them."""
+def _random_obj(rng, n_features, n_classes, depth, grid):
+    """Random tree object; thresholds come from a small per-feature grid,
+    so splits repeat values and inputs can sit exactly on them."""
     if depth == 0 or rng.random() < 0.2:
-        return Node(label=int(rng.integers(n_classes)))
+        return {"label": int(rng.integers(n_classes))}
     f = int(rng.integers(n_features))
-    return Node(feature=f, threshold=float(rng.choice(grid[f])),
-                left=_random_node(rng, n_features, n_classes, depth - 1, grid),
-                right=_random_node(rng, n_features, n_classes, depth - 1, grid))
+    return {"feature": f, "threshold": float(rng.choice(grid[f])),
+            "left": _random_obj(rng, n_features, n_classes, depth - 1, grid),
+            "right": _random_obj(rng, n_features, n_classes, depth - 1, grid)}
+
+
+def _assert_same_tables(a, b):
+    for name in ("feature", "left", "right", "label"):
+        assert getattr(a, name).dtype == getattr(b, name).dtype
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+    assert a.threshold.dtype == b.threshold.dtype == float
+    assert np.array_equal(a.threshold.view(np.int64),
+                          b.threshold.view(np.int64))
+    assert a.n_levels == b.n_levels
 
 
 def _brute_force_stump(X, y, n_classes):
@@ -84,7 +102,7 @@ def _brute_force_stump(X, y, n_classes):
 
 
 def _weighted_gini(X, y, node, n_classes):
-    mask = X[:, node.feature] <= node.threshold
+    mask = X[:, node["feature"]] <= node["threshold"]
     g = 0.0
     for part in (y[mask], y[~mask]):
         counts = np.bincount(part, minlength=n_classes)
@@ -99,8 +117,8 @@ def test_stump_matches_brute_force_split():
         X = rng.uniform(0, 1, size=(40, 3))
         y = rng.integers(0, 3, size=40)
         model = train_tree(X, y, max_depth=1, n_classes=3)
-        root = model.trees[0].root
-        if root.is_leaf:
+        root = _tree_objs(model)[0]
+        if "label" in root:
             # Degenerate: no split can improve; brute force must agree.
             counts = np.bincount(y, minlength=3)
             p = counts / 40
@@ -114,10 +132,10 @@ def test_separable_stump_threshold_between_clusters():
     X = np.array([[0.1], [0.2], [0.3], [0.7], [0.8], [0.9]])
     y = np.array([0, 0, 0, 1, 1, 1])
     model = train_tree(X, y, max_depth=1)
-    root = model.trees[0].root
-    assert not root.is_leaf
-    assert 0.3 < root.threshold < 0.7
-    assert root.left.label == 0 and root.right.label == 1
+    root = _tree_objs(model)[0]
+    assert "label" not in root
+    assert 0.3 < root["threshold"] < 0.7
+    assert root["left"] == {"label": 0} and root["right"] == {"label": 1}
 
 
 def test_deep_tree_fits_training_data():
@@ -142,16 +160,15 @@ def test_max_depth_respected():
 def test_single_sample_gives_leaf():
     model = train_forest(np.array([[1.0, 2.0]]), np.array([1]),
                          n_trees=3, max_depth=4, n_classes=2)
-    for t in model.trees:
-        assert t.root.is_leaf and t.root.label == 1
+    for obj in _tree_objs(model):
+        assert obj == {"label": 1}
 
 
 def test_constant_labels_give_single_leaf():
     rng = np.random.default_rng(3)
     X = rng.uniform(0, 1, size=(30, 3))
     model = train_tree(X, np.full(30, 2), max_depth=5)
-    assert model.trees[0].root.is_leaf
-    assert model.trees[0].root.label == 2
+    assert _tree_objs(model) == [{"label": 2}]
 
 
 def test_iris_tree_accuracy():
@@ -195,10 +212,10 @@ def test_table_walk_matches_recursive_reference_on_random_forests():
         # Single trees, leaf-only trees (depth 0) and even tree counts,
         # whose votes can tie.
         n_trees = 1 if case % 3 == 0 else int(rng.integers(2, 7))
-        trees = tuple(
-            Tree(_random_node(rng, n_features, n_classes,
-                              int(rng.integers(0, 7)), grid))
-            for _ in range(n_trees))
+        objs = [_random_obj(rng, n_features, n_classes,
+                            int(rng.integers(0, 7)), grid)
+                for _ in range(n_trees)]
+        trees = tuple(Tree.from_obj(obj) for obj in objs)
         forest = Forest(trees=trees, n_features=n_features,
                         n_classes=n_classes,
                         feature_bounds=((-1.0, 1.0),) * n_features)
@@ -211,14 +228,17 @@ def test_table_walk_matches_recursive_reference_on_random_forests():
                                      rng.uniform(-1.2, 1.2, 4)])
             columns.append(rng.choice(values, size=300))
         X = np.stack(columns, axis=1)
-        for t in trees:
-            leaf_only += t.root.is_leaf
-            assert t.depth() == _recursive_depth(t.root)
-            assert t.n_leaves() == _recursive_leaves(t.root)
+        for t, obj in zip(trees, objs):
+            leaf_only += "label" in obj
+            assert t.to_obj() == obj
+            assert t.depth() == _recursive_depth(obj)
+            assert t.n_leaves() == _recursive_leaves(obj)
             assert np.array_equal(t.predict(X),
-                                  [_traverse(t.root, x) for x in X])
+                                  [_traverse(obj, x) for x in X])
+        for a, b in zip(trees, from_json(to_json(forest)).trees):
+            _assert_same_tables(a, b)
         votes = forest.votes(X)
-        reference = [_reference_votes(forest, x) for x in X]
+        reference = [_reference_votes(objs, n_classes, x) for x in X]
         assert np.array_equal(votes, reference)
         assert np.array_equal(forest.predict(X), _forest_reference(forest, X))
         ties += sum(sorted(v)[-2:] == [max(v)] * 2 for v in reference
@@ -266,12 +286,28 @@ def test_votes_reject_samples_outside_the_contract():
 
 
 def test_vote_tie_breaks_to_lowest_label():
-    t0 = Tree(Node(label=2))
-    t1 = Tree(Node(label=1))
+    t0 = Tree.from_obj({"label": 2})
+    t1 = Tree.from_obj({"label": 1})
     forest = Forest(trees=(t0, t1), n_features=1, n_classes=3,
                     feature_bounds=((0.0, 1.0),))
     assert forest.predict(np.array([[0.5]]))[0] == 1
     assert np.array_equal(forest.votes(np.array([[0.5]]))[0], [0, 1, 1])
+
+
+def test_forest_rejects_leaf_labels_outside_its_classes():
+    for label in (-1, 3):
+        with pytest.raises(ModelFormatError):
+            Forest(trees=(Tree.from_obj({"label": label}),), n_features=1,
+                   n_classes=3, feature_bounds=((0.0, 1.0),))
+
+
+def test_forest_rejects_split_features_outside_its_inputs():
+    for feature in (-1, 1, 3):
+        stump = {"feature": feature, "threshold": 0.5,
+                 "left": {"label": 0}, "right": {"label": 1}}
+        with pytest.raises(ModelFormatError):
+            Forest(trees=(Tree.from_obj(stump),), n_features=1, n_classes=2,
+                   feature_bounds=((0.0, 1.0),))
 
 
 def test_training_is_deterministic():
@@ -290,8 +326,8 @@ def test_bootstrap_trees_differ():
     X = rng.uniform(0, 1, size=(100, 4))
     y = rng.integers(0, 3, size=100)
     forest = train_forest(X, y, n_trees=6, max_depth=4, seed=0)
-    roots = {(t.root.feature, round(t.root.threshold, 9)) for t in forest.trees
-             if not t.root.is_leaf}
+    roots = {(obj["feature"], round(obj["threshold"], 9))
+             for obj in _tree_objs(forest) if "label" not in obj}
     assert len(roots) > 1
 
 
@@ -301,6 +337,8 @@ def test_json_round_trip():
     text = to_json(forest)
     back = from_json(text)
     assert to_json(back) == text
+    for a, b in zip(forest.trees, back.trees):
+        _assert_same_tables(a, b)
     X_eval = np.random.default_rng(0).uniform(0, 8, size=(100, 4))
     assert np.array_equal(back.predict(X_eval), forest.predict(X_eval))
 
@@ -337,6 +375,17 @@ def test_from_json_rejects_malformed():
     """
     with pytest.raises(ModelFormatError):
         from_json(bad_feature)
+    leaf = {"label": 0}
+    for bad_tree in ([leaf], {"feature": 0, "threshold": 0.5, "left": leaf},
+                     {"feature": 0, "threshold": math.inf, "left": leaf,
+                      "right": leaf},
+                     {"feature": 0.0, "threshold": 0.5, "left": leaf,
+                      "right": leaf},
+                     {"label": 0.5}, {"label": 2 ** 70}):
+        doc = json.loads(good)
+        doc["trees"] = [bad_tree]
+        with pytest.raises(ModelFormatError):
+            from_json(json.dumps(doc))
 
 
 def test_invalid_training_inputs():
@@ -363,13 +412,14 @@ def test_exactly_one_leaf_reached_per_tree():
     leaves = []
 
     def collect(node, path):
-        if node.is_leaf:
+        if "label" in node:
             leaves.append(path)
             return
-        collect(node.left, path + [(node.feature, node.threshold, True)])
-        collect(node.right, path + [(node.feature, node.threshold, False)])
+        f, th = node["feature"], node["threshold"]
+        collect(node["left"], path + [(f, th, True)])
+        collect(node["right"], path + [(f, th, False)])
 
-    collect(tree.root, [])
+    collect(_tree_objs(model)[0], [])
     assert len(leaves) == tree.n_leaves()
     for x in rng.uniform(0, 1, size=(200, 3)):
         hits = sum(

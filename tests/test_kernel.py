@@ -7,6 +7,7 @@ bit-identical ML voltages, so skipping cells or branches and the direct
 sums must never change a result, not even in the last bit.
 """
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -31,7 +32,7 @@ from camforest.cell import (
 )
 from camforest.datasets import gaussian_blobs, load_iris
 from camforest.device import V_DL_MAX, V_DL_MIN, DeviceModel, feature_to_voltage
-from camforest.forest import train_forest
+from camforest.forest import to_json, train_forest
 from camforest.mapper import compile_forest
 
 D = DeviceModel()
@@ -83,13 +84,13 @@ def _assert_bit_identical(a, b):
 def _splits(forest):
     """Per feature, the thresholds of every split node in the forest."""
     splits = [[] for _ in range(forest.n_features)]
-    for tree in forest.trees:
-        stack = [tree.root]
+    for tree in json.loads(to_json(forest))["trees"]:
+        stack = [tree]
         while stack:
             node = stack.pop()
-            if not node.is_leaf:
-                splits[node.feature].append(node.threshold)
-                stack += [node.left, node.right]
+            if "label" not in node:
+                splits[node["feature"]].append(node["threshold"])
+                stack += [node["left"], node["right"]]
     return splits
 
 

@@ -9,7 +9,7 @@ import pytest
 from camforest.datasets import load_iris, sparse_informative
 from camforest.device import ThresholdRange
 from camforest.errors import InvariantError, ModelFormatError
-from camforest.forest import Forest, Node, Tree, train_forest, train_tree
+from camforest.forest import Forest, Tree, to_json, train_forest, train_tree
 from camforest.mapper import (
     MapRow,
     ThresholdMap,
@@ -38,8 +38,8 @@ def _wild():
 
 def test_stump_extraction():
     stump = Forest(
-        trees=(Tree(Node(feature=1, threshold=0.4,
-                         left=Node(label=0), right=Node(label=2))),),
+        trees=(Tree.from_obj({"feature": 1, "threshold": 0.4,
+                              "left": {"label": 0}, "right": {"label": 2}}),),
         n_features=3, n_classes=3,
         feature_bounds=((0, 1), (0, 1), (0, 1)),
     )
@@ -100,14 +100,78 @@ def test_map_predict_equals_forest_predict():
 
 def test_contradictory_path_rejected():
     bad = Forest(
-        trees=(Tree(Node(feature=0, threshold=0.5,
-                         left=Node(feature=0, threshold=0.8,
-                                   left=Node(label=0), right=Node(label=1)),
-                         right=Node(label=1))),),
+        trees=(Tree.from_obj(
+            {"feature": 0, "threshold": 0.5,
+             "left": {"feature": 0, "threshold": 0.8,
+                      "left": {"label": 0}, "right": {"label": 1}},
+             "right": {"label": 1}}),),
         n_features=1, n_classes=2, feature_bounds=((0, 1),),
     )
     with pytest.raises(InvariantError):
         extract_paths(bad)
+
+
+def _random_tree_obj(rng, n_features, n_classes, depth, grid):
+    """Random model-format tree; each feature draws its thresholds from
+    three grid values, so one feature repeats thresholds along a path."""
+    if depth == 0 or rng.random() < 0.3:
+        return {"label": int(rng.integers(n_classes))}
+    f = int(rng.integers(n_features))
+    return {"feature": f, "threshold": float(rng.choice(grid[f])),
+            "left": _random_tree_obj(rng, n_features, n_classes, depth - 1,
+                                     grid),
+            "right": _random_tree_obj(rng, n_features, n_classes, depth - 1,
+                                      grid)}
+
+
+def _leaf_paths(node, path=()):
+    """Recursive reference: (path, class) per leaf, left to right; a path
+    lists (feature, threshold, went_left) per split."""
+    if "label" in node:
+        return [(path, node["label"])]
+    f, th = node["feature"], node["threshold"]
+    return (_leaf_paths(node["left"], path + ((f, th, True),))
+            + _leaf_paths(node["right"], path + ((f, th, False),)))
+
+
+def test_extract_paths_matches_recursive_reference_on_random_forests():
+    rng = np.random.default_rng(31)
+    seen = {"leaf_only": 0, "single_split": 0, "repeat": 0, "bad": 0}
+    for _ in range(300):
+        n_features = int(rng.integers(1, 4))
+        grid = [np.round(rng.uniform(-1, 1, 3), 2) for _ in range(n_features)]
+        objs = [_random_tree_obj(rng, n_features, 3, int(rng.integers(0, 5)),
+                                 grid)
+                for _ in range(int(rng.integers(1, 4)))]
+        forest = Forest(trees=tuple(Tree.from_obj(o) for o in objs),
+                        n_features=n_features, n_classes=3,
+                        feature_bounds=((-1.0, 1.0),) * n_features)
+        paths = [(path, label, t) for t, obj in enumerate(objs)
+                 for path, label in _leaf_paths(obj)]
+        # Each path's range is the tightest of its ancestors' thresholds:
+        # the largest one turned right from, the smallest one turned left.
+        lo = [[max([th for g, th, left in path if g == f and not left],
+                   default=-math.inf) for f in range(n_features)]
+              for path, _, _ in paths]
+        hi = [[min([th for g, th, left in path if g == f and left],
+                   default=math.inf) for f in range(n_features)]
+              for path, _, _ in paths]
+        if not np.all(np.array(lo) < np.array(hi)):
+            seen["bad"] += 1
+            with pytest.raises(InvariantError):
+                extract_paths(forest)
+            continue
+        tmap = extract_paths(forest)
+        assert tmap.lo.tolist() == lo and tmap.hi.tolist() == hi
+        assert tmap.labels.tolist() == [label for _, label, _ in paths]
+        assert [row.tree_index for row in tmap.rows] == \
+            [t for _, _, t in paths]
+        seen["leaf_only"] += sum("label" in obj for obj in objs)
+        for path, _, _ in paths:
+            features = [f for f, _, _ in path]
+            seen["single_split"] += len(path) == 1
+            seen["repeat"] += len(set(features)) < len(features)
+    assert min(seen.values()) > 0, seen
 
 
 def test_reorder_untouched_feature_lands_rightmost():

@@ -21,7 +21,6 @@ from camforest.perf import (
     p_dl,
     p_ml,
     p_static,
-    perf_grid,
     perf_report,
     report_for_plan,
     throughput,
@@ -248,13 +247,3 @@ def test_report_for_plan_geometry():
     want = perf_report(8, 2, plan.n_tiles, n_active, n_nodes, PerfConfig())
     assert rep == want
 
-
-def test_perf_grid_deterministic_order():
-    rows = perf_grid([8, 16], [16], [1e-9, 2e-9], n_tiles=4, n_arrays=4,
-                     n_nodes=50)
-    assert [(r["tile_h"], r["t_clk"]) for r in rows] == \
-        [(8, 1e-9), (8, 2e-9), (16, 1e-9), (16, 2e-9)]
-    for r in rows:
-        tau = elmore_delay(r["tile_h"], r["r_out"], PerfConfig().r_w,
-                           PerfConfig().c_dl)
-        assert tau <= 0.1 * r["t_clk"] * (1 + 1e-12)
