@@ -1,18 +1,25 @@
 """End-to-end behavioral inference on the programmed arrays.
 
 Programming turns every stored range into a conductance pair (optionally
-quantized and noised), tile by tile; padding slots hold wildcards. It then
-sorts the programmed branches: a branch whose discharge gate stays at or
-below the transistor threshold across the whole DL window draws exactly
-0.0 A for every (clipped) input and is skipped. The remaining branches (the
-kernel's terms) are listed in compact index arrays, grouped by how many
-terms their row holds. Inference computes each input's T1 current once,
-runs the rest of the cell law on the terms only and adds each row's terms
-so that every ML voltage is bit-identical to evaluating every cell: one or
-two terms directly, three or more in a zeroed buffer summed in the dense
-row order. It then integrates over the clock window, senses the match
-lines, ANDs each original row across its groups, and reads the majority
-vote as per-class currents through the conductance matrix.
+quantized and noised), tile by tile; padding slots hold wildcards. It runs in
+two steps: the encoding (calibration, conductances, slot tables and vote
+matrix) depends on the plan and quantization only, and each trial then adds
+its own programming noise. Programming then sorts the branches: a branch
+whose discharge gate stays at or below the transistor threshold across the
+whole DL window draws exactly 0.0 A for every (clipped) input and is skipped.
+The remaining branches (the kernel's terms) are listed in compact index
+arrays, grouped by how many terms their row holds. Inference computes each
+input's T1 current once, runs the rest of the cell law on the terms only and
+adds each row's terms so that every ML voltage is bit-identical to
+evaluating every cell: one or two terms directly, three or more in a zeroed
+buffer summed in the dense row order. It then integrates over the clock
+window, senses the match lines, ANDs each original row across its groups,
+and reads the majority vote as per-class currents through the conductance
+matrix.
+
+The kernel evaluates programs on a leading axis. A single program is the
+one-row case; a sweep point runs all its trials as one batch over the union
+of their terms, where a branch one trial skips adds exactly 0.0 to its row.
 """
 
 import os
@@ -45,8 +52,9 @@ from .mapper import TiledPlan, compile_forest
 SWEEP_VARIABLES = ("sigma", "n_bits", "t_clk", "tile_h", "tile_w")
 
 # Byte budget of one chunk of the kernel's per-sample temporaries (one float
-# per term plus the rows of the >= 3-term buffer): large enough to amortise
-# the per-chunk numpy calls, small enough to keep a chunk's passes in cache.
+# per term plus the rows of the >= 3-term buffer, per program): large enough
+# to amortise the per-chunk numpy calls, small enough to keep a chunk's
+# passes in cache.
 CHUNK_BYTES = 2 << 20
 
 
@@ -72,8 +80,29 @@ class ArchConfig:
 
 
 @dataclass(frozen=True)
-class ProgrammedArchitecture:
-    """Immutable programmed state shared read-only by inference.
+class _Encoding:
+    """The noise-free part of programming, shared by every trial programmed
+    from one (plan, n_bits). Cells are flat, group after group, each group
+    in (stacked tile, row, column) order."""
+
+    plan: TiledPlan
+    config: ArchConfig
+    device: DeviceModel
+    n_classes: int
+    feature_bounds: tuple
+    n_bits: int | None
+    m1: np.ndarray            # (cells,) encoded conductances before noise
+    m2: np.ndarray
+    groups: tuple             # per group: slice of its cells
+    cell_input: np.ndarray    # (cells,) DL source: original feature, F = padding
+    slot_rows: tuple
+    vote_matrix: np.ndarray
+
+
+@dataclass(frozen=True)
+class _Programs:
+    """What inference reads: one or more programs (trials) of one encoding,
+    sharing one kernel term layout, with one row of term conductances each.
 
     Tiles of all groups are stacked in group order; a slot is one tile row
     and its flat id is ``stacked tile * H + row``.
@@ -84,16 +113,12 @@ class ProgrammedArchitecture:
     device: DeviceModel
     n_classes: int
     feature_bounds: tuple     # original feature order
-    cells_m1: tuple           # per group: (tiles, H, W) conductances
-    cells_m2: tuple
     vote_matrix: np.ndarray   # (rows, n_classes)
     n_bits: int | None
     sigma_rel: float
-    active_m1: np.ndarray     # (cells,) conductances of cells that can draw current
-    active_m2: np.ndarray
+    slot_rows: tuple          # per group: (map row ids, flat slot ids)
     active_input: np.ndarray  # (cells,) DL source: original feature, F = padding
     active_cell: np.ndarray   # (cells,) flat slot * W + column
-    slot_rows: tuple          # per group: (map row ids, flat slot ids)
     # Kernel terms: the branches of active cells that can draw current,
     # lower branches first, then upper branches.
     term_cell: np.ndarray     # (terms,) index into the active_* arrays
@@ -104,6 +129,7 @@ class ProgrammedArchitecture:
     # a position is slot rank * W + column and a second term is the upper
     # branch of a cell whose lower branch is its first term.
     row_terms: tuple
+    term_g: np.ndarray        # (programs, terms): g_m1 of lower, g_m2 of upper terms
 
     @property
     def n_active_arrays(self) -> int:
@@ -113,6 +139,17 @@ class ProgrammedArchitecture:
     def cycles_per_decision(self) -> int:
         # Pre-charge, evaluate, latch per array, then one vote read.
         return 3 * self.n_active_arrays + 1
+
+
+@dataclass(frozen=True)
+class ProgrammedArchitecture(_Programs):
+    """Immutable programmed state of one trial, shared read-only by
+    inference: the one-program case, which also keeps every cell."""
+
+    cells_m1: tuple           # per group: (tiles, H, W) conductances
+    cells_m2: tuple
+    active_m1: np.ndarray     # (cells,) conductances of cells that can draw current
+    active_m2: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -153,15 +190,10 @@ def _branches_can_draw(g_m1, g_m2, params: CellParams) -> tuple:
             np.any(upper_branch_t1(i_t1, g_m2, params) > 0, axis=0))
 
 
-def program(plan: TiledPlan, device: DeviceModel, config: ArchConfig,
-            feature_bounds, n_classes: int, n_bits: int | None = None,
-            sigma_rel: float | None = None, seed=0) -> ProgrammedArchitecture:
-    """Encode the plan's ranges into conductances and build the vote matrix.
-
-    ``sigma_rel`` overrides the device's programming-noise setting; noise
-    applies to the CAM cells only (the vote array is treated as ideal).
-    Deterministic for a fixed seed.
-    """
+def _encode(plan: TiledPlan, device: DeviceModel, config: ArchConfig,
+            feature_bounds, n_classes: int, n_bits: int | None) -> _Encoding:
+    """Calibrate, encode the plan's ranges into noise-free conductances and
+    build the slot tables and the vote matrix."""
     n_features = plan.tmap.n_features
     if len(feature_bounds) != n_features:
         raise DataError("feature_bounds length differs from plan features")
@@ -169,12 +201,9 @@ def program(plan: TiledPlan, device: DeviceModel, config: ArchConfig,
     if bounds.shape != (n_features, 2) or not (
             np.all(np.isfinite(bounds)) and np.all(bounds[:, 0] < bounds[:, 1])):
         raise DataError("feature bounds must be finite with min < max")
-    sigma = device.sigma_rel if sigma_rel is None else float(sigma_rel)
-    noisy_device = replace(device, sigma_rel=sigma)
     i_ref = reference_current(config.parasitics.ml_capacitance(plan.tile_w),
                               config.v_ml0, config.v_sa, config.t_clk)
     cal = build_calibration(config.params, device, i_ref)
-    rng = np.random.default_rng(seed)
     h, w = plan.tile_h, plan.tile_w
     n_rows = len(plan.tmap.rows)
     padded = plan.n_groups * w
@@ -189,57 +218,121 @@ def program(plan: TiledPlan, device: DeviceModel, config: ArchConfig,
     col_bounds = np.tile([0.0, 1.0], (padded, 1))
     col_bounds[:n_features] = bounds[col_feature[:n_features]]
 
-    m1, m2, slot_rows = [], [], []
-    act_m1, act_m2, act_input, act_cell = [], [], [], []
-    act_lower, act_upper = [], []
+    m1, m2, inputs, groups, slot_rows = [], [], [], [], []
     first_slot = 0
     for g, tiles in enumerate(plan.groups):
         cols = slice(g * w, (g + 1) * w)
         table = _slot_table(tiles, h, n_rows)
         g_m1, g_m2 = encode_bounds(lo[:, cols][table], hi[:, cols][table],
                                    col_bounds[cols], device, cal, n_bits)
-        g_m1 = inject_noise(g_m1, noisy_device, rng)
-        g_m2 = inject_noise(g_m2, noisy_device, rng)
-        m1.append(g_m1)
-        m2.append(g_m2)
+        m1.append(g_m1.ravel())
+        m2.append(g_m2.ravel())
+        inputs.append(np.broadcast_to(col_feature[cols], g_m1.shape).ravel())
+        groups.append(slice(first_slot * w, (first_slot + table.size) * w))
         slots = first_slot + np.arange(table.size)
         placed = table.ravel() < n_rows
         slot_rows.append((table.ravel()[placed], slots[placed]))
-        lower, upper = _branches_can_draw(g_m1, g_m2, config.params)
-        active = (lower | upper).ravel()
-        act_lower.append(lower.ravel()[active])
-        act_upper.append(upper.ravel()[active])
-        act_m1.append(g_m1.ravel()[active])
-        act_m2.append(g_m2.ravel()[active])
-        act_input.append(np.broadcast_to(col_feature[cols],
-                                         g_m1.shape).ravel()[active])
-        act_cell.append(first_slot * w + np.flatnonzero(active))
         first_slot += table.size
     labels = plan.tmap.labels
     if labels.size and not 0 <= labels.min() <= labels.max() < n_classes:
         raise DataError("row class outside [0, n_classes)")
     vote = np.full((labels.size, n_classes), device.g_hrs)
     vote[np.arange(labels.size), labels] = device.g_lrs
-
-    act_m1, act_m2, act_input, act_cell, lower, upper = (
-        np.concatenate(a) for a in (act_m1, act_m2, act_input, act_cell,
-                                    act_lower, act_upper))
-    term_cell = np.concatenate([np.flatnonzero(lower), np.flatnonzero(upper)])
-    second = np.concatenate([np.zeros(lower.sum(), dtype=bool), lower[upper]])
-    return ProgrammedArchitecture(
+    return _Encoding(
         plan=plan, config=config, device=device, n_classes=n_classes,
-        feature_bounds=tuple(map(tuple, bounds.tolist())),
-        cells_m1=tuple(m1), cells_m2=tuple(m2), vote_matrix=vote,
-        n_bits=n_bits, sigma_rel=sigma,
-        active_m1=act_m1, active_m2=act_m2, active_input=act_input,
-        active_cell=act_cell, slot_rows=tuple(slot_rows),
-        term_cell=term_cell, n_lower=int(lower.sum()),
-        row_terms=_row_terms(act_cell[term_cell], second, first_slot, w))
+        feature_bounds=tuple(map(tuple, bounds.tolist())), n_bits=n_bits,
+        m1=np.concatenate(m1), m2=np.concatenate(m2), groups=tuple(groups),
+        cell_input=np.concatenate(inputs), slot_rows=tuple(slot_rows),
+        vote_matrix=vote)
+
+
+def _noisy(device: DeviceModel, sigma_rel: float | None) -> DeviceModel:
+    """``device`` with ``sigma_rel`` (when given) as its programming noise."""
+    return replace(device, sigma_rel=(device.sigma_rel if sigma_rel is None
+                                      else float(sigma_rel)))
+
+
+def _draw(enc: _Encoding, device: DeviceModel, seed) -> tuple:
+    """Flat (g_m1, g_m2) of one trial: the encoding with programming noise
+    from the trial's own stream, drawn group by group, m1 before m2."""
+    rng = np.random.default_rng(seed)
+    m1, m2 = np.empty_like(enc.m1), np.empty_like(enc.m2)
+    for cells in enc.groups:
+        m1[cells] = inject_noise(enc.m1[cells], device, rng)
+        m2[cells] = inject_noise(enc.m2[cells], device, rng)
+    return m1, m2
+
+
+def _program_trials(enc: _Encoding, device: DeviceModel, seeds) -> tuple:
+    """(``_Programs`` fields, the last trial's flat (g_m1, g_m2)) of one
+    program per seed, over one term layout: the union of the branches that
+    can draw current in any of them.
+
+    A trial keeps its own conductance on a union branch it skips, which
+    draws exactly 0.0 A, and adding 0.0 to a row total changes no bit, so
+    each trial's ML voltages are those of its own program. Each trial keeps
+    its conductances on the cells of the union found so far; one drawn
+    before the union last grew is drawn again, so no (trials, cells) array
+    is held."""
+    can_lower = can_upper = False
+    kept = []
+    for seed in seeds:
+        m1, m2 = _draw(enc, device, seed)
+        lower, upper = _branches_can_draw(m1, m2, enc.config.params)
+        can_lower = can_lower | lower
+        can_upper = can_upper | upper
+        held = np.flatnonzero(can_lower | can_upper)
+        kept.append((m1[held], m2[held]))
+    active = held
+    lower, upper = can_lower[active], can_upper[active]
+    term_cell = np.concatenate([np.flatnonzero(lower), np.flatnonzero(upper)])
+    n_lower = int(lower.sum())
+    term_g = np.empty((len(seeds), term_cell.size))
+    for trial, (seed, (a_m1, a_m2)) in enumerate(zip(seeds, kept)):
+        if a_m1.size < active.size:
+            a_m1, a_m2 = (g[active] for g in _draw(enc, device, seed))
+        term_g[trial, :n_lower] = a_m1[term_cell[:n_lower]]
+        term_g[trial, n_lower:] = a_m2[term_cell[n_lower:]]
+    second = np.concatenate([np.zeros(n_lower, dtype=bool), lower[upper]])
+    plan = enc.plan
+    fields = dict(
+        plan=plan, config=enc.config, device=enc.device,
+        n_classes=enc.n_classes, feature_bounds=enc.feature_bounds,
+        vote_matrix=enc.vote_matrix, n_bits=enc.n_bits,
+        sigma_rel=device.sigma_rel, slot_rows=enc.slot_rows,
+        active_input=enc.cell_input[active], active_cell=active,
+        term_cell=term_cell, n_lower=n_lower,
+        row_terms=_row_terms(active[term_cell], second,
+                             plan.n_tiles * plan.tile_h, plan.tile_w),
+        term_g=term_g)
+    return fields, (m1, m2)
+
+
+def program(plan: TiledPlan, device: DeviceModel, config: ArchConfig,
+            feature_bounds, n_classes: int, n_bits: int | None = None,
+            sigma_rel: float | None = None, seed=0) -> ProgrammedArchitecture:
+    """Encode the plan's ranges into conductances and build the vote matrix.
+
+    ``sigma_rel`` overrides the device's programming-noise setting; noise
+    applies to the CAM cells only (the vote array is treated as ideal).
+    Deterministic for a fixed seed.
+    """
+    enc = _encode(plan, device, config, feature_bounds, n_classes, n_bits)
+    fields, (m1, m2) = _program_trials(enc, _noisy(device, sigma_rel), [seed])
+    active = fields["active_cell"]
+
+    def grids(flat):
+        return tuple(flat[cells].reshape(-1, plan.tile_h, plan.tile_w)
+                     for cells in enc.groups)
+
+    return ProgrammedArchitecture(
+        **fields, cells_m1=grids(m1), cells_m2=grids(m2),
+        active_m1=m1[active], active_m2=m2[active])
 
 
 def _row_terms(term_pos, second, n_slots: int, w: int) -> tuple:
-    """``ProgrammedArchitecture.row_terms`` from each term's flat cell
-    position and whether it is the second term of its cell."""
+    """``_Programs.row_terms`` from each term's flat cell position and
+    whether it is the second term of its cell."""
     slot = term_pos // w
     per_slot = np.bincount(slot, minlength=n_slots)
     count = per_slot[slot]
@@ -265,7 +358,24 @@ def program_forest(forest: Forest, device: DeviceModel = DeviceModel(),
                    forest.n_classes, n_bits, sigma_rel, seed)
 
 
-def _input_voltages(arch: ProgrammedArchitecture, X) -> np.ndarray:
+def _check_samples(arch, X) -> np.ndarray:
+    """``X`` as a finite (samples, features) float array for ``arch``'s plan."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.ndim != 2 or X.shape[1] != arch.plan.tmap.n_features:
+        raise DataError(f"samples must have {arch.plan.tmap.n_features} features")
+    if not np.all(np.isfinite(X)):
+        raise DataError("samples contain NaN or infinite features")
+    return X
+
+
+def _clock(config: ArchConfig, t_clk) -> float:
+    t = config.t_clk if t_clk is None else float(t_clk)
+    if t <= 0:
+        raise ConfigError("t_clk must be positive")
+    return t
+
+
+def _input_voltages(arch, X) -> np.ndarray:
     """(samples, F + 1) DL voltages in original feature order; the last
     column is the mid-window voltage that drives padding columns."""
     v = np.empty((X.shape[0], X.shape[1] + 1))
@@ -274,102 +384,144 @@ def _input_voltages(arch: ProgrammedArchitecture, X) -> np.ndarray:
     return v
 
 
-def _ml_voltages(arch: ProgrammedArchitecture, v_in, t: float) -> np.ndarray:
-    """(samples, slots) ML voltages at sense time for DL inputs ``v_in``.
+def _term_t1(arch: _Programs, v_in) -> np.ndarray:
+    """(samples, terms) T1 current of each term's input. It depends on the
+    input alone, so it is computed once per (sample, feature) and shared by
+    every program."""
+    i_t1 = t1_current(v_in, None, arch.config.params)
+    return i_t1[:, arch.active_input[arch.term_cell]]
 
-    The T1 current depends on the input alone, so it is computed once per
-    (sample, feature). The rest of the cell law runs on the terms only: the
-    branches of active cells that can draw current (a cell's other branch
-    adds exactly 0.0). Each row total must equal the dense sum over all W
-    cell currents bit for bit, where every skipped cell adds 0.0. A slot
-    with one term takes that term and one with two takes a + b, since
-    adding zeros changes neither. Slots with three or more assemble their
-    cell currents (lower + upper for a two-term cell) in a zeroed
-    (samples, slots, W) buffer summed whole, in the dense order."""
+
+def _ml_voltages(arch: _Programs, term_t1, t: float, g=None) -> np.ndarray:
+    """(programs * samples, slots) ML voltages at sense time, program-major,
+    of the programs whose term conductances are the rows of ``g`` (default
+    ``arch.term_g``) on the samples whose ``_term_t1`` is ``term_t1``.
+
+    The rest of the cell law runs on the terms only: the branches of active
+    cells that can draw current (a cell's other branch adds exactly 0.0).
+    Each row total must equal the dense sum over all W cell currents bit for
+    bit, where every skipped cell adds 0.0. A slot with one term takes that
+    term and one with two takes a + b, since adding zeros changes neither.
+    Slots with three or more assemble their cell currents (lower + upper for
+    a two-term cell) in a zeroed buffer summed whole, in the dense order."""
     cfg = arch.config
-    w = arch.plan.tile_w
-    n = len(v_in)
     p = cfg.params
-    lower, upper = np.split(arch.term_cell, [arch.n_lower])
-    i_t1 = t1_current(v_in, None, p)
-    terms = np.concatenate(
-        [lower_branch_t1(i_t1[:, arch.active_input[lower]],
-                         arch.active_m1[lower], p),
-         upper_branch_t1(i_t1[:, arch.active_input[upper]],
-                         arch.active_m2[upper], p)], axis=1)
+    w = arch.plan.tile_w
+    n_slots = arch.plan.n_tiles * arch.plan.tile_h
+    g = arch.term_g if g is None else g
     (s1, t1), (s2, ta, tb), (s3, first, first_pos, second, second_pos) = \
         arch.row_terms
-    row_current = np.zeros((n, arch.plan.n_tiles * arch.plan.tile_h))
+    n_lower, n_terms = arch.n_lower, g.shape[1]
+    rows = len(g) * len(term_t1)
+    terms = np.concatenate(
+        [lower_branch_t1(term_t1[:, :n_lower], g[:, None, :n_lower], p),
+         upper_branch_t1(term_t1[:, n_lower:], g[:, None, n_lower:], p)],
+        axis=-1).reshape(rows, n_terms)
+    row_current = np.zeros((rows, n_slots))
     row_current[:, s1] = terms[:, t1]
     row_current[:, s2] = terms[:, ta] + terms[:, tb]
-    buffer = np.zeros((n, s3.size * w))
-    buffer[:, first_pos] = terms[:, first]
-    buffer[:, second_pos] += terms[:, second]
-    row_current[:, s3] = buffer.reshape(n, s3.size, w).sum(axis=-1)
+    buffer = np.zeros((rows, s3.size, w))
+    flat = buffer.reshape(rows, s3.size * w)
+    flat[:, first_pos] = terms[:, first]
+    flat[:, second_pos] += terms[:, second]
+    row_current[:, s3] = buffer.sum(axis=-1)
     c_ml = cfg.parasitics.ml_capacitance(w)
     return np.maximum(cfg.v_ml0 - row_current * t / c_ml, 0.0)
 
 
-def _evaluate(arch: ProgrammedArchitecture, X, t_clk=None, collect=False):
-    """Core kernel: returns (row match matrix, vote currents, tile record)."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.ndim != 2 or X.shape[1] != arch.plan.tmap.n_features:
-        raise DataError(f"samples must have {arch.plan.tmap.n_features} features")
-    if not np.all(np.isfinite(X)):
-        raise DataError("samples contain NaN or infinite features")
+def _chunk_shape(arch: _Programs, n_samples: int) -> tuple:
+    """(programs, samples) per kernel chunk: either every sample of several
+    programs or a run of one program's samples, so that a chunk's
+    program-major rows are contiguous. A chunk holds, per program, one
+    float per term for each sample plus its >= 3-term buffer row, and the
+    program's term conductances."""
+    n_terms = arch.term_cell.size
+    per_sample = n_terms + arch.row_terms[2][0].size * arch.plan.tile_w
+    samples = max(1, CHUNK_BYTES // (8 * max(1, per_sample)))
+    if samples < n_samples:
+        return 1, samples
+    programs = CHUNK_BYTES // (8 * max(1, n_samples * per_sample + n_terms))
+    return max(1, min(programs, len(arch.term_g))), max(1, n_samples)
+
+
+def _evaluate_programs(arch: _Programs, v_in, t: float,
+                       keep_matches: bool = False, collect: bool = False):
+    """Every program of ``arch`` on DL inputs ``v_in`` at sense time ``t``.
+
+    Returns (row matches if ``keep_matches``, vote currents, (sensed lines,
+    ML voltages) of the first row if ``collect``), one row per (program,
+    sample), program-major."""
     cfg = arch.config
-    t = cfg.t_clk if t_clk is None else float(t_clk)
-    if t <= 0:
-        raise ConfigError("t_clk must be positive")
-    plan = arch.plan
-    n_rows = len(plan.tmap.rows)
-    n_samples = X.shape[0]
-    v_in = _input_voltages(arch, X)
-    per_sample = arch.term_cell.size + arch.row_terms[2][0].size * plan.tile_w
-    chunk = max(1, CHUNK_BYTES // (8 * max(1, per_sample)))
+    n_programs, n_samples = len(arch.term_g), len(v_in)
+    n_rows = len(arch.plan.tmap.rows)
+    per_chunk, samples = _chunk_shape(arch, n_samples)
     # Exact-count evaluation of v_read * (matches @ vote_matrix): each vote
     # row holds g_lrs on its class and g_hrs elsewhere, so per-class
     # currents follow from integer counts. Classes with equal counts get
     # bitwise-equal currents and argmax ties resolve to the lowest index,
     # not to float summation-order noise.
     onehot = (arch.vote_matrix == arch.device.g_lrs).astype(np.int64)
-    matches = np.ones((n_samples, n_rows), dtype=bool)
-    counts = np.empty((n_samples, arch.n_classes), dtype=np.int64)
-    for s0 in range(0, n_samples, chunk):
-        v_ml = _ml_voltages(arch, v_in[s0:s0 + chunk], t)
-        ml = v_ml > cfg.v_sa
-        block = matches[s0:s0 + chunk]
-        for rows, slots in arch.slot_rows:
-            block[:, rows] &= ml[:, slots]
-        counts[s0:s0 + chunk] = block.astype(np.int64) @ onehot
-        if s0 == 0:
-            first_ml, first_v_ml = ml[0], v_ml[0]
+    g_hrs, g_lrs = arch.device.g_hrs, arch.device.g_lrs
+    size = n_programs * n_samples
+    matches = np.ones((size, n_rows), dtype=bool) if keep_matches else None
+    currents = np.empty((size, arch.n_classes))
+    first = None
+    for s0 in range(0, n_samples, samples):
+        term_t1 = _term_t1(arch, v_in[s0:s0 + samples])
+        for k0 in range(0, n_programs, per_chunk):
+            g = arch.term_g[k0:k0 + per_chunk]
+            r0 = k0 * n_samples + s0
+            r1 = r0 + len(g) * len(term_t1)
+            v_ml = _ml_voltages(arch, term_t1, t, g)
+            ml = v_ml > cfg.v_sa
+            block = (np.ones((r1 - r0, n_rows), dtype=bool) if matches is None
+                     else matches[r0:r1])
+            for rows, slots in arch.slot_rows:
+                block[:, rows] &= ml[:, slots]
+            counts = block.astype(np.int64) @ onehot
+            total = block.sum(axis=1, keepdims=True)
+            currents[r0:r1] = cfg.v_read * (g_hrs * total +
+                                            (g_lrs - g_hrs) * counts)
+            if collect and first is None:
+                first = ml[0], v_ml[0]
+    return matches, currents, first
+
+
+def _evaluate(arch: ProgrammedArchitecture, X, t_clk=None, collect=False):
+    """Core kernel: returns (row match matrix, vote currents, tile record)."""
+    X = _check_samples(arch, X)
+    t = _clock(arch.config, t_clk)
+    matches, currents, first = _evaluate_programs(
+        arch, _input_voltages(arch, X), t, keep_matches=True, collect=collect)
     tile_record = volt_record = None
     if collect:
         tile_record, volt_record = {}, {}
-        h = plan.tile_h
+        h = arch.plan.tile_h
         slot = 0
-        for g, tiles in enumerate(plan.groups):
+        for g, tiles in enumerate(arch.plan.groups):
             for ti in range(len(tiles)):
-                tile_record[(g, ti)] = first_ml[slot:slot + h].copy()
-                volt_record[(g, ti)] = first_v_ml[slot:slot + h].copy()
+                tile_record[(g, ti)] = first[0][slot:slot + h].copy()
+                volt_record[(g, ti)] = first[1][slot:slot + h].copy()
                 slot += h
-    total = matches.sum(axis=1, keepdims=True)
-    currents = cfg.v_read * (arch.device.g_hrs * total +
-                             (arch.device.g_lrs - arch.device.g_hrs) * counts)
     return matches, currents, (tile_record, volt_record)
+
+
+def _vote(config: ArchConfig, currents, rng) -> np.ndarray:
+    """Predicted class per sample from its vote currents (argmax, ties
+    lowest), after vote noise drawn from ``rng`` when ``vote_sigma`` > 0."""
+    if config.vote_sigma > 0:
+        if rng is None:
+            raise ConfigError("vote_sigma > 0 requires an rng")
+        currents = currents * (
+            1.0 + rng.normal(0.0, config.vote_sigma, currents.shape))
+    return np.argmax(currents, axis=1)
 
 
 def infer_batch(arch: ProgrammedArchitecture, X, t_clk=None,
                 rng=None) -> np.ndarray:
     """Predicted class per sample (argmax of vote currents, ties lowest)."""
     _, currents, _ = _evaluate(arch, X, t_clk)
-    if arch.config.vote_sigma > 0:
-        if rng is None:
-            raise ConfigError("vote_sigma > 0 requires an rng")
-        currents = currents * (
-            1.0 + rng.normal(0.0, arch.config.vote_sigma, currents.shape))
-    return np.argmax(currents, axis=1)
+    return _vote(arch.config, currents, rng)
 
 
 def infer(arch: ProgrammedArchitecture, sample, t_clk=None) -> InferenceTrace:
@@ -386,19 +538,27 @@ def infer(arch: ProgrammedArchitecture, sample, t_clk=None) -> InferenceTrace:
     )
 
 
-def evaluate_accuracy(arch: ProgrammedArchitecture, X, y, t_clk=None,
-                      rng=None) -> tuple:
-    """(fraction correct, confusion matrix[true, predicted]); ``rng`` drives
-    the vote noise as in ``infer_batch``."""
+def _evaluation_set(X, y) -> tuple:
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     if X.size == 0 or y.size == 0:
         raise DataError("empty evaluation dataset")
-    pred = infer_batch(arch, X, t_clk, rng)
-    k = arch.n_classes
-    confusion = np.zeros((k, k), dtype=int)
+    return X, y
+
+
+def _score(pred, y, n_classes: int) -> tuple:
+    """(fraction correct, confusion matrix[true, predicted])."""
+    confusion = np.zeros((n_classes, n_classes), dtype=int)
     np.add.at(confusion, (y, pred), 1)
     return float(np.mean(pred == y)), confusion
+
+
+def evaluate_accuracy(arch: ProgrammedArchitecture, X, y, t_clk=None,
+                      rng=None) -> tuple:
+    """(fraction correct, confusion matrix[true, predicted]); ``rng`` drives
+    the vote noise as in ``infer_batch``."""
+    X, y = _evaluation_set(X, y)
+    return _score(infer_batch(arch, X, t_clk, rng), y, arch.n_classes)
 
 
 @dataclass(frozen=True)
@@ -415,8 +575,13 @@ def sweep(forest: Forest, X, y, variable: str, grid, trials: int, seed: int,
           workers: int | None = None) -> SweepResult:
     """Monte-Carlo accuracy sweep over one variable.
 
-    Each (point, trial) reprograms with its own RNG substream and draws its
-    vote noise from another, so results are independent of scheduling.
+    Each (point, trial) programs with its own RNG substream and draws its
+    vote noise from another, so results are independent of scheduling, and
+    every row equals ``program(..., seed=[seed, i, trial])`` evaluated by
+    ``evaluate_accuracy(..., rng=default_rng([seed, i, trial, 1]))``. A
+    point's trials share one encoding and run as one batch; when its
+    programming noise is zero they are one program, evaluated once. Points
+    are the unit of work of the ``workers`` threads.
     Sweeping t_clk keeps the programming calibrated at the configured clock
     and only changes the evaluation window, mimicking a fixed part driven
     at a different speed.
@@ -430,45 +595,49 @@ def sweep(forest: Forest, X, y, variable: str, grid, trials: int, seed: int,
     if trials < 1:
         raise ConfigError("trials must be at least 1")
 
-    plans = {}
-
-    def plan_for(h, w):
-        key = (h, w)
-        if key not in plans:
-            plans[key] = compile_forest(forest, h, w, reorder_map)
-        return plans[key]
-
-    jobs = []
+    plans, encodings, points = {}, {}, []
     for i, value in enumerate(grid):
         h = int(value) if variable == "tile_h" else tile_h
         w = int(value) if variable == "tile_w" else tile_w
         nb = int(value) if variable == "n_bits" else n_bits
         sg = float(value) if variable == "sigma" else sigma_rel
         t_eval = float(value) if variable == "t_clk" else None
-        plan = plan_for(h, w)
-        for trial in range(trials):
-            jobs.append((i, value, trial, plan, nb, sg, t_eval))
+        if (h, w) not in plans:
+            plans[h, w] = compile_forest(forest, h, w, reorder_map)
+        if (h, w, nb) not in encodings:
+            encodings[h, w, nb] = _encode(plans[h, w], device, config,
+                                          forest.feature_bounds,
+                                          forest.n_classes, nb)
+        points.append((i, encodings[h, w, nb], _noisy(device, sg),
+                       _clock(config, t_eval)))
+    X, y = _evaluation_set(X, y)
+    v_in = _input_voltages(points[0][1], _check_samples(points[0][1], X))
 
-    def run(job):
-        i, value, trial, plan, nb, sg, t_eval = job
-        arch = program(plan, device, config, forest.feature_bounds,
-                       forest.n_classes, nb, sg, seed=[seed, i, trial])
-        vote_rng = (np.random.default_rng([seed, i, trial, 1])
-                    if config.vote_sigma > 0.0 else None)
-        acc, _ = evaluate_accuracy(arch, X, y, t_clk=t_eval, rng=vote_rng)
-        return (i, trial, float(value), acc)
+    def run(point):
+        i, enc, noisy, t = point
+        n_programs = trials if noisy.sigma_rel > 0 else 1
+        fields, _ = _program_trials(
+            enc, noisy, [[seed, i, trial] for trial in range(n_programs)])
+        _, currents, _ = _evaluate_programs(_Programs(**fields), v_in, t)
+        currents = currents.reshape(n_programs, len(v_in), -1)
+        accs = []
+        for trial in range(trials):
+            vote_rng = (np.random.default_rng([seed, i, trial, 1])
+                        if config.vote_sigma > 0.0 else None)
+            pred = _vote(config, currents[min(trial, n_programs - 1)],
+                         vote_rng)
+            accs.append(_score(pred, y, enc.n_classes)[0])
+        return accs
 
     n_workers = workers if workers else min(32, os.cpu_count() or 1)
-    if n_workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(run, jobs))
+    if n_workers > 1 and len(points) > 1:
+        with ThreadPoolExecutor(max_workers=min(n_workers, len(points))) as pool:
+            results = list(pool.map(run, points))
     else:
-        results = [run(j) for j in jobs]
-    results.sort(key=lambda r: (r[0], r[1]))
-    rows = tuple((value, trial, acc) for _, trial, value, acc in results)
-    summary = []
-    for i, value in enumerate(grid):
-        accs = np.array([r[3] for r in results if r[0] == i])
-        summary.append((float(value), float(np.mean(accs)),
-                        float(np.std(accs))))
-    return SweepResult(variable=variable, rows=rows, summary=tuple(summary))
+        results = [run(p) for p in points]
+    rows = tuple((float(value), trial, acc)
+                 for value, accs in zip(grid, results)
+                 for trial, acc in enumerate(accs))
+    summary = tuple((float(value), float(np.mean(accs)), float(np.std(accs)))
+                    for value, accs in zip(grid, results))
+    return SweepResult(variable=variable, rows=rows, summary=summary)

@@ -151,6 +151,8 @@ def _load_dataset(cfg):
 
 def _split_dataset(cfg, X, y, seed):
     frac = cfg["dataset"]["test_fraction"]
+    if not 0.0 <= frac < 1.0:
+        raise ConfigError("[dataset] test_fraction must be in [0, 1)")
     if frac == 0.0:
         return X, y, X, y
     if seed is None:

@@ -299,23 +299,28 @@ def from_json(text: str) -> Forest:
     if obj.get("version") != MODEL_VERSION:
         raise ModelFormatError(f"unsupported model version {obj.get('version')!r}")
     try:
-        n_features = int(obj["n_features"])
-        n_classes = int(obj["n_classes"])
+        n_features = obj["n_features"]
+        n_classes = obj["n_classes"]
         bounds = obj["feature_bounds"]
         tree_objs = obj["trees"]
     except KeyError as exc:
         raise ModelFormatError(f"missing key {exc}") from None
+    if not all(isinstance(n, int) and not isinstance(n, bool)
+               for n in (n_features, n_classes)):
+        raise ModelFormatError("n_features and n_classes must be integers")
     if n_features < 1 or n_classes < 1:
         raise ModelFormatError("n_features and n_classes must be positive")
-    if len(bounds) != n_features:
-        raise ModelFormatError("feature_bounds length mismatch")
+    if not isinstance(bounds, list) or len(bounds) != n_features:
+        raise ModelFormatError("feature_bounds must list one bound per feature")
     fb = []
     for b in bounds:
-        if len(b) != 2 or not b[0] < b[1]:
+        if not (isinstance(b, list) and len(b) == 2
+                and all(isinstance(v, (int, float)) for v in b)
+                and b[0] < b[1]):
             raise ModelFormatError("each feature bound must be (min, max)")
         fb.append((float(b[0]), float(b[1])))
-    if not tree_objs:
-        raise ModelFormatError("model has no trees")
+    if not isinstance(tree_objs, list) or not tree_objs:
+        raise ModelFormatError("model needs a non-empty list of trees")
     return Forest(trees=tuple(Tree.from_obj(t) for t in tree_objs),
                   n_features=n_features, n_classes=n_classes,
                   feature_bounds=tuple(fb))

@@ -8,7 +8,14 @@ import pytest
 from camforest.arch import (
     ArchConfig,
     SWEEP_VARIABLES,
+    _encode,
     _evaluate,
+    _input_voltages,
+    _ml_voltages,
+    _noisy,
+    _program_trials,
+    _Programs,
+    _term_t1,
     evaluate_accuracy,
     infer,
     infer_batch,
@@ -275,6 +282,102 @@ def test_sweep_deterministic_and_scheduling_independent():
     threaded = sweep(forest, X, y, **kw, workers=8)
     assert serial.rows == threaded.rows
     assert serial.summary == threaded.summary
+
+
+@pytest.fixture(scope="module")
+def iris_forest():
+    X, y = load_iris()
+    return train_forest(X, y, n_trees=15, max_depth=4, seed=2), X, y
+
+
+def _replay_sweep(forest, X, y, variable, grid, trials, seed, config,
+                  sigma_rel=None):
+    """``sweep`` rows rebuilt trial by trial through ``program`` and
+    ``evaluate_accuracy``, with each grid point's kernel terms per trial as
+    sets of (cell, is lower branch)."""
+    rows, terms = [], []
+    for i, value in enumerate(grid):
+        h = int(value) if variable == "tile_h" else 16
+        w = int(value) if variable == "tile_w" else 16
+        nb = int(value) if variable == "n_bits" else None
+        sg = float(value) if variable == "sigma" else sigma_rel
+        t_eval = float(value) if variable == "t_clk" else None
+        plan = compile_forest(forest, h, w)
+        terms.append([])
+        for trial in range(trials):
+            arch = program(plan, D, config, forest.feature_bounds,
+                           forest.n_classes, nb, sg, seed=[seed, i, trial])
+            rng = (np.random.default_rng([seed, i, trial, 1])
+                   if config.vote_sigma > 0 else None)
+            acc, _ = evaluate_accuracy(arch, X, y, t_clk=t_eval, rng=rng)
+            rows.append((float(value), trial, acc))
+            cells = arch.active_cell[arch.term_cell]
+            terms[-1].append({(int(c), k < arch.n_lower)
+                              for k, c in enumerate(cells)})
+    return tuple(rows), terms
+
+
+@pytest.mark.parametrize("n_eval", [12, 150])
+@pytest.mark.parametrize("workers", [1, 4])
+@pytest.mark.parametrize("vote_sigma", [0.0, 0.3])
+@pytest.mark.parametrize("variable", SWEEP_VARIABLES)
+def test_sweep_rows_equal_per_trial_replay(variable, vote_sigma, workers,
+                                           n_eval, iris_forest, monkeypatch):
+    forest, X, y = iris_forest
+    rng = np.random.default_rng([SWEEP_VARIABLES.index(variable),
+                                 int(10 * vote_sigma), workers, n_eval])
+    pick = rng.permutation(len(y))[:n_eval]
+    X, y = X[pick], y[pick]
+    sigma = float(rng.uniform(0.02, 0.2))
+    seed = int(rng.integers(1 << 30))
+    grid = {"sigma": [0.0, sigma, 0.8], "n_bits": [2, 3, 6],
+            "t_clk": [1e-6, 2e-8, 5e-6], "tile_h": [4, 16],
+            "tile_w": [3, 16]}[variable]
+    noise = {} if variable == "sigma" else {"sigma_rel": sigma}
+    config = ArchConfig(vote_sigma=vote_sigma)
+    calls = []  # (programs, samples) per kernel call
+
+    def recorded(arch, term_t1, t, g=None):
+        calls.append((len(arch.term_g if g is None else g), len(term_t1)))
+        return _ml_voltages(arch, term_t1, t, g)
+
+    monkeypatch.setattr("camforest.arch._ml_voltages", recorded)
+    res = sweep(forest, X, y, variable, grid, trials=4, seed=seed,
+                config=config, workers=workers, **noise)
+    monkeypatch.undo()
+    rows, terms = _replay_sweep(forest, X, y, variable, grid, 4, seed,
+                                config, **noise)
+    assert res.rows == rows
+    if n_eval == 12:
+        # A small evaluation set runs several trials per kernel chunk.
+        assert max(programs for programs, _ in calls) > 1
+    if variable == "sigma":
+        # At sigma = 0 the four trials are one program, evaluated once; at
+        # 0.8 some trial's terms are a strict subset of the union's.
+        assert sum(p * n for p, n in calls) == (1 + 4 + 4) * n_eval
+        assert any(own < set.union(*terms[2]) for own in terms[2])
+
+
+def test_batched_ml_voltages_bit_identical_to_replay(iris_forest):
+    forest, X, _ = iris_forest
+    plan = compile_forest(forest, 16, 16)
+    cfg = ArchConfig()
+    enc = _encode(plan, D, cfg, forest.feature_bounds, forest.n_classes, None)
+    seeds = [[5, 1, trial] for trial in range(6)]
+    fields, _ = _program_trials(enc, _noisy(D, 0.8), seeds)
+    batch = _Programs(**fields)
+    v_in = _input_voltages(batch, X)
+    batched = _ml_voltages(batch, _term_t1(batch, v_in), cfg.t_clk)
+    batched = batched.reshape(len(seeds), len(X), -1)
+    skipped = 0
+    for trial, seed in enumerate(seeds):
+        arch = program(plan, D, cfg, forest.feature_bounds, forest.n_classes,
+                       sigma_rel=0.8, seed=seed)
+        own = _ml_voltages(arch, _term_t1(arch, v_in), cfg.t_clk)
+        assert np.array_equal(batched[trial].view(np.int64),
+                              own.view(np.int64))
+        skipped += batch.term_cell.size - arch.term_cell.size
+    assert skipped > 0
 
 
 def test_sweep_noise_trials_vary():

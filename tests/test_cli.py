@@ -277,6 +277,25 @@ def test_bad_plan_feature_bounds_exit_three(ini, run, tmp_path, bound):
     assert not (tmp_path / "s" / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("field, edit, message", [
+    ("n_features", lambda obj: "x", "integers"),
+    ("feature_bounds", lambda obj: [0.5] + obj[1:], "(min, max)"),
+    ("trees", lambda obj: 5, "list of trees")],
+    ids=["n_features_string", "scalar_feature_bound", "trees_number"])
+def test_malformed_model_fields_exit_three(ini, run, tmp_path, field, edit,
+                                           message):
+    cfg = ini()
+    run("train", "--config", cfg, "--out", str(tmp_path / "m"))
+    model = tmp_path / "m" / "model.json"
+    obj = json.loads(model.read_text())
+    obj[field] = edit(obj[field])
+    model.write_text(json.dumps(obj))
+    code, cap = run("simulate", str(model), "--config", cfg,
+                    "--out", str(tmp_path / "s"))
+    assert code == 3 and message in cap.err
+    assert not (tmp_path / "s" / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("commands, field, value, message", [
     (("simulate", "perf"), "rows", [], "no rows"),
     (("simulate",), "class", -1, "non-negative"),
@@ -340,6 +359,12 @@ def test_exit_codes(ini, run, tmp_path):
     empty_grid = BASE.replace("grid = 0.0, 0.05, 0.1", "grid =")
     code, cap = run("sweep", "--config", ini(empty_grid, "e.ini"))
     assert code == 2 and "grid" in cap.err
+
+    for fraction in ("1.5", "-0.2", "1.0"):
+        bad_split = BASE.replace("test_fraction = 0.25",
+                                 f"test_fraction = {fraction}")
+        code, cap = run("train", "--config", ini(bad_split, "g.ini"))
+        assert code == 2 and "test_fraction" in cap.err, (fraction, code)
 
     # Values the library rejects are configuration errors too.
     run("train", "--config", ini(), "--out", str(tmp_path / "m"))

@@ -367,6 +367,11 @@ def test_from_json_rejects_malformed():
         from_json(good.replace('"version": 1', '"version": 99'))
     with pytest.raises(ModelFormatError):
         from_json(good.replace('"n_classes": 2', '"n_classes": 1'))
+    for old, new in (('"n_classes": 2', '"n_classes": 2.5'),
+                     ('"n_classes": 2', '"n_classes": "2"'),
+                     ('"n_features": 1', '"n_features": 1.7')):
+        with pytest.raises(ModelFormatError, match="integers"):
+            from_json(good.replace(old, new))
     bad_feature = """
     {"format": "camforest-model", "version": 1,
      "n_features": 1, "n_classes": 2, "feature_bounds": [[0, 1]],

@@ -19,6 +19,7 @@ from camforest.arch import (
     _evaluate,
     _input_voltages,
     _ml_voltages,
+    _term_t1,
     infer,
     infer_batch,
     program,
@@ -143,8 +144,8 @@ def test_kernel_bit_identical_to_dense(data, tile, prog, t_scale, request):
     X = np.vstack([X[:120], _threshold_inputs(forest, X[:60])])
     t = CFG.t_clk * t_scale
     dense = _dense_ml_voltages(arch, X, t)
-    _assert_bit_identical(_ml_voltages(arch, _input_voltages(arch, X), t),
-                          dense)
+    _assert_bit_identical(
+        _ml_voltages(arch, _term_t1(arch, _input_voltages(arch, X)), t), dense)
     matches, _, _ = _evaluate(arch, X, t_clk=t)
     assert np.array_equal(matches, _dense_matches(arch, dense))
 
@@ -312,7 +313,7 @@ def test_row_with_three_near_edge_cells(iris):
     terms = cell_current(arch.active_m1[cells], arch.active_m2[cells],
                          v_in[0, arch.active_input[cells]], CFG.params)
     assert np.count_nonzero(terms) >= 3
-    v_ml = _ml_voltages(arch, v_in, CFG.t_clk)
+    v_ml = _ml_voltages(arch, _term_t1(arch, v_in), CFG.t_clk)
     assert CFG.v_sa < v_ml[0, slot] < CFG.v_ml0
     _assert_bit_identical(v_ml, _dense_ml_voltages(arch, sample[None], CFG.t_clk))
 
