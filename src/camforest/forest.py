@@ -4,6 +4,12 @@ Plain CART with Gini impurity: axis-aligned splits at midpoints between
 distinct sorted values, majority-label leaves. A forest bootstraps the rows
 and draws floor(sqrt(F)) candidate features per split. Split semantics are
 half-open: the left child keeps x <= threshold.
+
+Each training call ranks every feature once (one stable argsort). A node is
+an index array into the training rows, bootstrap duplicates included, and
+its split search sorts all candidate features' ranks in one stable argsort,
+which numpy radix-sorts while ranks fit in 16 bits. The models are byte for
+byte those of a per-feature float sort at every node.
 """
 
 import json
@@ -12,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ModelFormatError
+from .errors import ConfigError, DataError, ModelFormatError
 
 MODEL_FORMAT = "camforest-model"
 MODEL_VERSION = 1
@@ -158,64 +164,107 @@ def _gini(counts) -> float:
     return float(1.0 - np.sum(p * p))
 
 
-def _best_split(X, y, feat_ids, n_classes):
-    """Lowest weighted Gini over midpoint thresholds of the given features.
+@dataclass(frozen=True)
+class _Training:
+    """Training rows as a split search reads them, built once per call.
 
-    Returns (feature, threshold, weighted_gini) or None when no feature
-    admits a split. Scanning order (sorted features, ascending thresholds)
-    fixes tie-breaks.
+    ``xT`` holds each feature's values as one contiguous row, and ``rank``
+    each value's dense rank within its feature (equal values share one):
+    sorting a node's rows by rank sorts them by value. Ranks take the
+    smallest unsigned dtype that holds N - 1, so for N <= 65,536 numpy's
+    stable sort radix-sorts them.
     """
-    n = y.size
-    onehot = np.zeros((n, n_classes))
-    onehot[np.arange(n), y] = 1.0
+
+    xT: np.ndarray     # (F, N) float
+    rank: np.ndarray   # (F, N) unsigned
+    y: np.ndarray      # (N,) int
+    n_classes: int
+
+    @classmethod
+    def of(cls, X, y, n_classes) -> "_Training":
+        xT = np.ascontiguousarray(X.T)
+        order = np.argsort(xT, axis=1, kind="stable")
+        xs = np.take_along_axis(xT, order, axis=1)
+        dense = np.zeros(xT.shape, dtype=np.min_scalar_type(X.shape[0] - 1))
+        np.cumsum(xs[:, 1:] > xs[:, :-1], axis=1, dtype=dense.dtype,
+                  out=dense[:, 1:])
+        rank = np.empty_like(dense)
+        np.put_along_axis(rank, order, dense, axis=1)
+        return cls(xT, rank, y, n_classes)
+
+
+def _best_split(data, idx, counts, feat_ids):
+    """Lowest weighted Gini over midpoint thresholds of the given features,
+    on the node holding training rows ``idx`` (duplicates allowed) with
+    class counts ``counts``.
+
+    Returns (feature, threshold, weighted_gini, left_idx, right_idx) or
+    None when no feature admits a split. Scanning order (sorted features,
+    ascending thresholds) fixes tie-breaks. Every cut's class counts and
+    midpoint are the same whatever order tied values sort in.
+    """
+    m, n = feat_ids.size, idx.size
+    ranks = data.rank[feat_ids[:, None], idx]
+    order = np.argsort(ranks, axis=1, kind="stable")
+    rows = idx[order]
+    # Sorted ranks by a flat take, far cheaper than take_along_axis here.
+    ranks = np.take(ranks, order + np.arange(0, m * n, n)[:, None])
+    # Splittable positions, between distinct consecutive values, as flat
+    # (feature, cut) indices into the (m, n) block.
+    step = np.zeros((m, n), dtype=bool)
+    np.less(ranks[:, :-1], ranks[:, 1:], out=step[:, :-1])
+    at = np.flatnonzero(step)
+    if at.size == 0:
+        return None
+    fi, cut = np.divmod(at, n)
+    onehot = data.y[rows][:, :, None] == np.arange(counts.size)
+    left = np.take(np.cumsum(onehot, axis=1).reshape(m * n, -1), at, axis=0)
+    right = counts - left  # each feature's block holds the whole node
+    n_l = cut + 1.0
+    n_r = n - n_l
+    # A C-contiguous (cuts, classes) sum: numpy adds 8 or more terms
+    # pairwise, so summing class-major would change bits.
+    g_l = 1.0 - np.sum((left / n_l[:, None]) ** 2, axis=1)
+    g_r = 1.0 - np.sum((right / n_r[:, None]) ** 2, axis=1)
+    weighted = (n_l * g_l + n_r * g_r) / n
+    # Each feature's first minimum, then the 1e-15 rule across features.
+    starts = np.flatnonzero(np.diff(fi, prepend=-1))
     best = None
-    for f in feat_ids:
-        order = np.argsort(X[:, f], kind="stable")
-        xs = X[order, f]
-        prefix = np.cumsum(onehot[order], axis=0)
-        # Splittable positions: between distinct consecutive values.
-        cut = np.nonzero(xs[:-1] < xs[1:])[0]
-        if cut.size == 0:
-            continue
-        left = prefix[cut]
-        right = prefix[-1] - left
-        n_l = cut + 1.0
-        n_r = n - n_l
-        g_l = 1.0 - np.sum((left / n_l[:, None]) ** 2, axis=1)
-        g_r = 1.0 - np.sum((right / n_r[:, None]) ** 2, axis=1)
-        weighted = (n_l * g_l + n_r * g_r) / n
-        k = int(np.argmin(weighted))
-        if best is None or weighted[k] < best[2] - 1e-15:
-            th = 0.5 * (xs[cut[k]] + xs[cut[k] + 1])
-            best = (int(f), float(th), float(weighted[k]))
-    return best
+    for s, w in enumerate(np.minimum.reduceat(weighted, starts).tolist()):
+        if best is None or w < best[1] - 1e-15:
+            best = (s, w)
+    s, w = best
+    end = starts[s + 1] if s + 1 < starts.size else weighted.size
+    k = starts[s] + int(np.argmin(weighted[starts[s]:end]))
+    j, c = fi[k], cut[k]
+    f = int(feat_ids[j])
+    xs = data.xT[f, rows[j]]
+    th = 0.5 * (xs[c] + xs[c + 1])
+    # Rows are sorted by value, so the left child (x <= th) is a prefix.
+    n_left = int(np.searchsorted(xs, th, side="right"))
+    return f, float(th), w, rows[j, :n_left], rows[j, n_left:]
 
 
-def _majority(y, n_classes) -> int:
-    return int(np.argmax(np.bincount(y, minlength=n_classes)))
-
-
-def _grow(X, y, depth, max_depth, n_classes, max_features, rng) -> dict:
-    """Model-format object of the CART subtree grown on (X, y)."""
-    counts = np.bincount(y, minlength=n_classes)
+def _grow(data, idx, depth, max_depth, max_features, rng) -> dict:
+    """Model-format object of the CART subtree grown on training rows
+    ``idx``; ``rng`` draws each split's candidate features in preorder."""
+    counts = np.bincount(data.y[idx], minlength=data.n_classes)
     node_gini = _gini(counts)
-    if depth >= max_depth or node_gini == 0.0 or y.size < 2:
-        return {"label": _majority(y, n_classes)}
-    n_feat = X.shape[1]
+    if depth >= max_depth or node_gini == 0.0 or idx.size < 2:
+        return {"label": int(np.argmax(counts))}
+    n_feat = data.xT.shape[0]
     if max_features < n_feat:
         feat_ids = np.sort(rng.choice(n_feat, size=max_features, replace=False))
     else:
         feat_ids = np.arange(n_feat)
-    best = _best_split(X, y, feat_ids, n_classes)
+    best = _best_split(data, idx, counts, feat_ids)
     if best is None or best[2] >= node_gini - 1e-15:
-        return {"label": _majority(y, n_classes)}
-    f, th, _ = best
-    mask = X[:, f] <= th
-    left = _grow(X[mask], y[mask], depth + 1, max_depth, n_classes,
-                 max_features, rng)
-    right = _grow(X[~mask], y[~mask], depth + 1, max_depth, n_classes,
-                  max_features, rng)
-    return {"feature": f, "threshold": th, "left": left, "right": right}
+        return {"label": int(np.argmax(counts))}
+    f, th, _, left, right = best
+    return {"feature": f, "threshold": th,
+            "left": _grow(data, left, depth + 1, max_depth, max_features, rng),
+            "right": _grow(data, right, depth + 1, max_depth, max_features,
+                           rng)}
 
 
 def _check_data(X, y):
@@ -245,14 +294,24 @@ def _bounds(X) -> tuple:
     return tuple((float(a), float(b)) for a, b in zip(lo, hi))
 
 
+def _class_count(y, n_classes) -> int:
+    seen = int(y.max()) + 1
+    if n_classes is None:
+        return seen
+    if n_classes < seen:
+        raise DataError(f"labels must be below n_classes = {n_classes}")
+    return n_classes
+
+
 def train_tree(X, y, max_depth: int = 6, n_classes: int | None = None) -> Forest:
     """Single deterministic tree on all rows and features."""
     X, y = _check_data(X, y)
     if max_depth < 1:
-        raise DataError("max_depth must be at least 1")
-    k = n_classes if n_classes is not None else int(y.max()) + 1
+        raise ConfigError("max_depth must be at least 1")
+    k = _class_count(y, n_classes)
     # Every feature is offered at every split, so _grow draws nothing.
-    root = _grow(X, y, 0, max_depth, k, X.shape[1], None)
+    root = _grow(_Training.of(X, y, k), np.arange(X.shape[0]), 0, max_depth,
+                 X.shape[1], None)
     return Forest(trees=(Tree.from_obj(root),), n_features=X.shape[1],
                   n_classes=k, feature_bounds=_bounds(X))
 
@@ -262,17 +321,17 @@ def train_forest(X, y, n_trees: int = 15, max_depth: int = 6, seed: int = 0,
     """Bootstrap forest; each split draws floor(sqrt(F)) candidate features."""
     X, y = _check_data(X, y)
     if n_trees < 1:
-        raise DataError("n_trees must be at least 1")
+        raise ConfigError("n_trees must be at least 1")
     if max_depth < 1:
-        raise DataError("max_depth must be at least 1")
-    k = n_classes if n_classes is not None else int(y.max()) + 1
+        raise ConfigError("max_depth must be at least 1")
+    k = _class_count(y, n_classes)
     m = max(1, int(math.isqrt(X.shape[1])))
+    data = _Training.of(X, y, k)
     trees = []
     for t in range(n_trees):
         rng = np.random.default_rng([seed, t])
         idx = rng.integers(0, X.shape[0], size=X.shape[0])
-        root = _grow(X[idx], y[idx], 0, max_depth, k, m, rng)
-        trees.append(Tree.from_obj(root))
+        trees.append(Tree.from_obj(_grow(data, idx, 0, max_depth, m, rng)))
     return Forest(trees=tuple(trees), n_features=X.shape[1], n_classes=k,
                   feature_bounds=_bounds(X))
 

@@ -221,6 +221,13 @@ def _range_from_obj(obj) -> ThresholdRange:
                           math.inf if hi is None else float(hi))
 
 
+def _plan_int(value, name) -> int:
+    """A plan's integer field; floats, strings and bools are malformed."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ModelFormatError(f"plan {name} must be an integer")
+    return value
+
+
 def plan_to_json(plan: TiledPlan, feature_bounds=None, programming=None) -> str:
     """Serialize a plan; optionally embed bounds and encoded conductances."""
     obj = {
@@ -259,12 +266,12 @@ def plan_from_json(text: str) -> tuple:
     if obj.get("version") != PLAN_VERSION:
         raise ModelFormatError(f"unsupported plan version {obj.get('version')!r}")
     try:
-        n_features = int(obj["n_features"])
+        n_features = _plan_int(obj["n_features"], "n_features")
         rows = tuple(
             MapRow(
                 ranges=tuple(_range_from_obj(r) for r in row["ranges"]),
-                class_label=int(row["class"]),
-                tree_index=int(row["tree"]),
+                class_label=_plan_int(row["class"], "row class"),
+                tree_index=_plan_int(row["tree"], "row tree"),
             )
             for row in obj["rows"]
         )
@@ -275,8 +282,10 @@ def plan_from_json(text: str) -> tuple:
         if any(len(row.ranges) != n_features for row in rows):
             raise ModelFormatError("row ranges must hold one range per feature")
         tmap = ThresholdMap(rows, n_features)
-        plan = pack_tiles(tmap, int(obj["tile_h"]), int(obj["tile_w"]),
-                          obj["col_perm"])
+        plan = pack_tiles(tmap, _plan_int(obj["tile_h"], "tile_h"),
+                          _plan_int(obj["tile_w"], "tile_w"),
+                          [_plan_int(c, "col_perm entry")
+                           for c in obj["col_perm"]])
     except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise ModelFormatError(f"malformed plan: {exc!r}") from None
     if [[list(t) for t in g] for g in plan.groups] != obj["groups"]:

@@ -300,7 +300,11 @@ def test_malformed_model_fields_exit_three(ini, run, tmp_path, field, edit,
     (("simulate", "perf"), "rows", [], "no rows"),
     (("simulate",), "class", -1, "non-negative"),
     (("simulate",), "ranges", lambda r: r[:-1], "one range per feature"),
-    (("simulate",), "ranges", lambda r: r + r[-1:], "one range per feature")])
+    (("simulate",), "ranges", lambda r: r + r[-1:], "one range per feature"),
+    (("simulate",), "class", 1.9, "class must be an integer"),
+    (("simulate",), "tree", False, "tree must be an integer"),
+    (("simulate", "perf"), "tile_h", 16.7, "tile_h must be an integer"),
+    (("simulate",), "n_features", "4", "n_features must be an integer")])
 def test_bad_plan_rows_exit_three(ini, run, tmp_path, commands, field, value,
                                   message):
     cfg = ini()
@@ -313,6 +317,8 @@ def test_bad_plan_rows_exit_three(ini, run, tmp_path, commands, field, value,
         # An empty map with a layout that agrees with it.
         obj["rows"], obj["memory_cells"] = value, 0
         obj["groups"] = [[] for _ in obj["groups"]]
+    elif field in obj:
+        obj[field] = value
     else:
         row = obj["rows"][0]
         row[field] = value(row[field]) if callable(value) else value
@@ -359,6 +365,12 @@ def test_exit_codes(ini, run, tmp_path):
     empty_grid = BASE.replace("grid = 0.0, 0.05, 0.1", "grid =")
     code, cap = run("sweep", "--config", ini(empty_grid, "e.ini"))
     assert code == 2 and "grid" in cap.err
+
+    for good, bad in (("n_trees = 5", "n_trees = 0"),
+                      ("max_depth = 4", "max_depth = 0")):
+        code, cap = run("train", "--config",
+                        ini(BASE.replace(good, bad), "t.ini"))
+        assert code == 2 and bad.split()[0] in cap.err, (bad, code)
 
     for fraction in ("1.5", "-0.2", "1.0"):
         bad_split = BASE.replace("test_fraction = 0.25",

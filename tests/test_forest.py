@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from camforest.datasets import gaussian_blobs, load_iris, train_test_split
-from camforest.errors import DataError, ModelFormatError
+from camforest.errors import ConfigError, DataError, ModelFormatError
 from camforest.forest import (
     Forest,
     Tree,
@@ -247,6 +247,179 @@ def test_table_walk_matches_recursive_reference_on_random_forests():
     assert ties > 0 and on_threshold > 0 and leaf_only > 0
 
 
+def _oracle_best_split(X, y, feat_ids, n_classes):
+    """The trainer's split search before features were ranked once: one
+    stable float argsort per candidate feature, scanned feature by
+    feature. Returns (feature, threshold, weighted_gini) or None."""
+    n = y.size
+    onehot = np.zeros((n, n_classes))
+    onehot[np.arange(n), y] = 1.0
+    best = None
+    for f in feat_ids:
+        order = np.argsort(X[:, f], kind="stable")
+        xs = X[order, f]
+        prefix = np.cumsum(onehot[order], axis=0)
+        cut = np.nonzero(xs[:-1] < xs[1:])[0]
+        if cut.size == 0:
+            continue
+        left = prefix[cut]
+        right = prefix[-1] - left
+        n_l = cut + 1.0
+        n_r = n - n_l
+        g_l = 1.0 - np.sum((left / n_l[:, None]) ** 2, axis=1)
+        g_r = 1.0 - np.sum((right / n_r[:, None]) ** 2, axis=1)
+        weighted = (n_l * g_l + n_r * g_r) / n
+        k = int(np.argmin(weighted))
+        if best is None or weighted[k] < best[2] - 1e-15:
+            th = 0.5 * (xs[cut[k]] + xs[cut[k] + 1])
+            best = (int(f), float(th), float(weighted[k]))
+    return best
+
+
+def _oracle_grow(X, y, depth, max_depth, n_classes, max_features, rng):
+    """Model-format subtree grown on copies of the node's rows."""
+    counts = np.bincount(y, minlength=n_classes)
+    p = counts / max(y.size, 1)
+    node_gini = float(1.0 - np.sum(p * p)) if y.size else 0.0
+    leaf = {"label": int(np.argmax(counts))}
+    if depth >= max_depth or node_gini == 0.0 or y.size < 2:
+        return leaf
+    n_feat = X.shape[1]
+    if max_features < n_feat:
+        feat_ids = np.sort(rng.choice(n_feat, size=max_features, replace=False))
+    else:
+        feat_ids = np.arange(n_feat)
+    best = _oracle_best_split(X, y, feat_ids, n_classes)
+    if best is None or best[2] >= node_gini - 1e-15:
+        return leaf
+    f, th, _ = best
+    mask = X[:, f] <= th
+    return {"feature": f, "threshold": th,
+            "left": _oracle_grow(X[mask], y[mask], depth + 1, max_depth,
+                                 n_classes, max_features, rng),
+            "right": _oracle_grow(X[~mask], y[~mask], depth + 1, max_depth,
+                                  n_classes, max_features, rng)}
+
+
+def _oracle_json(model, X, y, max_depth, n_trees=None, seed=0):
+    """to_json of the oracle's forest (``n_trees`` None: ``train_tree``)."""
+    k = model.n_classes
+    if n_trees is None:
+        roots = [_oracle_grow(X, y, 0, max_depth, k, X.shape[1], None)]
+    else:
+        m = max(1, math.isqrt(X.shape[1]))
+        roots = []
+        for t in range(n_trees):
+            rng = np.random.default_rng([seed, t])
+            idx = rng.integers(0, X.shape[0], size=X.shape[0])
+            roots.append(_oracle_grow(X[idx], y[idx], 0, max_depth, k, m, rng))
+    return to_json(Forest(trees=tuple(Tree.from_obj(r) for r in roots),
+                          n_features=X.shape[1], n_classes=k,
+                          feature_bounds=model.feature_bounds))
+
+
+def _tie_heavy_data(rng, n, n_features, n_classes):
+    """Rows drawn with replacement from a small base, so rows repeat; each
+    feature is constant, 1-5 integer levels, two adjacent floats (their
+    midpoint rounds onto one of them) or continuous."""
+    base = max(1, int(rng.integers(1, n + 1)) // 2)
+    columns = []
+    for _ in range(n_features):
+        kind = int(rng.integers(4))
+        if kind == 0:
+            col = np.full(base, float(rng.integers(-3, 4)))
+        elif kind == 1:
+            col = rng.integers(0, int(rng.integers(1, 6)), base).astype(float)
+        elif kind == 2:
+            v = rng.uniform(-2, 2)
+            col = rng.choice([v, np.nextafter(v, np.inf)], base)
+        else:
+            col = np.round(rng.normal(size=base), 3)
+        columns.append(col)
+    Xb = np.stack(columns, axis=1)
+    yb = rng.integers(0, n_classes, base)
+    pick = rng.integers(0, base, n)
+    return Xb[pick], yb[pick]
+
+
+def test_ranked_trainer_matches_oracle_byte_for_byte():
+    rng = np.random.default_rng(2024)
+    ties = duplicates = wide_class_splits = extra_classes = 0
+    for case in range(90):
+        n = 1 if case % 15 == 0 else int(rng.integers(2, 160))
+        n_features = int(rng.integers(1, 7))
+        n_classes = int(rng.integers(2, 13))
+        X, y = _tie_heavy_data(rng, n, n_features, n_classes)
+        ties += any(np.unique(X[:, f]).size < n for f in range(n_features))
+        duplicates += np.unique(X, axis=0).shape[0] < n
+        explicit = None  # or a class count up to 2 above the labels seen
+        if case % 4 == 0:
+            explicit = int(y.max()) + 1 + int(rng.integers(0, 3))
+            extra_classes += explicit > y.max() + 1
+        max_depth = int(rng.integers(1, 9))
+        tree = train_tree(X, y, max_depth=max_depth, n_classes=explicit)
+        assert to_json(tree) == _oracle_json(tree, X, y, max_depth)
+        seed = int(rng.integers(1000))
+        n_trees = int(rng.integers(1, 4))
+        forest = train_forest(X, y, n_trees=n_trees, max_depth=max_depth,
+                              seed=seed, n_classes=explicit)
+        assert to_json(forest) == _oracle_json(forest, X, y, max_depth,
+                                               n_trees, seed)
+        if forest.n_classes >= 8:
+            wide_class_splits += sum(t.n_leaves() - 1 for t in forest.trees)
+    assert ties and duplicates and extra_classes and wide_class_splits
+
+
+def test_ranked_trainer_matches_oracle_on_mirrored_gini_ties():
+    # Labels h, then h reversed under a class swap π with π(π(c)) = c: the
+    # cut after row p and the one after row n - p have equal Gini in exact
+    # arithmetic, and the class sum's rounding decides between them. With
+    # 8 or more classes numpy sums each row pairwise, so a class-major sum
+    # would choose differently.
+    rng = np.random.default_rng(11)
+    second_half_wins = 0
+    for _ in range(300):
+        n_classes = int(rng.integers(2, 13))
+        swap = rng.permutation(n_classes)
+        pi = np.arange(n_classes)
+        pi[swap[0:-1:2]], pi[swap[1::2]] = swap[1::2], swap[0:-1:2]
+        h = rng.integers(0, n_classes, int(rng.integers(4, 30)))
+        y = np.concatenate([h, pi[h][::-1]])
+        X = np.arange(y.size, dtype=float)[:, None]
+        for max_depth in (1, 2):
+            tree = train_tree(X, y, max_depth=max_depth, n_classes=n_classes)
+            assert to_json(tree) == _oracle_json(tree, X, y, max_depth)
+        root = _tree_objs(tree)[0]
+        second_half_wins += root.get("threshold", 0) > h.size
+    assert second_half_wins > 0
+
+
+def test_later_feature_must_beat_the_best_split_by_1e_15():
+    # Exactly, feature 0's best cut (after 2 rows) and feature 2's (after
+    # 6) both score 1/3; in floats feature 2's is one ulp lower.
+    y = np.array([1, 0, 1, 0, 1, 1, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0])
+    X = np.array([
+        [11, 17, 2, 0, 9, 5, 8, 7, 16, 3, 4, 10, 15, 12, 13, 14, 1, 6],
+        [4, 1, 9, 10, 17, 8, 5, 16, 12, 11, 3, 7, 6, 2, 13, 0, 14, 15],
+        [1, 4, 15, 2, 16, 14, 3, 10, 13, 11, 12, 8, 9, 7, 0, 6, 17, 5],
+    ], dtype=float).T
+    tree = train_tree(X, y, max_depth=1)
+    assert _tree_objs(tree)[0]["feature"] == 0
+    assert to_json(tree) == _oracle_json(tree, X, y, 1)
+
+
+def test_ranked_trainer_matches_oracle_above_16_bit_ranks():
+    rng = np.random.default_rng(5)
+    n = 70_000
+    X = rng.normal(size=(n, 1))
+    y = (X[:, 0] + rng.normal(scale=0.5, size=n) > 0).astype(int)
+    assert np.unique(X).size > 65_536
+    tree = train_tree(X, y, max_depth=2)
+    assert to_json(tree) == _oracle_json(tree, X, y, 2)
+    forest = train_forest(X, y, n_trees=1, max_depth=2, seed=3)
+    assert to_json(forest) == _oracle_json(forest, X, y, 2, 1, 3)
+
+
 # sha256 of each trained model's to_json text; the node table must leave
 # training and serialisation byte-identical.
 _MODEL_DIGESTS = {
@@ -401,7 +574,14 @@ def test_invalid_training_inputs():
     with pytest.raises(DataError):
         train_tree(np.ones((2, 2)), np.array([0.5, 1.0]))
     with pytest.raises(DataError):
+        train_tree(np.ones((2, 2)), np.array([0, 2]), n_classes=2)
+    # Tree counts and depths are configuration values, not data.
+    with pytest.raises(ConfigError):
         train_forest(np.ones((2, 2)), np.array([0, 1]), n_trees=0)
+    with pytest.raises(ConfigError):
+        train_forest(np.ones((2, 2)), np.array([0, 1]), max_depth=0)
+    with pytest.raises(ConfigError):
+        train_tree(np.ones((2, 2)), np.array([0, 1]), max_depth=0)
     with pytest.raises(DataError):
         train_tree(np.array([[np.nan], [1.0]]), np.array([0, 1]))
 

@@ -416,7 +416,14 @@ def test_plan_json_rejects_malformed():
 
 @pytest.mark.parametrize("field, value, message", [
     ("rows", [], "no rows"), ("class", -1, "non-negative"),
-    ("tree", -2, "non-negative")])
+    ("tree", -2, "non-negative"), ("class", 1.9, "class must be an integer"),
+    ("class", True, "class must be an integer"),
+    ("tree", 0.0, "tree must be an integer"),
+    ("tree", "0", "tree must be an integer"),
+    ("n_features", 4.0, "n_features must be an integer"),
+    ("tile_h", 16.7, "tile_h must be an integer"),
+    ("tile_w", True, "tile_w must be an integer"),
+    ("col_perm", [0.0, 1, 2, 3], "col_perm entry must be an integer")])
 def test_plan_json_rejects_bad_rows(field, value, message):
     X, y = load_iris()
     obj = json.loads(plan_to_json(compile_forest(train_tree(X, y, max_depth=2),
@@ -425,6 +432,8 @@ def test_plan_json_rejects_bad_rows(field, value, message):
         # An empty map with a layout that agrees with it.
         obj["rows"], obj["memory_cells"] = value, 0
         obj["groups"] = [[] for _ in obj["groups"]]
+    elif field in obj:
+        obj[field] = value
     else:
         obj["rows"][-1][field] = value
     with pytest.raises(ModelFormatError, match=message):
