@@ -7,15 +7,15 @@ matrix) depends on the plan and quantization only, and each trial then adds
 its own programming noise. Programming then sorts the branches: a branch
 whose discharge gate stays at or below the transistor threshold across the
 whole DL window draws exactly 0.0 A for every (clipped) input and is skipped.
-The remaining branches (the kernel's terms) are listed in compact index
-arrays, grouped by how many terms their row holds. Inference computes each
-input's T1 current once, runs the rest of the cell law on the terms only and
-adds each row's terms so that every ML voltage is bit-identical to
-evaluating every cell: one or two terms directly, three or more in a zeroed
-buffer summed in the dense row order. It then integrates over the clock
-window, senses the match lines, ANDs each original row across its groups,
-and reads the majority vote as per-class currents through the conductance
-matrix.
+The remaining branches are the kernel's terms, and programming compiles
+one schedule of adds that turns them into row totals: the adds of numpy's
+pairwise sum over a dense row of W cell currents, in numpy's order, pruned
+to the cells that hold terms. Inference computes each input's T1 current
+once, runs the rest of the cell law on the terms only and runs the
+schedule, so that every ML voltage is bit-identical to evaluating every
+cell. It then integrates over the clock window, senses the match lines,
+ANDs each original row across its groups, and reads the majority vote as
+per-class currents through the conductance matrix.
 
 The kernel evaluates programs on a leading axis. A single program is the
 one-row case; a sweep point runs all its trials as one batch over the union
@@ -51,10 +51,11 @@ from .mapper import TiledPlan, compile_forest
 
 SWEEP_VARIABLES = ("sigma", "n_bits", "t_clk", "tile_h", "tile_w")
 
-# Byte budget of one chunk of the kernel's per-sample temporaries (one float
-# per term plus the rows of the >= 3-term buffer, per program): large enough
-# to amortise the per-chunk numpy calls, small enough to keep a chunk's
-# passes in cache.
+# Byte budget of one chunk of the kernel's per-row arrays (see
+# ``_chunk_shape``): large enough to amortise the per-chunk numpy calls,
+# small enough to keep a chunk's passes in cache. At twice this budget a
+# fresh process refaulted the per-chunk temporaries on every chunk of its
+# first call (ten times the minor page faults on a 16-feature model).
 CHUNK_BYTES = 2 << 20
 
 
@@ -100,6 +101,32 @@ class _Encoding:
 
 
 @dataclass(frozen=True)
+class _RowSchedule:
+    """The adds that turn the term currents of a (program, sample) row into
+    slot totals, each bit-identical to numpy's sum of the slot's dense row
+    of W cell currents: the dense sum's adds in its order, pruned to the
+    cells that hold terms (a skipped cell adds exactly 0.0). A two-branch
+    cell first adds its lower and upper term, as the dense cell current
+    does.
+
+    The values are the terms, then each add's result, level by level: the
+    adds of one level read only earlier values and write values
+    ``start:stop``."""
+
+    width: int                # terms + adds
+    levels: tuple             # per level: (start, stop, a values, b values)
+    slots: np.ndarray         # flat ids of the slots that hold terms
+    roots: np.ndarray         # per such slot, the value of its row total
+
+    def run(self, values) -> np.ndarray:
+        """(slots, rows) row totals, after filling ``values[terms:]`` of the
+        (width, rows) ``values`` whose first rows hold the terms."""
+        for start, stop, a, b in self.levels:
+            np.add(values[a], values[b], out=values[start:stop])
+        return values[self.roots]
+
+
+@dataclass(frozen=True)
 class _Programs:
     """What inference reads: one or more programs (trials) of one encoding,
     sharing one kernel term layout, with one row of term conductances each.
@@ -123,12 +150,7 @@ class _Programs:
     # lower branches first, then upper branches.
     term_cell: np.ndarray     # (terms,) index into the active_* arrays
     n_lower: int              # terms[:n_lower] are lower branches
-    # Row totals by the slot's term count: (slots, terms) for one term,
-    # (slots, terms a, terms b) for two, and for three or more (slots,
-    # first terms, their buffer positions, second terms, their positions);
-    # a position is slot rank * W + column and a second term is the upper
-    # branch of a cell whose lower branch is its first term.
-    row_terms: tuple
+    row_terms: _RowSchedule   # how the terms add up to row totals
     term_g: np.ndarray        # (programs, terms): g_m1 of lower, g_m2 of upper terms
 
     @property
@@ -330,21 +352,95 @@ def program(plan: TiledPlan, device: DeviceModel, config: ArchConfig,
         active_m1=m1[active], active_m2=m2[active])
 
 
-def _row_terms(term_pos, second, n_slots: int, w: int) -> tuple:
-    """``_Programs.row_terms`` from each term's flat cell position and
-    whether it is the second term of its cell."""
-    slot = term_pos // w
-    per_slot = np.bincount(slot, minlength=n_slots)
-    count = per_slot[slot]
-    one = np.flatnonzero(count == 1)
-    two = np.flatnonzero(count == 2)
-    two = two[np.argsort(slot[two], kind="stable")]
-    many = np.flatnonzero(count >= 3)
-    multi_slots = np.flatnonzero(per_slot >= 3)
-    pos = np.searchsorted(multi_slots, slot[many]) * w + term_pos[many] % w
-    later = second[many]
-    return ((slot[one], one), (slot[two[::2]], two[::2], two[1::2]),
-            (multi_slots, many[~later], pos[~later], many[later], pos[later]))
+def _dense_sum_order(w: int) -> tuple:
+    """The adds of numpy's float ``add.reduce`` over a contiguous row of
+    ``w`` values: ((left, right) per add in evaluation order, depth per
+    value). Values 0..w-1 are the row, value w + k is the k-th add.
+
+    Pairwise summation: below 8 values the row is added in sequence; from 8
+    to 128, eight partial sums r[j] = a[j] + a[j + 8] + ... are combined as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) and the w mod 8 tail
+    is added in sequence; above 128 the row splits at w / 2, rounded down to
+    a multiple of 8, and each part is summed that way."""
+    adds, depth = [], [0] * w
+
+    def add(a, b):
+        adds.append((a, b))
+        depth.append(1 + max(depth[a], depth[b]))
+        return len(depth) - 1
+
+    def pairwise(lo, n):
+        if n < 8:
+            total = lo
+            for i in range(lo + 1, lo + n):
+                total = add(total, i)
+            return total
+        if n <= 128:
+            r = list(range(lo, lo + 8))
+            for i in range(lo + 8, lo + n - n % 8, 8):
+                r = [add(r[j], i + j) for j in range(8)]
+            total = add(add(add(r[0], r[1]), add(r[2], r[3])),
+                        add(add(r[4], r[5]), add(r[6], r[7])))
+            for i in range(lo + n - n % 8, lo + n):
+                total = add(total, i)
+            return total
+        half = n // 2 - n // 2 % 8
+        return add(pairwise(lo, half), pairwise(lo + half, n - half))
+
+    pairwise(0, w)
+    return adds, depth
+
+
+def _row_terms(term_pos, second, n_slots: int, w: int) -> _RowSchedule:
+    """``_Programs.row_terms`` from each term's flat cell position (slot * W
+    + column) and whether it is the second term of its cell.
+
+    Walks the dense sum's adds by depth for every slot at once: an add with
+    both operands present becomes a schedule add, one with a single operand
+    passes it on and one with none stays absent. A two-branch cell's leaf is
+    the add of its first and second term."""
+    n_terms = term_pos.size
+    later = np.flatnonzero(second)
+    leaf = np.full(n_slots * w, -1, dtype=np.intp)
+    leaf[term_pos[~second]] = np.flatnonzero(~second)
+    ops = [(leaf[term_pos[later]], later, np.ones(later.size, dtype=np.intp))]
+    leaf[term_pos[later]] = n_terms + np.arange(later.size)
+    n_adds = later.size
+    slots = np.flatnonzero(np.bincount(term_pos // w, minlength=n_slots))
+    adds, depth = _dense_sum_order(w)
+    # Per value of the dense sum (rows) and slot (columns): the schedule
+    # value that holds it, -1 where the slot has none, and the kernel level
+    # at which it is ready.
+    value = np.full((len(depth), slots.size), -1, dtype=np.intp)
+    value[:w] = leaf.reshape(n_slots, w)[slots].T
+    level = (value >= n_terms).astype(np.intp)
+    left, right = np.array(adds, dtype=np.intp).reshape(-1, 2).T
+    add_depth = np.array(depth[w:], dtype=np.intp)
+    for d in range(1, max(depth) + 1):
+        node = np.flatnonzero(add_depth == d)
+        a, b = value[left[node]], value[right[node]]
+        both = (a >= 0) & (b >= 0)
+        node_level = np.maximum(level[left[node]], level[right[node]]) + both
+        node_value = np.where(a >= 0, a, b)
+        k = int(np.count_nonzero(both))
+        node_value[both] = n_terms + n_adds + np.arange(k)
+        ops.append((a[both], b[both], node_level[both]))
+        n_adds += k
+        value[w + node], level[w + node] = node_value, node_level
+    # Number the adds level by level, so that each level writes one
+    # contiguous run of values.
+    a, b, add_level = (np.concatenate(x) for x in zip(*ops))
+    order = np.argsort(add_level, kind="stable")
+    renumber = np.arange(n_terms + n_adds)
+    renumber[n_terms + order] = n_terms + np.arange(n_adds)
+    a, b = renumber[a[order]], renumber[b[order]]
+    stops = np.cumsum(np.bincount(add_level, minlength=1))
+    levels = tuple((n_terms + start, n_terms + stop, a[start:stop],
+                    b[start:stop])
+                   for start, stop in zip(stops[:-1], stops[1:])
+                   if stop > start)
+    return _RowSchedule(width=n_terms + n_adds, levels=levels, slots=slots,
+                        roots=renumber[value[-1]])
 
 
 def program_forest(forest: Forest, device: DeviceModel = DeviceModel(),
@@ -385,14 +481,22 @@ def _input_voltages(arch, X) -> np.ndarray:
 
 
 def _term_t1(arch: _Programs, v_in) -> np.ndarray:
-    """(samples, terms) T1 current of each term's input. It depends on the
+    """(terms, samples) T1 current of each term's input. It depends on the
     input alone, so it is computed once per (sample, feature) and shared by
     every program."""
     i_t1 = t1_current(v_in, None, arch.config.params)
-    return i_t1[:, arch.active_input[arch.term_cell]]
+    return i_t1.T[arch.active_input[arch.term_cell]]
 
 
-def _ml_voltages(arch: _Programs, term_t1, t: float, g=None) -> np.ndarray:
+def _workspace(arch: _Programs, rows: int) -> tuple:
+    """(values, row current) buffers for kernel calls of up to ``rows``
+    rows: the flat values buffer and the (slots, rows) row currents, zero."""
+    return (np.empty(arch.row_terms.width * rows),
+            np.zeros((arch.plan.n_tiles * arch.plan.tile_h, rows)))
+
+
+def _ml_voltages(arch: _Programs, term_t1, t: float, g=None,
+                 work=None) -> np.ndarray:
     """(programs * samples, slots) ML voltages at sense time, program-major,
     of the programs whose term conductances are the rows of ``g`` (default
     ``arch.term_g``) on the samples whose ``_term_t1`` is ``term_t1``.
@@ -400,47 +504,47 @@ def _ml_voltages(arch: _Programs, term_t1, t: float, g=None) -> np.ndarray:
     The rest of the cell law runs on the terms only: the branches of active
     cells that can draw current (a cell's other branch adds exactly 0.0).
     Each row total must equal the dense sum over all W cell currents bit for
-    bit, where every skipped cell adds 0.0. A slot with one term takes that
-    term and one with two takes a + b, since adding zeros changes neither.
-    Slots with three or more assemble their cell currents (lower + upper for
-    a two-term cell) in a zeroed buffer summed whole, in the dense order."""
+    bit, where every skipped cell adds 0.0: ``arch.row_terms`` replays that
+    sum's adds on the terms. The kernel works term-major, one (program,
+    sample) row per column, so each add level gathers whole rows; the
+    result is the transpose of a (slots, rows) array. ``work`` is a
+    ``_workspace`` of at least this call's rows, reused across calls."""
     cfg = arch.config
     p = cfg.params
-    w = arch.plan.tile_w
-    n_slots = arch.plan.n_tiles * arch.plan.tile_h
+    schedule = arch.row_terms
     g = arch.term_g if g is None else g
-    (s1, t1), (s2, ta, tb), (s3, first, first_pos, second, second_pos) = \
-        arch.row_terms
-    n_lower, n_terms = arch.n_lower, g.shape[1]
-    rows = len(g) * len(term_t1)
-    terms = np.concatenate(
-        [lower_branch_t1(term_t1[:, :n_lower], g[:, None, :n_lower], p),
-         upper_branch_t1(term_t1[:, n_lower:], g[:, None, n_lower:], p)],
-        axis=-1).reshape(rows, n_terms)
-    row_current = np.zeros((rows, n_slots))
-    row_current[:, s1] = terms[:, t1]
-    row_current[:, s2] = terms[:, ta] + terms[:, tb]
-    buffer = np.zeros((rows, s3.size, w))
-    flat = buffer.reshape(rows, s3.size * w)
-    flat[:, first_pos] = terms[:, first]
-    flat[:, second_pos] += terms[:, second]
-    row_current[:, s3] = buffer.sum(axis=-1)
-    c_ml = cfg.parasitics.ml_capacitance(w)
-    return np.maximum(cfg.v_ml0 - row_current * t / c_ml, 0.0)
+    n_lower = arch.n_lower
+    n_samples = term_t1.shape[1]
+    rows = len(g) * n_samples
+    buffer, row_current = _workspace(arch, rows) if work is None else work
+    values = buffer[:schedule.width * rows].reshape(schedule.width, rows)
+    row_current = row_current[:, :rows]
+    terms = values.reshape(schedule.width, len(g), n_samples)
+    terms[:n_lower] = lower_branch_t1(
+        term_t1[:n_lower, None], g.T[:n_lower, :, None], p)
+    terms[n_lower:g.shape[1]] = upper_branch_t1(
+        term_t1[n_lower:, None], g.T[n_lower:, :, None], p)
+    row_current[schedule.slots] = schedule.run(values)
+    c_ml = cfg.parasitics.ml_capacitance(arch.plan.tile_w)
+    return np.maximum(cfg.v_ml0 - row_current * t / c_ml, 0.0).T
 
 
 def _chunk_shape(arch: _Programs, n_samples: int) -> tuple:
     """(programs, samples) per kernel chunk: either every sample of several
     programs or a run of one program's samples, so that a chunk's
-    program-major rows are contiguous. A chunk holds, per program, one
-    float per term for each sample plus its >= 3-term buffer row, and the
-    program's term conductances."""
+    program-major rows are contiguous. A chunk holds, per sample, the T1
+    current of every term and, per (program, sample) row, the cell law's
+    currents of one branch side (at most every term), the schedule's values
+    (terms, then adds) and the row current and ML voltage of every slot;
+    per program it holds the term conductances."""
     n_terms = arch.term_cell.size
-    per_sample = n_terms + arch.row_terms[2][0].size * arch.plan.tile_w
-    samples = max(1, CHUNK_BYTES // (8 * max(1, per_sample)))
+    per_row = (n_terms + arch.row_terms.width
+               + 2 * arch.plan.n_tiles * arch.plan.tile_h)
+    samples = max(1, CHUNK_BYTES // (8 * max(1, n_terms + per_row)))
     if samples < n_samples:
         return 1, samples
-    programs = CHUNK_BYTES // (8 * max(1, n_samples * per_sample + n_terms))
+    programs = ((CHUNK_BYTES // 8 - n_samples * n_terms)
+                // max(1, n_samples * per_row + n_terms))
     return max(1, min(programs, len(arch.term_g))), max(1, n_samples)
 
 
@@ -450,20 +554,24 @@ def _evaluate_programs(arch: _Programs, v_in, t: float,
 
     Returns (row matches if ``keep_matches``, vote currents, (sensed lines,
     ML voltages) of the first row if ``collect``), one row per (program,
-    sample), program-major."""
+    sample), program-major. One ``_workspace``, sized for the largest
+    chunk, serves every chunk."""
     cfg = arch.config
     n_programs, n_samples = len(arch.term_g), len(v_in)
     n_rows = len(arch.plan.tmap.rows)
     per_chunk, samples = _chunk_shape(arch, n_samples)
+    work = _workspace(arch, min(per_chunk, n_programs)
+                      * min(samples, n_samples))
     # Exact-count evaluation of v_read * (matches @ vote_matrix): each vote
     # row holds g_lrs on its class and g_hrs elsewhere, so per-class
-    # currents follow from integer counts. Classes with equal counts get
-    # bitwise-equal currents and argmax ties resolve to the lowest index,
-    # not to float summation-order noise.
-    onehot = (arch.vote_matrix == arch.device.g_lrs).astype(np.int64)
+    # currents follow from counts of matched rows. Those are sums of 0.0
+    # and 1.0 far below 2**53, exact in float64 in any summation order, so
+    # classes with equal counts get bitwise-equal currents and argmax ties
+    # resolve to the lowest index, not to float summation-order noise.
+    onehot = (arch.vote_matrix == arch.device.g_lrs).T.astype(float)
     g_hrs, g_lrs = arch.device.g_hrs, arch.device.g_lrs
     size = n_programs * n_samples
-    matches = np.ones((size, n_rows), dtype=bool) if keep_matches else None
+    matches = np.empty((size, n_rows), dtype=bool) if keep_matches else None
     currents = np.empty((size, arch.n_classes))
     first = None
     for s0 in range(0, n_samples, samples):
@@ -471,19 +579,20 @@ def _evaluate_programs(arch: _Programs, v_in, t: float,
         for k0 in range(0, n_programs, per_chunk):
             g = arch.term_g[k0:k0 + per_chunk]
             r0 = k0 * n_samples + s0
-            r1 = r0 + len(g) * len(term_t1)
-            v_ml = _ml_voltages(arch, term_t1, t, g)
-            ml = v_ml > cfg.v_sa
-            block = (np.ones((r1 - r0, n_rows), dtype=bool) if matches is None
-                     else matches[r0:r1])
+            r1 = r0 + len(g) * term_t1.shape[1]
+            v_ml = _ml_voltages(arch, term_t1, t, g, work)
+            ml = v_ml.T > cfg.v_sa
+            block = np.ones((n_rows, r1 - r0), dtype=bool)
             for rows, slots in arch.slot_rows:
-                block[:, rows] &= ml[:, slots]
-            counts = block.astype(np.int64) @ onehot
-            total = block.sum(axis=1, keepdims=True)
-            currents[r0:r1] = cfg.v_read * (g_hrs * total +
-                                            (g_lrs - g_hrs) * counts)
+                block[rows] &= ml[slots]
+            counts = onehot @ block.astype(float)
+            total = block.sum(axis=0)
+            currents[r0:r1] = (cfg.v_read * (g_hrs * total +
+                                             (g_lrs - g_hrs) * counts)).T
+            if matches is not None:
+                matches[r0:r1] = block.T
             if collect and first is None:
-                first = ml[0], v_ml[0]
+                first = ml[:, 0], v_ml[0]
     return matches, currents, first
 
 

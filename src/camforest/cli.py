@@ -175,6 +175,8 @@ def _input_kind(text: str) -> str:
         tag = json.loads(text).get("format")
     except (json.JSONDecodeError, AttributeError):
         raise ModelFormatError("input is not a JSON artifact") from None
+    except RecursionError:
+        raise ModelFormatError("input JSON nested too deeply") from None
     if tag == MODEL_FORMAT:
         return "model"
     if tag == PLAN_FORMAT:

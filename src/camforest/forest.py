@@ -22,6 +22,10 @@ from .errors import ConfigError, DataError, ModelFormatError
 
 MODEL_FORMAT = "camforest-model"
 MODEL_VERSION = 1
+# Deepest tree the trainers grow. Growing (one call per level) and the
+# model JSON (one nesting level per tree level) both recurse, so the cap
+# stays at half of Python's default recursion limit of 1000.
+MAX_DEPTH = 500
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,10 +243,15 @@ def _best_split(data, idx, counts, feat_ids):
     j, c = fi[k], cut[k]
     f = int(feat_ids[j])
     xs = data.xT[f, rows[j]]
-    th = 0.5 * (xs[c] + xs[c + 1])
+    x0, x1 = float(xs[c]), float(xs[c + 1])
+    th = 0.5 * (x0 + x1)
+    if not math.isfinite(th):
+        # The sum overflowed; halving first cannot. Only such pairs take
+        # this path, so every other threshold keeps its bits.
+        th = 0.5 * x0 + 0.5 * x1
     # Rows are sorted by value, so the left child (x <= th) is a prefix.
     n_left = int(np.searchsorted(xs, th, side="right"))
-    return f, float(th), w, rows[j, :n_left], rows[j, n_left:]
+    return f, th, w, rows[j, :n_left], rows[j, n_left:]
 
 
 def _grow(data, idx, depth, max_depth, max_features, rng) -> dict:
@@ -303,11 +312,15 @@ def _class_count(y, n_classes) -> int:
     return n_classes
 
 
+def _check_depth(max_depth: int) -> None:
+    if not 1 <= max_depth <= MAX_DEPTH:
+        raise ConfigError(f"max_depth must be in [1, {MAX_DEPTH}]")
+
+
 def train_tree(X, y, max_depth: int = 6, n_classes: int | None = None) -> Forest:
     """Single deterministic tree on all rows and features."""
     X, y = _check_data(X, y)
-    if max_depth < 1:
-        raise ConfigError("max_depth must be at least 1")
+    _check_depth(max_depth)
     k = _class_count(y, n_classes)
     # Every feature is offered at every split, so _grow draws nothing.
     root = _grow(_Training.of(X, y, k), np.arange(X.shape[0]), 0, max_depth,
@@ -322,8 +335,7 @@ def train_forest(X, y, n_trees: int = 15, max_depth: int = 6, seed: int = 0,
     X, y = _check_data(X, y)
     if n_trees < 1:
         raise ConfigError("n_trees must be at least 1")
-    if max_depth < 1:
-        raise ConfigError("max_depth must be at least 1")
+    _check_depth(max_depth)
     k = _class_count(y, n_classes)
     m = max(1, int(math.isqrt(X.shape[1])))
     data = _Training.of(X, y, k)
@@ -353,6 +365,8 @@ def from_json(text: str) -> Forest:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ModelFormatError("JSON nested too deeply") from None
     if not isinstance(obj, dict) or obj.get("format") != MODEL_FORMAT:
         raise ModelFormatError("missing model format tag")
     if obj.get("version") != MODEL_VERSION:

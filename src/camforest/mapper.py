@@ -261,6 +261,8 @@ def plan_from_json(text: str) -> tuple:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ModelFormatError("JSON nested too deeply") from None
     if not isinstance(obj, dict) or obj.get("format") != PLAN_FORMAT:
         raise ModelFormatError("missing plan format tag")
     if obj.get("version") != PLAN_VERSION:

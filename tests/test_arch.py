@@ -337,9 +337,10 @@ def test_sweep_rows_equal_per_trial_replay(variable, vote_sigma, workers,
     config = ArchConfig(vote_sigma=vote_sigma)
     calls = []  # (programs, samples) per kernel call
 
-    def recorded(arch, term_t1, t, g=None):
-        calls.append((len(arch.term_g if g is None else g), len(term_t1)))
-        return _ml_voltages(arch, term_t1, t, g)
+    def recorded(arch, term_t1, t, g=None, work=None):
+        calls.append((len(arch.term_g if g is None else g),
+                      term_t1.shape[1]))
+        return _ml_voltages(arch, term_t1, t, g, work)
 
     monkeypatch.setattr("camforest.arch._ml_voltages", recorded)
     res = sweep(forest, X, y, variable, grid, trials=4, seed=seed,

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from camforest.cli import main
+from camforest.forest import MAX_DEPTH
 from camforest.datasets import load_iris, save_csv
 
 BASE = """\
@@ -357,6 +358,13 @@ def test_exit_codes(ini, run, tmp_path):
     code, cap = run("simulate", str(bad), "--config", ini())
     assert code == 3 and "format" in cap.err
 
+    # Hand-nested artifacts deeper than the JSON parser recurses.
+    for tag in ("camforest-model", "camforest-plan"):
+        bad.write_text(f'{{"format": "{tag}", "rows": '
+                       + "[" * 100_000 + "]" * 100_000 + "}")
+        code, cap = run("simulate", str(bad), "--config", ini())
+        assert code == 3 and "nested" in cap.err, (tag, code, cap.err)
+
     missing_data = BASE.replace("builtin = iris",
                                 f"path = {tmp_path / 'gone.csv'}")
     code, cap = run("train", "--config", ini(missing_data, "d.ini"))
@@ -367,7 +375,8 @@ def test_exit_codes(ini, run, tmp_path):
     assert code == 2 and "grid" in cap.err
 
     for good, bad in (("n_trees = 5", "n_trees = 0"),
-                      ("max_depth = 4", "max_depth = 0")):
+                      ("max_depth = 4", "max_depth = 0"),
+                      ("max_depth = 4", f"max_depth = {MAX_DEPTH + 1}")):
         code, cap = run("train", "--config",
                         ini(BASE.replace(good, bad), "t.ini"))
         assert code == 2 and bad.split()[0] in cap.err, (bad, code)

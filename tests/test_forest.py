@@ -11,6 +11,7 @@ import pytest
 from camforest.datasets import gaussian_blobs, load_iris, train_test_split
 from camforest.errors import ConfigError, DataError, ModelFormatError
 from camforest.forest import (
+    MAX_DEPTH,
     Forest,
     Tree,
     from_json,
@@ -155,6 +156,33 @@ def test_max_depth_respected():
         assert model.trees[0].depth() <= depth
     forest = train_forest(X, y, n_trees=5, max_depth=3, seed=0)
     assert all(t.depth() <= 3 for t in forest.trees)
+
+
+def test_max_depth_cap_trains_and_round_trips():
+    """A tree at the depth cap trains, serialises and parses back under the
+    default recursion limit; one level more is a configuration error."""
+    X = np.arange(1500.0)[:, None]
+    y = np.zeros(1500, dtype=int)
+    y[::3] = 1
+    model = train_tree(X, y, max_depth=MAX_DEPTH)
+    assert model.trees[0].depth() == MAX_DEPTH
+    back = from_json(to_json(model))
+    assert back.trees[0].depth() == MAX_DEPTH
+    assert np.array_equal(back.predict(X), model.predict(X))
+    for train in (train_tree, train_forest):
+        with pytest.raises(ConfigError, match="max_depth"):
+            train(X, y, max_depth=MAX_DEPTH + 1)
+
+
+def test_split_midpoint_of_huge_values_stays_finite():
+    """Where a + b overflows, the split lies at 0.5 * a + 0.5 * b (pytest
+    turns an overflow warning into an error)."""
+    for X, y in (([[1.0e308], [1.7e308]], [0, 1]),
+                 ([[-1.7e308], [-1.0e308]], [1, 0])):
+        model = train_tree(X, y)
+        assert model.trees[0].threshold[0] == 0.5 * X[0][0] + 0.5 * X[1][0]
+        assert np.array_equal(model.predict(X), y)
+        assert np.array_equal(from_json(to_json(model)).predict(X), y)
 
 
 def test_single_sample_gives_leaf():
@@ -534,6 +562,8 @@ def test_from_json_rejects_malformed():
     good = to_json(train_tree(np.array([[0.0], [1.0]]), np.array([0, 1])))
     with pytest.raises(ModelFormatError):
         from_json("not json at all {")
+    with pytest.raises(ModelFormatError, match="nested"):
+        from_json('{"trees": ' + "[" * 100_000 + "]" * 100_000 + "}")
     with pytest.raises(ModelFormatError):
         from_json("{}")
     with pytest.raises(ModelFormatError):

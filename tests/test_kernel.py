@@ -1,10 +1,11 @@
 """Sparse match kernel against the dense every-cell oracle.
 
 The kernel runs the cell law only on the branches of cells that can draw
-current and adds short rows directly. These tests evaluate every cell of
-the full (tiles, H, W) grids with ``row_total_current`` and require
-bit-identical ML voltages, so skipping cells or branches and the direct
-sums must never change a result, not even in the last bit.
+current and adds each row's terms in numpy's summation order, pruned to
+the cells that hold terms. These tests evaluate every cell of the full
+(tiles, H, W) grids with ``row_total_current`` and require bit-identical
+ML voltages, so skipping cells or branches and the pruned sums must never
+change a result, not even in the last bit.
 """
 
 import json
@@ -19,6 +20,7 @@ from camforest.arch import (
     _evaluate,
     _input_voltages,
     _ml_voltages,
+    _row_terms,
     _term_t1,
     infer,
     infer_batch,
@@ -164,20 +166,87 @@ def test_chunked_evaluation_matches_one_chunk(iris, monkeypatch):
 
 
 def test_fixtures_cover_every_row_sum_path(iris, blobs64):
-    """The bit-identity cases reach every way the kernel adds a row total:
-    slots with one, two and three or more active cells and terms, a pair
-    made of one cell's two branches, and two-branch cells in the buffer."""
+    """The bit-identity cases reach every shape the row-sum schedule prunes
+    the dense sum to: slots with one, two and three or more active cells, a
+    slot whose one cell adds its two branches, two-branch cells among
+    others, and slots with cells in both halves of a 16-wide row, whose
+    partial sums r[j] = a[j] + a[j + 8] add across the halves."""
+    halves = []
     for forest, _ in (blobs64, iris):
         arch = program(compile_forest(forest, 16, 16), D, CFG,
                        forest.feature_bounds, forest.n_classes)
-        cells = np.bincount(arch.active_cell // arch.plan.tile_w,
-                            minlength=arch.plan.n_tiles * arch.plan.tile_h)
+        w, n_slots = arch.plan.tile_w, arch.plan.n_tiles * arch.plan.tile_h
+        slot, col = np.divmod(arch.active_cell, w)
+        cells = np.bincount(slot, minlength=n_slots)
         assert {1, 2} <= set(cells.tolist()) and cells.max() >= 3
-        assert all(path[0].size for path in arch.row_terms)
+        schedule, n_terms = arch.row_terms, arch.term_cell.size
+        # Some row totals are a lone term, others the result of adds.
+        assert np.any(schedule.roots < n_terms)
+        assert np.any(schedule.roots >= n_terms)
+        low = np.bincount(slot[col < 8], minlength=n_slots)
+        high = np.bincount(slot[col >= 8], minlength=n_slots)
+        halves.append(np.any((low > 0) & (high > 0)))
+    # blobs64 fills both halves; Iris's 4 features never reach the second.
+    assert halves == [True, False]
     # Iris (the last fixture) has cells that draw current on both sides.
-    (_, _), (pair_slots, _, _), (_, _, _, second, _) = arch.row_terms
-    assert np.any(cells[pair_slots] == 1)
-    assert second.size > 0
+    terms = np.bincount(arch.active_cell[arch.term_cell] // w,
+                        minlength=n_slots)
+    assert np.any((cells == 1) & (terms == 2))
+    assert np.any((cells >= 3) & (terms > cells))
+
+
+def _random_schedule_case(rng, w: int, n_slots: int):
+    """(term positions, second flags, lower terms) of random occupancy:
+    each cell holds a lower term, an upper term, both or none."""
+    kind = rng.choice(4, size=(n_slots, w), p=rng.dirichlet(np.ones(4)))
+    lower, upper = (kind == 1) | (kind == 3), (kind == 2) | (kind == 3)
+    term_pos = np.concatenate([np.flatnonzero(lower), np.flatnonzero(upper)])
+    second = np.concatenate([np.zeros(lower.sum(), dtype=bool),
+                             lower.ravel()[np.flatnonzero(upper)]])
+    return term_pos, second, int(lower.sum())
+
+
+def test_row_schedule_matches_numpy_sum_order():
+    """The schedule's row totals equal ``np.add.reduce`` over the dense
+    rows bit for bit, for W from 1 to 300 (numpy's sequential, eight-way and
+    split regimes), with values spread over 16 decades and exact zeros."""
+    rng = np.random.default_rng(11)
+    n_slots, n_rows = 6, 9
+    for w in range(1, 301):
+        term_pos, second, n_lower = _random_schedule_case(rng, w, n_slots)
+        schedule = _row_terms(term_pos, second, n_slots, w)
+        terms = 10.0 ** rng.uniform(-16.0, 0.0, (term_pos.size, n_rows))
+        terms[rng.random(terms.shape) < 0.1] = 0.0
+        values = np.empty((schedule.width, n_rows))
+        values[:term_pos.size] = terms
+        totals = np.zeros((n_slots, n_rows))
+        totals[schedule.slots] = schedule.run(values)
+        # The dense oracle's cells: lower + upper, 0.0 for a missing branch.
+        lo = np.zeros((n_rows, n_slots * w))
+        hi = np.zeros((n_rows, n_slots * w))
+        lo[:, term_pos[:n_lower]] = terms[:n_lower].T
+        hi[:, term_pos[n_lower:]] = terms[n_lower:].T
+        dense = np.add.reduce((lo + hi).reshape(n_rows, n_slots, w), axis=-1)
+        _assert_bit_identical(totals.T, dense)
+
+
+def test_wide_rows_bit_identical_to_dense():
+    """At W = 130 numpy splits each dense row at column 64 and sums the
+    halves apart; rows with cells in both halves add the halves last. The
+    map keeps its feature order: reordering would pack the features the
+    trees use into the first half."""
+    X, y = gaussian_blobs(300, 140, 3, 5)
+    forest = train_forest(X, y, n_trees=6, max_depth=6, seed=1)
+    arch = program(compile_forest(forest, 8, 130, reorder_map=False), D, CFG,
+                   forest.feature_bounds, forest.n_classes, sigma_rel=0.1,
+                   seed=2)
+    slot, col = np.divmod(arch.active_cell, arch.plan.tile_w)
+    assert np.intersect1d(slot[col < 64], slot[col >= 64]).size > 0
+    X = np.vstack([X[:80], _threshold_inputs(forest, X[:40])])
+    _assert_bit_identical(
+        _ml_voltages(arch, _term_t1(arch, _input_voltages(arch, X)),
+                     CFG.t_clk),
+        _dense_ml_voltages(arch, X, CFG.t_clk))
 
 
 @pytest.mark.parametrize("data", ["iris", "blobs64"])
@@ -187,8 +256,10 @@ def test_chunks_split_mid_batch_stay_bit_identical(data, request, monkeypatch):
                    forest.feature_bounds, forest.n_classes, sigma_rel=0.1,
                    seed=2)
     X = np.vstack([X[:100], _threshold_inputs(forest, X[:30])])
-    per_sample = 8 * (arch.term_cell.size
-                      + arch.row_terms[2][0].size * arch.plan.tile_w)
+    # One program: per sample its terms' T1 currents and one row of the
+    # chunk (cell-law currents, schedule values, row current, ML voltage).
+    per_sample = 8 * (2 * arch.term_cell.size + arch.row_terms.width
+                      + 2 * arch.plan.n_tiles * arch.plan.tile_h)
     chunks = []
 
     def recorded(*args):

@@ -408,6 +408,8 @@ def test_plan_json_rejects_malformed():
     text = plan_to_json(plan)
     with pytest.raises(ModelFormatError):
         plan_from_json("{}")
+    with pytest.raises(ModelFormatError, match="nested"):
+        plan_from_json("[" * 100_000 + "]" * 100_000)
     with pytest.raises(ModelFormatError):
         plan_from_json(text.replace('"version": 1', '"version": 5'))
     with pytest.raises(ModelFormatError):
