@@ -4,22 +4,29 @@ Programming turns every stored range into a conductance pair (optionally
 quantized and noised), tile by tile; padding slots hold wildcards. It runs in
 two steps: the encoding (calibration, conductances, slot tables and vote
 matrix) depends on the plan and quantization only, and each trial then adds
-its own programming noise. Programming then sorts the branches: a branch
-whose discharge gate stays at or below the transistor threshold across the
-whole DL window draws exactly 0.0 A for every (clipped) input and is skipped.
-The remaining branches are the kernel's terms, and programming compiles
-one schedule of adds that turns them into row totals: the adds of numpy's
-pairwise sum over a dense row of W cell currents, in numpy's order, pruned
-to the cells that hold terms. Inference computes each input's T1 current
-once, runs the rest of the cell law on the terms only and runs the
-schedule, so that every ML voltage is bit-identical to evaluating every
-cell. It then integrates over the clock window, senses the match lines,
-ANDs each original row across its groups, and reads the majority vote as
-per-class currents through the conductance matrix.
+its own programming noise.
+
+A branch's discharge current is a monotone function of the T1 current of
+its input, which depends on the input alone and is computed once per
+(sample, feature). ``device.band_edges`` gives the T1 current at which a
+branch's current becomes exactly 0.0 and the one at which it alone pulls
+the match line to the sense threshold; each is the branch's conductance
+times a constant. Programming keeps as terms the branches that are not at
+0.0 A for every input in the DL window. Inference decides each (program,
+slot, sample) with two compares per term: the slot matches when every term
+draws 0.0 A, and mismatches when one term reaches the sense current, since
+currents are never negative and rounded adds are monotone. Only the slots
+left, with a term inside its band, run the cell law: every cell's lower
+plus upper current in a zeroed row of W cells, summed along the row, which
+is the every-cell evaluation's own expression, so every sensed bit equals
+it. Traces evaluate every line of their one sample that way. Inference
+then ANDs each original row across its groups and reads the majority vote
+as per-class currents through the conductance matrix.
 
 The kernel evaluates programs on a leading axis. A single program is the
 one-row case; a sweep point runs all its trials as one batch over the union
-of their terms, where a branch one trial skips adds exactly 0.0 to its row.
+of their terms, each trial with its own thresholds, so a term that only
+another trial can draw on is found at 0.0 A on every input.
 """
 
 import os
@@ -37,6 +44,7 @@ from .cell import (
 )
 from .device import (
     DeviceModel,
+    band_edges,
     build_calibration,
     encode_bounds,
     feature_to_voltage,
@@ -48,14 +56,16 @@ from .device import (
 from .errors import ConfigError, DataError
 from .forest import Forest
 from .mapper import TiledPlan, compile_forest
+from .perf import CYCLES_PER_ARRAY
 
 SWEEP_VARIABLES = ("sigma", "n_bits", "t_clk", "tile_h", "tile_w")
 
-# Byte budget of one chunk of the kernel's per-row arrays (see
-# ``_chunk_shape``): large enough to amortise the per-chunk numpy calls,
-# small enough to keep a chunk's passes in cache. At twice this budget a
-# fresh process refaulted the per-chunk temporaries on every chunk of its
-# first call (ten times the minor page faults on a 16-feature model).
+# Relative widening of the classifier's T1-current edges toward the band:
+# far above the cell law's rounding (about 1e-13 relative, the last bit of
+# np.exp included) and far below the bands' widths (1e-3 relative and more).
+BAND_MARGIN = 1e-9
+
+# Byte budget of one kernel chunk's per-term arrays (see ``_chunk_shape``).
 CHUNK_BYTES = 2 << 20
 
 
@@ -96,40 +106,14 @@ class _Encoding:
     m2: np.ndarray
     groups: tuple             # per group: slice of its cells
     cell_input: np.ndarray    # (cells,) DL source: original feature, F = padding
-    slot_rows: tuple
+    slot_rows: tuple          # per group: (map row ids, flat slot ids)
     vote_matrix: np.ndarray
-
-
-@dataclass(frozen=True)
-class _RowSchedule:
-    """The adds that turn the term currents of a (program, sample) row into
-    slot totals, each bit-identical to numpy's sum of the slot's dense row
-    of W cell currents: the dense sum's adds in its order, pruned to the
-    cells that hold terms (a skipped cell adds exactly 0.0). A two-branch
-    cell first adds its lower and upper term, as the dense cell current
-    does.
-
-    The values are the terms, then each add's result, level by level: the
-    adds of one level read only earlier values and write values
-    ``start:stop``."""
-
-    width: int                # terms + adds
-    levels: tuple             # per level: (start, stop, a values, b values)
-    slots: np.ndarray         # flat ids of the slots that hold terms
-    roots: np.ndarray         # per such slot, the value of its row total
-
-    def run(self, values) -> np.ndarray:
-        """(slots, rows) row totals, after filling ``values[terms:]`` of the
-        (width, rows) ``values`` whose first rows hold the terms."""
-        for start, stop, a, b in self.levels:
-            np.add(values[a], values[b], out=values[start:stop])
-        return values[self.roots]
 
 
 @dataclass(frozen=True)
 class _Programs:
     """What inference reads: one or more programs (trials) of one encoding,
-    sharing one kernel term layout, with one row of term conductances each.
+    sharing one kernel term layout, with one row of conductances each.
 
     Tiles of all groups are stacked in group order; a slot is one tile row
     and its flat id is ``stacked tile * H + row``.
@@ -143,24 +127,25 @@ class _Programs:
     vote_matrix: np.ndarray   # (rows, n_classes)
     n_bits: int | None
     sigma_rel: float
-    slot_rows: tuple          # per group: (map row ids, flat slot ids)
     active_input: np.ndarray  # (cells,) DL source: original feature, F = padding
-    active_cell: np.ndarray   # (cells,) flat slot * W + column
-    # Kernel terms: the branches of active cells that can draw current,
-    # lower branches first, then upper branches.
-    term_cell: np.ndarray     # (terms,) index into the active_* arrays
-    n_lower: int              # terms[:n_lower] are lower branches
-    row_terms: _RowSchedule   # how the terms add up to row totals
-    term_g: np.ndarray        # (programs, terms): g_m1 of lower, g_m2 of upper terms
+    active_cell: np.ndarray   # (cells,) flat slot * W + column, ascending
+    # Kernel terms: the branches of active cells not at 0.0 A across the
+    # window in some program, cell by cell, a cell's lower branch first.
+    term_cell: np.ndarray     # (terms,) index into the active cells
+    term_upper: np.ndarray    # (terms,) True for an upper branch
+    term_g: np.ndarray        # (terms, programs): g_m1 of lower, g_m2 of upper terms
+    term_slots: np.ndarray    # (lines,) flat ids of the slots holding terms
+    line_terms: np.ndarray    # (lines + 1,) first term of each such slot, then terms
+    line_rows: tuple          # per group: (map row ids, their lines)
 
     @property
     def n_active_arrays(self) -> int:
-        return sum(1 for tiles in self.plan.groups if tiles)
+        return self.plan.n_active_groups
 
     @property
     def cycles_per_decision(self) -> int:
         # Pre-charge, evaluate, latch per array, then one vote read.
-        return 3 * self.n_active_arrays + 1
+        return CYCLES_PER_ARRAY * self.n_active_arrays + 1
 
 
 @dataclass(frozen=True)
@@ -170,8 +155,6 @@ class ProgrammedArchitecture(_Programs):
 
     cells_m1: tuple           # per group: (tiles, H, W) conductances
     cells_m2: tuple
-    active_m1: np.ndarray     # (cells,) conductances of cells that can draw current
-    active_m2: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -194,22 +177,16 @@ def _slot_table(tiles, tile_h: int, empty: int) -> np.ndarray:
     return table
 
 
-def _branches_can_draw(g_m1, g_m2, params: CellParams) -> tuple:
-    """(lower, upper): cells whose lower/upper branch draws current for
-    some DL input in the (clipping) window.
-
-    Within a regime of the fitted T1 law each branch's current is monotone
-    in the DL voltage, so its maximum over the window lies at a window end
-    or on either side of a regime boundary inside it. A branch that draws
-    0.0 A at all of those draws exactly 0.0 A for every input."""
-    probes = [V_DL_MIN, V_DL_MAX]
-    for b in (params.v_sub_max, params.v_ohmic_min):
-        if V_DL_MIN < b <= V_DL_MAX:
-            probes += [np.nextafter(b, -np.inf), b]
-    v = np.reshape(probes, (-1,) + (1,) * np.ndim(g_m1))
-    i_t1 = t1_current(v, None, params)
-    return (np.any(lower_branch_t1(i_t1, g_m1, params) > 0, axis=0),
-            np.any(upper_branch_t1(i_t1, g_m2, params) > 0, axis=0))
+def _limits(arch, t: float) -> tuple:
+    """``band_edges`` at the sense current of clock ``t``, widened toward
+    the band by ``BAND_MARGIN``: (lower zero, lower full, upper zero, upper
+    full) T1 current per siemens of a term's conductance."""
+    cfg = arch.config
+    e = band_edges(cfg.params, reference_current(
+        cfg.parasitics.ml_capacitance(arch.plan.tile_w), cfg.v_ml0, cfg.v_sa,
+        t))
+    return (e.lower_zero * (1 + BAND_MARGIN), e.lower_full * (1 - BAND_MARGIN),
+            e.upper_zero * (1 - BAND_MARGIN), e.upper_full * (1 + BAND_MARGIN))
 
 
 def _encode(plan: TiledPlan, device: DeviceModel, config: ArchConfig,
@@ -287,46 +264,53 @@ def _draw(enc: _Encoding, device: DeviceModel, seed) -> tuple:
 
 def _program_trials(enc: _Encoding, device: DeviceModel, seeds) -> tuple:
     """(``_Programs`` fields, the last trial's flat (g_m1, g_m2)) of one
-    program per seed, over one term layout: the union of the branches that
-    can draw current in any of them.
+    program per seed, over one term layout: the branches that the kernel's
+    zero compare does not find at 0.0 A for every input in the window, in
+    any of them. Active cells are the cells holding terms; a trial keeps
+    its own conductance on a term it finds at 0.0 A.
 
-    A trial keeps its own conductance on a union branch it skips, which
-    draws exactly 0.0 A, and adding 0.0 to a row total changes no bit, so
-    each trial's ML voltages are those of its own program. Each trial keeps
-    its conductances on the cells of the union found so far; one drawn
-    before the union last grew is drawn again, so no (trials, cells) array
-    is held."""
+    Each trial keeps its conductances on the cells of the union found so
+    far; one drawn before the union last grew is drawn again, so no
+    (trials, cells) array of every cell is held."""
+    lower_zero, _, upper_zero, _ = _limits(enc, enc.config.t_clk)
+    # Calibration admits no regime boundary of the T1 law inside the DL
+    # window, so T1 rises across it from one end to the other.
+    t1_min, t1_max = t1_current(np.array([V_DL_MIN, V_DL_MAX]), None,
+                                enc.config.params)
     can_lower = can_upper = False
     kept = []
     for seed in seeds:
         m1, m2 = _draw(enc, device, seed)
-        lower, upper = _branches_can_draw(m1, m2, enc.config.params)
-        can_lower = can_lower | lower
-        can_upper = can_upper | upper
+        can_lower = can_lower | (t1_min < m1 * lower_zero)
+        can_upper = can_upper | (t1_max > m2 * upper_zero)
         held = np.flatnonzero(can_lower | can_upper)
         kept.append((m1[held], m2[held]))
     active = held
-    lower, upper = can_lower[active], can_upper[active]
-    term_cell = np.concatenate([np.flatnonzero(lower), np.flatnonzero(upper)])
-    n_lower = int(lower.sum())
-    term_g = np.empty((len(seeds), term_cell.size))
+    g_m1, g_m2 = np.empty((2, len(seeds), active.size))
     for trial, (seed, (a_m1, a_m2)) in enumerate(zip(seeds, kept)):
         if a_m1.size < active.size:
             a_m1, a_m2 = (g[active] for g in _draw(enc, device, seed))
-        term_g[trial, :n_lower] = a_m1[term_cell[:n_lower]]
-        term_g[trial, n_lower:] = a_m2[term_cell[n_lower:]]
-    second = np.concatenate([np.zeros(n_lower, dtype=bool), lower[upper]])
-    plan = enc.plan
+        g_m1[trial], g_m2[trial] = a_m1, a_m2
+    lower, upper = can_lower[active], can_upper[active]
+    term_cell = np.concatenate([np.flatnonzero(lower), np.flatnonzero(upper)])
+    order = np.argsort(term_cell, kind="stable")
+    term_cell, term_upper = term_cell[order], order >= lower.sum()
+    term_slots, line_terms = np.unique(active[term_cell] // enc.plan.tile_w,
+                                       return_index=True)
+    line_rows = []
+    for rows, slots in enc.slot_rows:
+        lit = np.isin(slots, term_slots)
+        line_rows.append((rows[lit], np.searchsorted(term_slots, slots[lit])))
     fields = dict(
-        plan=plan, config=enc.config, device=enc.device,
+        plan=enc.plan, config=enc.config, device=enc.device,
         n_classes=enc.n_classes, feature_bounds=enc.feature_bounds,
         vote_matrix=enc.vote_matrix, n_bits=enc.n_bits,
-        sigma_rel=device.sigma_rel, slot_rows=enc.slot_rows,
-        active_input=enc.cell_input[active], active_cell=active,
-        term_cell=term_cell, n_lower=n_lower,
-        row_terms=_row_terms(active[term_cell], second,
-                             plan.n_tiles * plan.tile_h, plan.tile_w),
-        term_g=term_g)
+        sigma_rel=device.sigma_rel, active_input=enc.cell_input[active],
+        active_cell=active, term_cell=term_cell, term_upper=term_upper,
+        term_g=np.where(term_upper[:, None], g_m2.T[term_cell],
+                        g_m1.T[term_cell]),
+        term_slots=term_slots, line_terms=np.append(line_terms, term_cell.size),
+        line_rows=tuple(line_rows))
     return fields, (m1, m2)
 
 
@@ -341,106 +325,13 @@ def program(plan: TiledPlan, device: DeviceModel, config: ArchConfig,
     """
     enc = _encode(plan, device, config, feature_bounds, n_classes, n_bits)
     fields, (m1, m2) = _program_trials(enc, _noisy(device, sigma_rel), [seed])
-    active = fields["active_cell"]
 
     def grids(flat):
         return tuple(flat[cells].reshape(-1, plan.tile_h, plan.tile_w)
                      for cells in enc.groups)
 
-    return ProgrammedArchitecture(
-        **fields, cells_m1=grids(m1), cells_m2=grids(m2),
-        active_m1=m1[active], active_m2=m2[active])
-
-
-def _dense_sum_order(w: int) -> tuple:
-    """The adds of numpy's float ``add.reduce`` over a contiguous row of
-    ``w`` values: ((left, right) per add in evaluation order, depth per
-    value). Values 0..w-1 are the row, value w + k is the k-th add.
-
-    Pairwise summation: below 8 values the row is added in sequence; from 8
-    to 128, eight partial sums r[j] = a[j] + a[j + 8] + ... are combined as
-    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) and the w mod 8 tail
-    is added in sequence; above 128 the row splits at w / 2, rounded down to
-    a multiple of 8, and each part is summed that way."""
-    adds, depth = [], [0] * w
-
-    def add(a, b):
-        adds.append((a, b))
-        depth.append(1 + max(depth[a], depth[b]))
-        return len(depth) - 1
-
-    def pairwise(lo, n):
-        if n < 8:
-            total = lo
-            for i in range(lo + 1, lo + n):
-                total = add(total, i)
-            return total
-        if n <= 128:
-            r = list(range(lo, lo + 8))
-            for i in range(lo + 8, lo + n - n % 8, 8):
-                r = [add(r[j], i + j) for j in range(8)]
-            total = add(add(add(r[0], r[1]), add(r[2], r[3])),
-                        add(add(r[4], r[5]), add(r[6], r[7])))
-            for i in range(lo + n - n % 8, lo + n):
-                total = add(total, i)
-            return total
-        half = n // 2 - n // 2 % 8
-        return add(pairwise(lo, half), pairwise(lo + half, n - half))
-
-    pairwise(0, w)
-    return adds, depth
-
-
-def _row_terms(term_pos, second, n_slots: int, w: int) -> _RowSchedule:
-    """``_Programs.row_terms`` from each term's flat cell position (slot * W
-    + column) and whether it is the second term of its cell.
-
-    Walks the dense sum's adds by depth for every slot at once: an add with
-    both operands present becomes a schedule add, one with a single operand
-    passes it on and one with none stays absent. A two-branch cell's leaf is
-    the add of its first and second term."""
-    n_terms = term_pos.size
-    later = np.flatnonzero(second)
-    leaf = np.full(n_slots * w, -1, dtype=np.intp)
-    leaf[term_pos[~second]] = np.flatnonzero(~second)
-    ops = [(leaf[term_pos[later]], later, np.ones(later.size, dtype=np.intp))]
-    leaf[term_pos[later]] = n_terms + np.arange(later.size)
-    n_adds = later.size
-    slots = np.flatnonzero(np.bincount(term_pos // w, minlength=n_slots))
-    adds, depth = _dense_sum_order(w)
-    # Per value of the dense sum (rows) and slot (columns): the schedule
-    # value that holds it, -1 where the slot has none, and the kernel level
-    # at which it is ready.
-    value = np.full((len(depth), slots.size), -1, dtype=np.intp)
-    value[:w] = leaf.reshape(n_slots, w)[slots].T
-    level = (value >= n_terms).astype(np.intp)
-    left, right = np.array(adds, dtype=np.intp).reshape(-1, 2).T
-    add_depth = np.array(depth[w:], dtype=np.intp)
-    for d in range(1, max(depth) + 1):
-        node = np.flatnonzero(add_depth == d)
-        a, b = value[left[node]], value[right[node]]
-        both = (a >= 0) & (b >= 0)
-        node_level = np.maximum(level[left[node]], level[right[node]]) + both
-        node_value = np.where(a >= 0, a, b)
-        k = int(np.count_nonzero(both))
-        node_value[both] = n_terms + n_adds + np.arange(k)
-        ops.append((a[both], b[both], node_level[both]))
-        n_adds += k
-        value[w + node], level[w + node] = node_value, node_level
-    # Number the adds level by level, so that each level writes one
-    # contiguous run of values.
-    a, b, add_level = (np.concatenate(x) for x in zip(*ops))
-    order = np.argsort(add_level, kind="stable")
-    renumber = np.arange(n_terms + n_adds)
-    renumber[n_terms + order] = n_terms + np.arange(n_adds)
-    a, b = renumber[a[order]], renumber[b[order]]
-    stops = np.cumsum(np.bincount(add_level, minlength=1))
-    levels = tuple((n_terms + start, n_terms + stop, a[start:stop],
-                    b[start:stop])
-                   for start, stop in zip(stops[:-1], stops[1:])
-                   if stop > start)
-    return _RowSchedule(width=n_terms + n_adds, levels=levels, slots=slots,
-                        roots=renumber[value[-1]])
+    return ProgrammedArchitecture(**fields, cells_m1=grids(m1),
+                                  cells_m2=grids(m2))
 
 
 def program_forest(forest: Forest, device: DeviceModel = DeviceModel(),
@@ -480,139 +371,170 @@ def _input_voltages(arch, X) -> np.ndarray:
     return v
 
 
-def _term_t1(arch: _Programs, v_in) -> np.ndarray:
-    """(terms, samples) T1 current of each term's input. It depends on the
-    input alone, so it is computed once per (sample, feature) and shared by
-    every program."""
-    i_t1 = t1_current(v_in, None, arch.config.params)
-    return i_t1.T[arch.active_input[arch.term_cell]]
-
-
-def _workspace(arch: _Programs, rows: int) -> tuple:
-    """(values, row current) buffers for kernel calls of up to ``rows``
-    rows: the flat values buffer and the (slots, rows) row currents, zero."""
-    return (np.empty(arch.row_terms.width * rows),
-            np.zeros((arch.plan.n_tiles * arch.plan.tile_h, rows)))
-
-
-def _ml_voltages(arch: _Programs, term_t1, t: float, g=None,
-                 work=None) -> np.ndarray:
-    """(programs * samples, slots) ML voltages at sense time, program-major,
-    of the programs whose term conductances are the rows of ``g`` (default
-    ``arch.term_g``) on the samples whose ``_term_t1`` is ``term_t1``.
-
-    The rest of the cell law runs on the terms only: the branches of active
-    cells that can draw current (a cell's other branch adds exactly 0.0).
-    Each row total must equal the dense sum over all W cell currents bit for
-    bit, where every skipped cell adds 0.0: ``arch.row_terms`` replays that
-    sum's adds on the terms. The kernel works term-major, one (program,
-    sample) row per column, so each add level gathers whole rows; the
-    result is the transpose of a (slots, rows) array. ``work`` is a
-    ``_workspace`` of at least this call's rows, reused across calls."""
+def _line_voltages(arch: _Programs, i_t1, program, line, sample,
+                   t: float) -> np.ndarray:
+    """ML voltages of (program, line, sample) triples from the every-cell
+    expression: each cell's lower plus upper current in a zeroed row of W
+    cells, summed along the row. A branch without a term draws exactly
+    0.0 A, so only terms run the cell law and an upper term adds onto its
+    cell's lower one. The first F + 1 rows of ``i_t1`` hold each input's
+    T1 current per sample."""
     cfg = arch.config
-    p = cfg.params
-    schedule = arch.row_terms
-    g = arch.term_g if g is None else g
-    n_lower = arch.n_lower
-    n_samples = term_t1.shape[1]
-    rows = len(g) * n_samples
-    buffer, row_current = _workspace(arch, rows) if work is None else work
-    values = buffer[:schedule.width * rows].reshape(schedule.width, rows)
-    row_current = row_current[:, :rows]
-    terms = values.reshape(schedule.width, len(g), n_samples)
-    terms[:n_lower] = lower_branch_t1(
-        term_t1[:n_lower, None], g.T[:n_lower, :, None], p)
-    terms[n_lower:g.shape[1]] = upper_branch_t1(
-        term_t1[n_lower:, None], g.T[n_lower:, :, None], p)
-    row_current[schedule.slots] = schedule.run(values)
-    c_ml = cfg.parasitics.ml_capacitance(arch.plan.tile_w)
-    return np.maximum(cfg.v_ml0 - row_current * t / c_ml, 0.0).T
+    w = arch.plan.tile_w
+    first = arch.line_terms[line]
+    count = arch.line_terms[line + 1] - first
+    row = np.repeat(np.arange(line.size), count)
+    term = np.arange(row.size) + np.repeat(first - np.cumsum(count) + count,
+                                           count)
+    cell = arch.term_cell[term]
+    i = np.take(i_t1, arch.active_input[cell] * i_t1.shape[1] + sample[row])
+    g = np.take(arch.term_g, term * arch.term_g.shape[1] + program[row])
+    at = row * w + arch.active_cell[cell] % w
+    up = arch.term_upper[term]
+    current = np.zeros(line.size * w)
+    current[at[~up]] = lower_branch_t1(i[~up], g[~up], cfg.params)
+    current[at[up]] += upper_branch_t1(i[up], g[up], cfg.params)
+    c_ml = cfg.parasitics.ml_capacitance(w)
+    return np.maximum(
+        cfg.v_ml0 - current.reshape(-1, w).sum(axis=-1) * t / c_ml, 0.0)
 
 
 def _chunk_shape(arch: _Programs, n_samples: int) -> tuple:
-    """(programs, samples) per kernel chunk: either every sample of several
-    programs or a run of one program's samples, so that a chunk's
-    program-major rows are contiguous. A chunk holds, per sample, the T1
-    current of every term and, per (program, sample) row, the cell law's
-    currents of one branch side (at most every term), the schedule's values
-    (terms, then adds) and the row current and ML voltage of every slot;
-    per program it holds the term conductances."""
-    n_terms = arch.term_cell.size
-    per_row = (n_terms + arch.row_terms.width
-               + 2 * arch.plan.n_tiles * arch.plan.tile_h)
-    samples = max(1, CHUNK_BYTES // (8 * max(1, n_terms + per_row)))
-    if samples < n_samples:
-        return 1, samples
-    programs = ((CHUNK_BYTES // 8 - n_samples * n_terms)
-                // max(1, n_samples * per_row + n_terms))
-    return max(1, min(programs, len(arch.term_g))), max(1, n_samples)
+    """(programs, samples) per kernel chunk: whole 64-sample words of packed
+    bits, with the gathered T1 currents within ``CHUNK_BYTES`` and, per
+    (program, sample), one compare's bool per term and two bools per map
+    row (the AND-combined block and a class's rows of it) within half of
+    it."""
+    n_terms = max(1, arch.term_cell.size)
+    words = min(max(1, CHUNK_BYTES // (8 * 64 * n_terms)), -(-n_samples // 64))
+    per_row = n_terms + 2 * len(arch.plan.tmap.rows)
+    programs = CHUNK_BYTES // (2 * 64 * words * per_row)
+    return max(1, min(programs, arch.term_g.shape[1])), 64 * words
+
+
+def _term_thresholds(arch: _Programs, t: float) -> tuple:
+    """(zero, full) per (term, program): signed T1 currents, negated for
+    upper branches, whose current rises with T1. A term draws exactly 0.0 A
+    where its signed T1 current is at or above ``zero``, and at least the
+    sense current of clock ``t`` where it is at or below ``full``."""
+    lower_zero, lower_full, upper_zero, upper_full = _limits(arch, t)
+    up = arch.term_upper[:, None]
+    return (arch.term_g * np.where(up, -upper_zero, lower_zero),
+            arch.term_g * np.where(up, -upper_full, lower_full))
+
+
+def _sensed_lines(arch: _Programs, v_in, t: float):
+    """Yield (programs, samples, sensed lines) chunk by chunk, for every
+    program of ``arch`` on DL inputs ``v_in`` at sense time ``t``: two
+    slices and the (lines, programs, samples) sensed match bits of the slots
+    holding terms. Every other slot draws exactly 0.0 A and matches.
+
+    Per chunk the kernel gathers each term's T1 current, negated for upper
+    branches so that both branch sides compare alike: a term draws 0.0 A at
+    or above its zero threshold and at least the sense current at or below
+    its full threshold. The compares are packed into 64-sample words and
+    reduced per line: the AND of zero bits matches it, the OR of full bits
+    mismatches it. Lines with neither are sensed on ``_line_voltages``."""
+    n_programs, n_samples = arch.term_g.shape[1], len(v_in)
+    zero, full = _term_thresholds(arch, t)
+    n_in = v_in.shape[1]
+    source = arch.active_input[arch.term_cell] + n_in * arch.term_upper
+    per_chunk, samples = _chunk_shape(arch, n_samples)
+    # Undecided lines per _line_voltages call: a zeroed row of W currents
+    # and about 16 values per term within CHUNK_BYTES.
+    per_line = -(-source.size // max(1, arch.term_slots.size))
+    batch = max(1, CHUNK_BYTES // (8 * (arch.plan.tile_w + 16 * per_line)))
+    # Per chunk, each input's T1 current and its negation, padded to the
+    # chunk's width with +inf, on which every term counts as drawing 0.0 A.
+    signed = np.empty((2 * n_in, samples))
+    t1 = np.empty((source.size, 1, samples))
+    for s0 in range(0, n_samples, samples):
+        n = min(samples, n_samples - s0)
+        signed[:n_in, :n] = t1_current(v_in[s0:s0 + n].T, None,
+                                       arch.config.params)
+        np.negative(signed[:n_in, :n], out=signed[n_in:, :n])
+        signed[:, n:] = np.inf
+        np.take(signed, source, axis=0, out=t1[:, 0], mode="clip")
+        for p0 in range(0, n_programs, per_chunk):
+            programs = slice(p0, min(p0 + per_chunk, n_programs))
+            matched = np.bitwise_and.reduceat(np.packbits(
+                t1 >= zero[:, programs, None], axis=-1).view(np.uint64),
+                arch.line_terms[:-1])
+            unsure = ~(matched | np.bitwise_or.reduceat(np.packbits(
+                t1 <= full[:, programs, None], axis=-1).view(np.uint64),
+                arch.line_terms[:-1]))
+            lines = np.unpackbits(matched.view(np.uint8), axis=-1,
+                                  count=n).view(bool)
+            if unsure.any():
+                line, trial, word = np.nonzero(unsure)
+                hit, bit = np.nonzero(np.unpackbits(
+                    unsure[line, trial, word, None].view(np.uint8), axis=-1))
+                line, trial = line[hit], trial[hit]
+                sample = 64 * word[hit] + bit
+                for b in range(0, line.size, batch):
+                    at = slice(b, b + batch)
+                    lines[line[at], trial[at], sample[at]] = _line_voltages(
+                        arch, signed, p0 + trial[at], line[at], sample[at],
+                        t) > arch.config.v_sa
+            yield programs, slice(s0, s0 + n), lines
 
 
 def _evaluate_programs(arch: _Programs, v_in, t: float,
-                       keep_matches: bool = False, collect: bool = False):
-    """Every program of ``arch`` on DL inputs ``v_in`` at sense time ``t``.
-
-    Returns (row matches if ``keep_matches``, vote currents, (sensed lines,
-    ML voltages) of the first row if ``collect``), one row per (program,
-    sample), program-major. One ``_workspace``, sized for the largest
-    chunk, serves every chunk."""
+                       keep_matches: bool = False) -> tuple:
+    """Every program of ``arch`` on DL inputs ``v_in`` at sense time ``t``:
+    (row matches if ``keep_matches``, vote currents), each (programs,
+    samples, ...)."""
     cfg = arch.config
-    n_programs, n_samples = len(arch.term_g), len(v_in)
+    n_programs, n_samples = arch.term_g.shape[1], len(v_in)
     n_rows = len(arch.plan.tmap.rows)
-    per_chunk, samples = _chunk_shape(arch, n_samples)
-    work = _workspace(arch, min(per_chunk, n_programs)
-                      * min(samples, n_samples))
     # Exact-count evaluation of v_read * (matches @ vote_matrix): each vote
     # row holds g_lrs on its class and g_hrs elsewhere, so per-class
     # currents follow from counts of matched rows. Those are sums of 0.0
     # and 1.0 far below 2**53, exact in float64 in any summation order, so
     # classes with equal counts get bitwise-equal currents and argmax ties
     # resolve to the lowest index, not to float summation-order noise.
-    onehot = (arch.vote_matrix == arch.device.g_lrs).T.astype(float)
     g_hrs, g_lrs = arch.device.g_hrs, arch.device.g_lrs
-    size = n_programs * n_samples
-    matches = np.empty((size, n_rows), dtype=bool) if keep_matches else None
-    currents = np.empty((size, arch.n_classes))
-    first = None
-    for s0 in range(0, n_samples, samples):
-        term_t1 = _term_t1(arch, v_in[s0:s0 + samples])
-        for k0 in range(0, n_programs, per_chunk):
-            g = arch.term_g[k0:k0 + per_chunk]
-            r0 = k0 * n_samples + s0
-            r1 = r0 + len(g) * term_t1.shape[1]
-            v_ml = _ml_voltages(arch, term_t1, t, g, work)
-            ml = v_ml.T > cfg.v_sa
-            block = np.ones((n_rows, r1 - r0), dtype=bool)
-            for rows, slots in arch.slot_rows:
-                block[rows] &= ml[slots]
-            counts = onehot @ block.astype(float)
-            total = block.sum(axis=0)
-            currents[r0:r1] = (cfg.v_read * (g_hrs * total +
-                                             (g_lrs - g_hrs) * counts)).T
-            if matches is not None:
-                matches[r0:r1] = block.T
-            if collect and first is None:
-                first = ml[:, 0], v_ml[0]
-    return matches, currents, first
+    class_rows = [np.flatnonzero(held) for held in (arch.vote_matrix == g_lrs).T]
+    matches = (np.empty((n_programs, n_samples, n_rows), dtype=bool)
+               if keep_matches else None)
+    currents = np.empty((n_programs, n_samples, arch.n_classes))
+    for programs, samples, lines in _sensed_lines(arch, v_in, t):
+        block = np.ones((n_rows,) + lines.shape[1:], dtype=bool)
+        for rows, group_lines in arch.line_rows:
+            block[rows] &= lines[group_lines]
+        counts = np.array([block[rows].sum(axis=0) for rows in class_rows])
+        currents[programs, samples] = np.moveaxis(cfg.v_read * (
+            g_hrs * counts.sum(axis=0) + (g_lrs - g_hrs) * counts), 0, -1)
+        if matches is not None:
+            matches[programs, samples] = block.transpose(1, 2, 0)
+    return matches, currents
 
 
 def _evaluate(arch: ProgrammedArchitecture, X, t_clk=None, collect=False):
-    """Core kernel: returns (row match matrix, vote currents, tile record)."""
+    """Core kernel: returns (row match matrix, vote currents, tile record);
+    the record, with ``collect``, holds the first sample's sensed lines and
+    ML voltages per tile, every line on the every-cell expression (a slot
+    without terms draws 0.0 A and stays at v_ml0)."""
     X = _check_samples(arch, X)
     t = _clock(arch.config, t_clk)
-    matches, currents, first = _evaluate_programs(
-        arch, _input_voltages(arch, X), t, keep_matches=True, collect=collect)
+    v_in = _input_voltages(arch, X)
+    matches, currents = _evaluate_programs(arch, v_in, t, keep_matches=True)
     tile_record = volt_record = None
     if collect:
-        tile_record, volt_record = {}, {}
         h = arch.plan.tile_h
+        v_ml = np.full(arch.plan.n_tiles * h, arch.config.v_ml0)
+        first = np.zeros(arch.term_slots.size, dtype=np.intp)
+        v_ml[arch.term_slots] = _line_voltages(
+            arch, t1_current(v_in[:1].T, None, arch.config.params), first,
+            np.arange(first.size), first, t)
+        tile_record, volt_record = {}, {}
         slot = 0
         for g, tiles in enumerate(arch.plan.groups):
             for ti in range(len(tiles)):
-                tile_record[(g, ti)] = first[0][slot:slot + h].copy()
-                volt_record[(g, ti)] = first[1][slot:slot + h].copy()
+                volt_record[(g, ti)] = v_ml[slot:slot + h]
+                tile_record[(g, ti)] = volt_record[(g, ti)] > arch.config.v_sa
                 slot += h
-    return matches, currents, (tile_record, volt_record)
+    return matches[0], currents[0], (tile_record, volt_record)
 
 
 def _vote(config: ArchConfig, currents, rng) -> np.ndarray:
@@ -629,8 +551,9 @@ def _vote(config: ArchConfig, currents, rng) -> np.ndarray:
 def infer_batch(arch: ProgrammedArchitecture, X, t_clk=None,
                 rng=None) -> np.ndarray:
     """Predicted class per sample (argmax of vote currents, ties lowest)."""
-    _, currents, _ = _evaluate(arch, X, t_clk)
-    return _vote(arch.config, currents, rng)
+    v_in = _input_voltages(arch, _check_samples(arch, X))
+    _, currents = _evaluate_programs(arch, v_in, _clock(arch.config, t_clk))
+    return _vote(arch.config, currents[0], rng)
 
 
 def infer(arch: ProgrammedArchitecture, sample, t_clk=None) -> InferenceTrace:
@@ -727,8 +650,7 @@ def sweep(forest: Forest, X, y, variable: str, grid, trials: int, seed: int,
         n_programs = trials if noisy.sigma_rel > 0 else 1
         fields, _ = _program_trials(
             enc, noisy, [[seed, i, trial] for trial in range(n_programs)])
-        _, currents, _ = _evaluate_programs(_Programs(**fields), v_in, t)
-        currents = currents.reshape(n_programs, len(v_in), -1)
+        _, currents = _evaluate_programs(_Programs(**fields), v_in, t)
         accs = []
         for trial in range(trials):
             vote_rng = (np.random.default_rng([seed, i, trial, 1])

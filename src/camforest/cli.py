@@ -434,7 +434,7 @@ def cmd_perf(args, cfg, config_sha):
             "tile_h": plan.tile_h,
             "tile_w": plan.tile_w,
             "n_tiles": plan.n_tiles,
-            "n_arrays": max(1, sum(1 for g in plan.groups if g)),
+            "n_arrays": max(1, plan.n_active_groups),
             "n_nodes": n_nodes,
         }
         for key, value in defaults.items():

@@ -146,6 +146,61 @@ class Calibration:
         return self._g_for(edge_v, self.v_div_upper)
 
 
+def _gate_for(params: CellParams, current: float) -> float:
+    """Discharge-gate voltage at which the discharge transistor draws
+    ``current`` (>= 0)."""
+    return params.v_th_t2 + math.sqrt(current / params.k2)
+
+
+def _inverter_input(params: CellParams, gate: float) -> float:
+    """Divider node at which the inverter outputs ``gate``. The output
+    falls with the node inside (0, INVERTER_RAIL): -inf at or above the
+    rail, +inf at or below 0."""
+    if gate >= INVERTER_RAIL:
+        return -math.inf
+    if gate <= 0:
+        return math.inf
+    return -params.gamma - math.log(gate / (INVERTER_RAIL - gate)) / params.beta
+
+
+@dataclass(frozen=True)
+class BandEdges:
+    """Where each branch law leaves its band at one sense current, in T1
+    current per siemens of the branch's conductance g (the divider node is
+    v_sl_hi - I_T1 / g). A lower branch draws exactly 0.0 A for I_T1 >=
+    g * lower_zero and at least the sense current for I_T1 <= g *
+    lower_full; an upper branch 0.0 A for I_T1 <= g * upper_zero and at
+    least the sense current for I_T1 >= g * upper_full (+inf: never).
+    These are closed forms; a caller deciding bits widens them toward the
+    band."""
+
+    lower_zero: float
+    lower_full: float
+    upper_zero: float
+    upper_full: float
+
+    def widths_v(self, params: CellParams) -> tuple:
+        """(lower, upper) band widths in DL volts where T1 is exponential in
+        the DL voltage, as across the window; there they do not depend on
+        the conductance."""
+        return (params.alpha * math.log(self.lower_zero / self.lower_full),
+                params.alpha * math.log(self.upper_full / self.upper_zero))
+
+
+def band_edges(params: CellParams, i_sense: float) -> BandEdges:
+    """Both branch laws' band edges at sense current ``i_sense``, from the
+    calibration's gate formulas. The node never leaves [v_sl_lo, v_sl_hi],
+    so an edge that needs it lower is never reached."""
+    hi, lo = params.v_sl_hi, params.v_sl_lo
+    gate = _gate_for(params, i_sense)
+    v_full = _inverter_input(params, gate)
+    return BandEdges(
+        lower_zero=hi - params.v_th_t2 if params.v_th_t2 >= lo else math.inf,
+        lower_full=hi - gate,
+        upper_zero=hi - _inverter_input(params, params.v_th_t2),
+        upper_full=hi - v_full if v_full >= lo else math.inf)
+
+
 def build_calibration(params: CellParams, device: DeviceModel,
                       i_ref: float) -> Calibration:
     """Divider-node targets of both branches' match edges.
@@ -159,12 +214,11 @@ def build_calibration(params: CellParams, device: DeviceModel,
             raise CalibrationError(f"T1 regime boundary {b} V inside the "
                                    "calibration domain; edges not monotone")
     # Discharge-gate voltages at which each branch draws its edge current.
-    gate_lower = params.v_th_t2 + math.sqrt(i_ref * (1 + EDGE_MARGIN) / params.k2)
-    gate_upper = params.v_th_t2 + math.sqrt(i_ref * (1 - EDGE_MARGIN) / params.k2)
+    gate_lower = _gate_for(params, i_ref * (1 + EDGE_MARGIN))
+    gate_upper = _gate_for(params, i_ref * (1 - EDGE_MARGIN))
     if not 0 < gate_upper < INVERTER_RAIL:
         raise CalibrationError("upper branch: i_ref beyond the inverter rail")
-    v_div_upper = -params.gamma - math.log(
-        gate_upper / (INVERTER_RAIL - gate_upper)) / params.beta
+    v_div_upper = _inverter_input(params, gate_upper)
     ends = t1_current(np.array([CAL_V_LO, CAL_V_HI]), None, params)
     for side, v_div in (("lower", gate_lower), ("upper", v_div_upper)):
         if not params.v_sl_lo < v_div < params.v_sl_hi:

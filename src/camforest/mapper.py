@@ -104,8 +104,13 @@ def extract_paths(forest: Forest) -> ThresholdMap:
 def map_matches(tmap: ThresholdMap, X) -> np.ndarray:
     """Ideal range semantics: (samples, rows) boolean match matrix."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.ndim != 2 or X.shape[1] != tmap.n_features:
+        raise ValueError(f"samples must have {tmap.n_features} features")
     lo, hi = tmap.bound_arrays()
-    return np.all((X[:, None, :] > lo) & (X[:, None, :] <= hi), axis=2)
+    matched = np.ones((len(X), len(tmap.rows)), dtype=bool)
+    for f in range(tmap.n_features):   # no (samples, rows, F) temporary
+        matched &= (X[:, f, None] > lo[:, f]) & (X[:, f, None] <= hi[:, f])
+    return matched
 
 
 def map_votes(tmap: ThresholdMap, matched: np.ndarray, n_classes: int) -> np.ndarray:
@@ -175,6 +180,11 @@ class TiledPlan:
     @property
     def n_tiles(self) -> int:
         return sum(len(g) for g in self.groups)
+
+    @property
+    def n_active_groups(self) -> int:
+        """Groups with at least one tile; the others match implicitly."""
+        return sum(1 for tiles in self.groups if tiles)
 
     @property
     def memory_cells(self) -> int:

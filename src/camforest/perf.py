@@ -235,14 +235,12 @@ def report_for_plan(plan, n_nodes: int, config: PerfConfig = None,
                     ml_mode: str = "dimensional") -> PerfReport:
     """Performance report for a compiled TiledPlan.
 
-    n_arrays is the number of feature groups that received at least one
-    tile; groups matched implicitly cost no cycles or power.
+    n_arrays is the plan's number of active groups.
     """
     if config is None:
         config = PerfConfig()
-    n_active = sum(1 for tiles in plan.groups if tiles)
     return perf_report(plan.tile_h, plan.tile_w, plan.n_tiles,
-                       max(1, n_active), n_nodes, config,
+                       max(1, plan.n_active_groups), n_nodes, config,
                        final_ml_voltages=final_ml_voltages, v_ml0=v_ml0,
                        i_d0=i_d0, ml_mode=ml_mode)
 

@@ -10,12 +10,12 @@ from camforest.arch import (
     SWEEP_VARIABLES,
     _encode,
     _evaluate,
+    _evaluate_programs,
     _input_voltages,
-    _ml_voltages,
     _noisy,
     _program_trials,
     _Programs,
-    _term_t1,
+    _sensed_lines,
     evaluate_accuracy,
     infer,
     infer_batch,
@@ -311,9 +311,9 @@ def _replay_sweep(forest, X, y, variable, grid, trials, seed, config,
                    if config.vote_sigma > 0 else None)
             acc, _ = evaluate_accuracy(arch, X, y, t_clk=t_eval, rng=rng)
             rows.append((float(value), trial, acc))
-            cells = arch.active_cell[arch.term_cell]
-            terms[-1].append({(int(c), k < arch.n_lower)
-                              for k, c in enumerate(cells)})
+            terms[-1].append({(int(arch.active_cell[c]), not upper)
+                              for c, upper in zip(arch.term_cell,
+                                                  arch.term_upper)})
     return tuple(rows), terms
 
 
@@ -335,14 +335,15 @@ def test_sweep_rows_equal_per_trial_replay(variable, vote_sigma, workers,
             "tile_w": [3, 16]}[variable]
     noise = {} if variable == "sigma" else {"sigma_rel": sigma}
     config = ArchConfig(vote_sigma=vote_sigma)
-    calls = []  # (programs, samples) per kernel call
+    calls = []  # (programs, samples) per kernel chunk
 
-    def recorded(arch, term_t1, t, g=None, work=None):
-        calls.append((len(arch.term_g if g is None else g),
-                      term_t1.shape[1]))
-        return _ml_voltages(arch, term_t1, t, g, work)
+    def recorded(*args):
+        for programs, samples, lines in _sensed_lines(*args):
+            calls.append((programs.stop - programs.start,
+                          samples.stop - samples.start))
+            yield programs, samples, lines
 
-    monkeypatch.setattr("camforest.arch._ml_voltages", recorded)
+    monkeypatch.setattr("camforest.arch._sensed_lines", recorded)
     res = sweep(forest, X, y, variable, grid, trials=4, seed=seed,
                 config=config, workers=workers, **noise)
     monkeypatch.undo()
@@ -359,24 +360,44 @@ def test_sweep_rows_equal_per_trial_replay(variable, vote_sigma, workers,
         assert any(own < set.union(*terms[2]) for own in terms[2])
 
 
-def test_batched_ml_voltages_bit_identical_to_replay(iris_forest):
+def _lines(arch, v_in, t):
+    """(programs, samples, slots with terms) sensed bits of the kernel."""
+    out = np.empty((arch.term_g.shape[1], len(v_in), arch.term_slots.size),
+                   dtype=bool)
+    for programs, samples, lines in _sensed_lines(arch, v_in, t):
+        out[programs, samples] = lines.transpose(1, 2, 0)
+    return out
+
+
+@pytest.mark.parametrize("t_scale", [1.0, 1e-3])
+def test_batched_lines_bit_identical_to_replay(iris_forest, t_scale):
+    """Each trial of a batch, classified on its own thresholds over the
+    union of the trials' terms, senses every line, row and vote current as
+    its own program does, although some union terms draw nothing in it."""
     forest, X, _ = iris_forest
     plan = compile_forest(forest, 16, 16)
     cfg = ArchConfig()
+    t = cfg.t_clk * t_scale
     enc = _encode(plan, D, cfg, forest.feature_bounds, forest.n_classes, None)
     seeds = [[5, 1, trial] for trial in range(6)]
     fields, _ = _program_trials(enc, _noisy(D, 0.8), seeds)
     batch = _Programs(**fields)
     v_in = _input_voltages(batch, X)
-    batched = _ml_voltages(batch, _term_t1(batch, v_in), cfg.t_clk)
-    batched = batched.reshape(len(seeds), len(X), -1)
+    batched = _lines(batch, v_in, t)
+    matches, currents = _evaluate_programs(batch, v_in, t, keep_matches=True)
     skipped = 0
     for trial, seed in enumerate(seeds):
         arch = program(plan, D, cfg, forest.feature_bounds, forest.n_classes,
                        sigma_rel=0.8, seed=seed)
-        own = _ml_voltages(arch, _term_t1(arch, v_in), cfg.t_clk)
-        assert np.array_equal(batched[trial].view(np.int64),
-                              own.view(np.int64))
+        own = _lines(arch, v_in, t)[0]
+        # Slots holding terms of other trials only match in this one.
+        held = np.isin(batch.term_slots, arch.term_slots)
+        assert np.all(batched[trial][:, ~held])
+        assert np.array_equal(batched[trial][:, held], own)
+        own_matches, own_currents, _ = _evaluate(arch, X, t_clk=t)
+        assert np.array_equal(matches[trial], own_matches)
+        assert np.array_equal(currents[trial].view(np.int64),
+                              own_currents.view(np.int64))
         skipped += batch.term_cell.size - arch.term_cell.size
     assert skipped > 0
 

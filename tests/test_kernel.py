@@ -1,11 +1,13 @@
-"""Sparse match kernel against the dense every-cell oracle.
+"""Band-decided match kernel against the dense every-cell oracle.
 
-The kernel runs the cell law only on the branches of cells that can draw
-current and adds each row's terms in numpy's summation order, pruned to
-the cells that hold terms. These tests evaluate every cell of the full
-(tiles, H, W) grids with ``row_total_current`` and require bit-identical
-ML voltages, so skipping cells or branches and the pruned sums must never
-change a result, not even in the last bit.
+The kernel decides a slot from two T1-current compares per term and runs
+the cell law only on the slots left undecided, every cell of the row in a
+zeroed row of W currents. These tests evaluate every cell of the full
+(tiles, H, W) grids with ``row_total_current`` and require the sensed bits,
+row matches and vote currents to be bit-identical, and traces to carry the
+every-cell ML voltages bit for bit. Probes sit on the classifier's
+thresholds and their nearest float neighbours, inside the bands and on
+stored bounds, under noise, quantisation and several clocks.
 """
 
 import json
@@ -14,14 +16,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import camforest.arch as arch_module
 from camforest.arch import (
+    BAND_MARGIN,
     ArchConfig,
-    _branches_can_draw,
     _evaluate,
     _input_voltages,
-    _ml_voltages,
-    _row_terms,
-    _term_t1,
+    _limits,
+    _sensed_lines,
+    _term_thresholds,
     infer,
     infer_batch,
     program,
@@ -34,12 +37,22 @@ from camforest.cell import (
     upper_branch_t1,
 )
 from camforest.datasets import gaussian_blobs, load_iris
-from camforest.device import V_DL_MAX, V_DL_MIN, DeviceModel, feature_to_voltage
+from camforest.device import (
+    V_DL_MAX,
+    V_DL_MIN,
+    DeviceModel,
+    ThresholdRange,
+    band_edges,
+    feature_to_voltage,
+    reference_current,
+)
+from camforest.errors import CalibrationError
 from camforest.forest import to_json, train_forest
-from camforest.mapper import compile_forest
+from camforest.mapper import MapRow, ThresholdMap, compile_forest, pack_tiles
 
 D = DeviceModel()
 CFG = ArchConfig()
+C_ML = CFG.parasitics.ml_capacitance
 
 
 def _dense_ml_voltages(arch, X, t):
@@ -79,9 +92,40 @@ def _dense_matches(arch, v_ml):
     return matches
 
 
+def _dense_currents(arch, matches):
+    """Vote currents of row matches in the exact-count form."""
+    g_hrs, g_lrs = arch.device.g_hrs, arch.device.g_lrs
+    counts = matches.astype(float) @ (arch.vote_matrix == g_lrs)
+    total = matches.sum(axis=1)[:, None]
+    return arch.config.v_read * (g_hrs * total + (g_lrs - g_hrs) * counts)
+
+
+def _kernel_lines(arch, X, t):
+    """(programs, samples, slots) sensed bits of the band kernel; slots
+    without terms match."""
+    n_slots = arch.plan.n_tiles * arch.plan.tile_h
+    out = np.ones((arch.term_g.shape[1], len(X), n_slots), dtype=bool)
+    for programs, samples, lines in _sensed_lines(
+            arch, _input_voltages(arch, np.asarray(X, dtype=float)), t):
+        out[programs, samples][..., arch.term_slots] = lines.transpose(1, 2, 0)
+    return out
+
+
+def _active_conductances(arch):
+    """(g_m1, g_m2) of the active cells of a one-program ``arch``."""
+    return tuple(np.concatenate([g.ravel() for g in grids])[arch.active_cell]
+                 for grids in (arch.cells_m1, arch.cells_m2))
+
+
 def _assert_bit_identical(a, b):
     assert a.shape == b.shape
     assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _trace_voltages(trace, arch):
+    return np.concatenate([trace.ml_voltages[(g, ti)]
+                           for g, tiles in enumerate(arch.plan.groups)
+                           for ti in range(len(tiles))])
 
 
 def _splits(forest):
@@ -118,6 +162,41 @@ def _single_threshold_inputs(forest, X):
     return np.array(rows)
 
 
+def _edge_inputs(arch, X, t, n_terms, seed=0):
+    """Samples with one term's feature moved to where its T1 current meets
+    one of its classifier thresholds at clock ``t`` (and a hair beyond it
+    either way), then to that value's nearest float neighbours."""
+    p = arch.config.params
+    limits = _limits(arch, t)
+    rng = np.random.default_rng(seed)
+    rows = []
+    for k in rng.permutation(arch.term_cell.size)[:n_terms]:
+        cell, upper = arch.term_cell[k], arch.term_upper[k]
+        f = arch.active_input[cell]
+        if f == len(arch.feature_bounds):
+            continue                       # a padding column's fixed input
+        g = arch.term_g[k, 0]
+        lo, hi = arch.feature_bounds[f]
+        for c in (limits[2:] if upper else limits[:2]):
+            for scale in (1.0, 1 - 2 * BAND_MARGIN, 1 + 2 * BAND_MARGIN):
+                i = g * c * scale
+                if not 0 < i < np.inf:
+                    continue
+                # T1 is exponential in the DL voltage across the window.
+                v = p.v_sl_lo + p.alpha * np.log(i / p.i_d0_prime)
+                if not V_DL_MIN < v < V_DL_MAX:
+                    continue
+                x0 = lo + (v - V_DL_MIN) * (hi - lo) / (V_DL_MAX - V_DL_MIN)
+                for direction in (-np.inf, np.inf):
+                    x = x0
+                    for _ in range(3):
+                        row = np.array(X[len(rows) % len(X)], dtype=float)
+                        row[f] = x
+                        rows.append(row)
+                        x = np.nextafter(x, direction)
+    return np.array(rows)
+
+
 @pytest.fixture(scope="module")
 def iris():
     X, y = load_iris()
@@ -132,24 +211,145 @@ def blobs64():
 
 PROGRAMS = {"ideal": dict(sigma_rel=0.0), "sigma0.1": dict(sigma_rel=0.1),
             "bits3": dict(n_bits=3)}
+# 1e-5 puts the upper branch's sense gate above the inverter rail, where
+# its full threshold is +inf.
+T_SCALES = [1.0, 0.3, 1e-3, 1e-5, 10.0]
 
 
 @pytest.mark.parametrize("data", ["iris", "blobs64"])
 @pytest.mark.parametrize("tile", [8, 16])
 @pytest.mark.parametrize("prog", sorted(PROGRAMS))
-@pytest.mark.parametrize("t_scale", [1.0, 1e-5, 10.0])
-def test_kernel_bit_identical_to_dense(data, tile, prog, t_scale, request):
+@pytest.mark.parametrize("t_scale", T_SCALES)
+def test_kernel_bit_identical_to_dense(data, tile, prog, t_scale, request,
+                                      monkeypatch):
     forest, X = request.getfixturevalue(data)
     plan = compile_forest(forest, tile, tile)
     arch = program(plan, D, CFG, forest.feature_bounds, forest.n_classes,
                    seed=[4, tile], **PROGRAMS[prog])
-    X = np.vstack([X[:120], _threshold_inputs(forest, X[:60])])
     t = CFG.t_clk * t_scale
+    X = np.vstack([X[:120], _threshold_inputs(forest, X[:60]),
+                   _edge_inputs(arch, X, t, n_terms=12)])
     dense = _dense_ml_voltages(arch, X, t)
-    _assert_bit_identical(
-        _ml_voltages(arch, _term_t1(arch, _input_voltages(arch, X)), t), dense)
-    matches, _, _ = _evaluate(arch, X, t_clk=t)
+    calls = _undecided_recorder(monkeypatch)
+    assert np.array_equal(_kernel_lines(arch, X, t)[0], dense > CFG.v_sa)
+    matches, currents, _ = _evaluate(arch, X, t_clk=t)
+    assert _assert_undecided_voltages(calls, arch, dense) > 0
     assert np.array_equal(matches, _dense_matches(arch, dense))
+    _assert_bit_identical(currents, _dense_currents(arch, matches))
+    for k in (0, len(X) - 1):
+        trace = infer(arch, X[k], t_clk=t)
+        _assert_bit_identical(_trace_voltages(trace, arch), dense[k])
+        assert np.array_equal(trace.row_matches, matches[k])
+        _assert_bit_identical(trace.vote_currents, currents[k])
+
+
+@pytest.mark.parametrize("data", ["iris", "blobs64"])
+@pytest.mark.parametrize("prog", sorted(PROGRAMS))
+@pytest.mark.parametrize("t_scale", T_SCALES)
+def test_thresholds_decide_branch_currents_at_float_neighbours(
+        data, prog, t_scale, request):
+    """From each term's zero threshold outward its branch law gives exactly
+    0.0 A, and from its full threshold outward at least the sense current,
+    which alone senses a mismatch: probed at the kernel's thresholds and
+    their next float neighbours in signed T1 current."""
+    forest, _ = request.getfixturevalue(data)
+    arch = program(compile_forest(forest, 16, 16), D, CFG,
+                   forest.feature_bounds, forest.n_classes, seed=5,
+                   **PROGRAMS[prog])
+    p, t = CFG.params, CFG.t_clk * t_scale
+    i_sense = reference_current(C_ML(16), CFG.v_ml0, CFG.v_sa, t)
+    assert np.isinf(_limits(arch, t)[3]) == (t_scale == 1e-5)
+    zero, full = (x[:, 0] for x in _term_thresholds(arch, t))
+    up = arch.term_upper
+    sign = np.where(up, -1.0, 1.0)
+    g = arch.term_g[:, 0]
+
+    def law(signed):
+        i = sign * signed
+        return np.where(up, upper_branch_t1(i, g, p), lower_branch_t1(i, g, p))
+
+    def outward(start, direction):
+        signed = start
+        for _ in range(4):
+            yield signed
+            signed = np.nextafter(signed, direction)
+
+    for signed in outward(zero, np.inf):
+        assert np.all(law(signed) == 0.0)
+    # Full thresholds beyond the reach of a T1 current (> 0) never apply:
+    # at the shortest clock no branch can reach the sense current.
+    reach = (sign * full > 0) & np.isfinite(full)
+    assert reach.any() == (t_scale != 1e-5)
+    for signed in outward(np.where(reach, full, 1.0), -np.inf):
+        current = law(signed)[reach]
+        assert np.all(current >= i_sense)
+        assert np.all(np.maximum(CFG.v_ml0 - current * t / C_ML(16), 0.0)
+                      <= CFG.v_sa)
+
+
+def test_branches_drawing_only_at_window_ends_are_terms():
+    """A branch whose zero point sits just inside the DL window draws
+    current only for inputs at that end of the window; it is still a term,
+    and the kernel senses its row as the every-cell evaluation does."""
+    p = CFG.params
+    i_ref = reference_current(C_ML(4), CFG.v_ml0, CFG.v_sa, CFG.t_clk)
+    d_lower, d_upper = band_edges(p, i_ref).widths_v(p)
+    scale = 1.0 / (V_DL_MAX - V_DL_MIN)           # features span [0, 1]
+    wild = ThresholdRange()
+    rows = (MapRow((ThresholdRange(-0.99 * d_lower * scale, np.inf), wild),
+                   0, 0),
+            MapRow((wild, ThresholdRange(-np.inf, 1 + 0.99 * d_upper * scale)),
+                   1, 1))
+    plan = pack_tiles(ThresholdMap(rows, 2), 4, 4)
+    arch = program(plan, D, CFG, [(0.0, 1.0)] * 2, 2)
+    # Row 0's lower branch on feature 0, row 1's upper on feature 1.
+    assert set(zip(arch.active_cell[arch.term_cell].tolist(),
+                   arch.term_upper.tolist())) == {(0, False), (5, True)}
+    X = np.array([[0.0, 1.0], [-1.0, 2.0], [0.5, 0.5]])
+    dense = _dense_ml_voltages(arch, X, CFG.t_clk)
+    assert 0 < CFG.v_ml0 - dense[0, 0] and 0 < CFG.v_ml0 - dense[0, 1]
+    assert np.array_equal(_kernel_lines(arch, X, CFG.t_clk)[0],
+                          dense > CFG.v_sa)
+    trace = infer(arch, X[0])
+    _assert_bit_identical(_trace_voltages(trace, arch), dense[0])
+
+
+def test_band_edges_closed_form_widths():
+    """At the default operating point the bands are 0.705 mV (lower) and
+    0.074 mV (upper) of DL voltage wide, 0.39% and 0.041% of a feature's
+    range, and each edge is where its branch law turns."""
+    p = CFG.params
+    i_ref = reference_current(C_ML(16), CFG.v_ml0, CFG.v_sa, CFG.t_clk)
+    e = band_edges(p, i_ref)
+    lower, upper = e.widths_v(p)
+    assert lower == pytest.approx(0.705e-3, abs=1e-6)
+    assert upper == pytest.approx(0.0738e-3, abs=1e-6)
+    window = V_DL_MAX - V_DL_MIN
+    assert lower / window == pytest.approx(0.0039, abs=1e-4)
+    assert upper / window == pytest.approx(0.00041, abs=1e-5)
+    g = 50e-6
+    for c, law, zero_side, full_side in (
+            (e.lower_zero, lower_branch_t1, 1 + 1e-12, None),
+            (e.lower_full, lower_branch_t1, None, 1 - 1e-12),
+            (e.upper_zero, upper_branch_t1, 1 - 1e-12, None),
+            (e.upper_full, upper_branch_t1, None, 1 + 1e-12)):
+        if zero_side:
+            assert law(g * c * zero_side, g, p) == 0.0
+            assert law(g * c * (2 - zero_side) ** 1e3, g, p) > 0.0
+        else:
+            assert law(g * c * full_side, g, p) >= i_ref
+            assert law(g * c * (2 - full_side) ** 1e3, g, p) < i_ref
+    # Past the inverter rail the upper branch cannot reach the sense current,
+    # nor where the inverter would need a divider node below v_sl_lo.
+    assert band_edges(p, 1e5 * i_ref).upper_full == np.inf
+    raised = replace(p, v_sl_lo=0.36)
+    i_sense = 4.8e-5                # inverter input about 0.346 V
+    assert band_edges(raised, i_sense).upper_full == np.inf
+    assert upper_branch_t1(1.0, g, raised) < i_sense
+    # There the lower branch's gate never closes either.
+    assert band_edges(raised, i_sense).lower_zero == np.inf
+    assert lower_branch_t1(1.0, g, raised) > 0.0
+    assert band_edges(p, i_sense).upper_full < np.inf
 
 
 def test_chunked_evaluation_matches_one_chunk(iris, monkeypatch):
@@ -158,79 +358,142 @@ def test_chunked_evaluation_matches_one_chunk(iris, monkeypatch):
                    forest.feature_bounds, forest.n_classes, sigma_rel=0.1,
                    seed=1)
     whole = _evaluate(arch, X)
-    # A budget below one sample's buffer still runs one sample per chunk.
+    # A budget below one word still runs 64 samples per chunk.
     monkeypatch.setattr("camforest.arch.CHUNK_BYTES", 1)
     split = _evaluate(arch, X)
     assert np.array_equal(whole[0], split[0])
-    assert np.array_equal(whole[1], split[1])
+    _assert_bit_identical(whole[1], split[1])
 
 
-def test_fixtures_cover_every_row_sum_path(iris, blobs64):
-    """The bit-identity cases reach every shape the row-sum schedule prunes
-    the dense sum to: slots with one, two and three or more active cells, a
-    slot whose one cell adds its two branches, two-branch cells among
-    others, and slots with cells in both halves of a 16-wide row, whose
-    partial sums r[j] = a[j] + a[j + 8] add across the halves."""
-    halves = []
-    for forest, _ in (blobs64, iris):
+def _undecided_recorder(monkeypatch):
+    """Record (arch, lines, samples, ML voltages) of every call to
+    ``_line_voltages``, the kernel's dense path for undecided lines."""
+    calls = []
+    original = arch_module._line_voltages
+
+    def recorded(arch, i_t1, program_ids, line, sample, t):
+        v_ml = original(arch, i_t1, program_ids, line, sample, t)
+        calls.append((arch, line, sample, v_ml))
+        return v_ml
+
+    monkeypatch.setattr(arch_module, "_line_voltages", recorded)
+    return calls
+
+
+def _assert_undecided_voltages(calls, arch, dense):
+    """Every undecided line recorded for the one-program ``arch`` holds the
+    dense ML voltage bit for bit; returns how many there were."""
+    n = 0
+    for a, line, sample, v_ml in calls:
+        if a is arch:
+            _assert_bit_identical(v_ml, dense[sample, arch.term_slots[line]])
+            n += v_ml.size
+    return n
+
+
+def _cells_per_slot(arch, which=True):
+    """Per flat slot, how many active cells (those selected by ``which``)
+    it holds."""
+    slot = arch.active_cell // arch.plan.tile_w
+    return np.bincount(slot[np.broadcast_to(which, slot.shape)],
+                       minlength=arch.plan.n_tiles * arch.plan.tile_h)
+
+
+def test_fixtures_cover_every_row_sum_path(iris, blobs64, monkeypatch):
+    """The bit-identity inputs reach every path of the kernel: lines decided
+    matched and mismatched, and undecided lines whose zeroed rows hold one,
+    two and three or more active cells, cells in both halves of a 16-wide
+    row (numpy's partial sums r[j] = a[j] + a[j + 8] add across them) and
+    cells that draw current on both sides."""
+    calls = _undecided_recorder(monkeypatch)
+    both_sides = []
+    for forest, X in (blobs64, iris):
         arch = program(compile_forest(forest, 16, 16), D, CFG,
                        forest.feature_bounds, forest.n_classes)
-        w, n_slots = arch.plan.tile_w, arch.plan.n_tiles * arch.plan.tile_h
-        slot, col = np.divmod(arch.active_cell, w)
-        cells = np.bincount(slot, minlength=n_slots)
-        assert {1, 2} <= set(cells.tolist()) and cells.max() >= 3
-        schedule, n_terms = arch.row_terms, arch.term_cell.size
-        # Some row totals are a lone term, others the result of adds.
-        assert np.any(schedule.roots < n_terms)
-        assert np.any(schedule.roots >= n_terms)
-        low = np.bincount(slot[col < 8], minlength=n_slots)
-        high = np.bincount(slot[col >= 8], minlength=n_slots)
-        halves.append(np.any((low > 0) & (high > 0)))
-    # blobs64 fills both halves; Iris's 4 features never reach the second.
-    assert halves == [True, False]
-    # Iris (the last fixture) has cells that draw current on both sides.
-    terms = np.bincount(arch.active_cell[arch.term_cell] // w,
-                        minlength=n_slots)
-    assert np.any((cells == 1) & (terms == 2))
-    assert np.any((cells >= 3) & (terms > cells))
+        X = np.vstack([X[:120], _threshold_inputs(forest, X[:60]),
+                       _edge_inputs(arch, X, CFG.t_clk, n_terms=12)])
+        sensed = _kernel_lines(arch, X, CFG.t_clk)[0][:, arch.term_slots]
+        assert sensed.any() and not sensed.all()
+        lines = np.concatenate([line for a, line, _, _ in calls if a is arch])
+        slots = arch.term_slots[lines]
+        assert {1, 2} <= set(_cells_per_slot(arch)[slots].tolist())
+        assert _cells_per_slot(arch)[slots].max() >= 3
+        # blobs64 fills both halves; Iris's 4 features never reach the second.
+        col = arch.active_cell % arch.plan.tile_w
+        halves = (_cells_per_slot(arch, col < 8)[slots]
+                  & _cells_per_slot(arch, col >= 8)[slots])
+        assert halves.any() == (forest.n_features > 8)
+        two = np.bincount(arch.term_cell, minlength=arch.active_cell.size) == 2
+        both_sides.append(_cells_per_slot(arch, two)[slots].any())
+    assert any(both_sides)
 
 
-def _random_schedule_case(rng, w: int, n_slots: int):
-    """(term positions, second flags, lower terms) of random occupancy:
-    each cell holds a lower term, an upper term, both or none."""
-    kind = rng.choice(4, size=(n_slots, w), p=rng.dirichlet(np.ones(4)))
-    lower, upper = (kind == 1) | (kind == 3), (kind == 2) | (kind == 3)
-    term_pos = np.concatenate([np.flatnonzero(lower), np.flatnonzero(upper)])
-    second = np.concatenate([np.zeros(lower.sum(), dtype=bool),
-                             lower.ravel()[np.flatnonzero(upper)]])
-    return term_pos, second, int(lower.sum())
+def _random_map_case(rng, n_features: int, n_rows: int):
+    """A threshold map whose rows each bound about 60% of the features,
+    some on both sides."""
+    rows = []
+    for r in range(n_rows):
+        ranges = []
+        for _ in range(n_features):
+            kind = rng.choice(4, p=[0.4, 0.2, 0.2, 0.2])
+            a, b = np.sort(rng.uniform(0.1, 0.9, 2))
+            ranges.append(ThresholdRange(lo=a if kind in (1, 3) else -np.inf,
+                                         hi=b if kind in (2, 3) else np.inf))
+        rows.append(MapRow(tuple(ranges), r % 2, r))
+    return ThresholdMap(tuple(rows), n_features)
 
 
-def test_row_schedule_matches_numpy_sum_order():
-    """The schedule's row totals equal ``np.add.reduce`` over the dense
-    rows bit for bit, for W from 1 to 300 (numpy's sequential, eight-way and
-    split regimes), with values spread over 16 decades and exact zeros."""
-    rng = np.random.default_rng(11)
-    n_slots, n_rows = 6, 9
-    for w in range(1, 301):
-        term_pos, second, n_lower = _random_schedule_case(rng, w, n_slots)
-        schedule = _row_terms(term_pos, second, n_slots, w)
-        terms = 10.0 ** rng.uniform(-16.0, 0.0, (term_pos.size, n_rows))
-        terms[rng.random(terms.shape) < 0.1] = 0.0
-        values = np.empty((schedule.width, n_rows))
-        values[:term_pos.size] = terms
-        totals = np.zeros((n_slots, n_rows))
-        totals[schedule.slots] = schedule.run(values)
-        # The dense oracle's cells: lower + upper, 0.0 for a missing branch.
-        lo = np.zeros((n_rows, n_slots * w))
-        hi = np.zeros((n_rows, n_slots * w))
-        lo[:, term_pos[:n_lower]] = terms[:n_lower].T
-        hi[:, term_pos[n_lower:]] = terms[n_lower:].T
-        dense = np.add.reduce((lo + hi).reshape(n_rows, n_slots, w), axis=-1)
-        _assert_bit_identical(totals.T, dense)
+def _in_band_inputs(arch, tmap, rng, n_samples: int):
+    """Samples that each put every bounded feature of one random row inside
+    its band, just past the stored bound on the matching side."""
+    p = arch.config.params
+    i_ref = reference_current(C_ML(arch.plan.tile_w), CFG.v_ml0, CFG.v_sa,
+                              CFG.t_clk)
+    scale = 1.0 / (V_DL_MAX - V_DL_MIN)     # features span [0, 1]
+    d_lower, d_upper = (d * scale for d in band_edges(p, i_ref).widths_v(p))
+    X = rng.uniform(0.0, 1.0, (n_samples, tmap.n_features))
+    for x in X:
+        r = rng.integers(len(tmap.rows))
+        lo, hi = tmap.lo[r], tmap.hi[r]
+        lower = np.isfinite(lo) & (~np.isfinite(hi) | (rng.random(lo.size) < 0.5))
+        upper = np.isfinite(hi) & ~lower
+        x[lower] = lo[lower] + rng.uniform(0.05, 0.95, lower.sum()) * d_lower
+        x[upper] = hi[upper] - rng.uniform(0.05, 0.95, upper.sum()) * d_upper
+    return X
 
 
-def test_wide_rows_bit_identical_to_dense():
+@pytest.mark.parametrize("w", [1, 3, 7, 8, 9, 16, 17, 64, 127, 128, 129,
+                               130, 200, 300])
+def test_undecided_lines_bit_identical_to_dense_at_any_width(w, monkeypatch):
+    """Undecided lines sum a zeroed row of W cells as the every-cell
+    evaluation does, in each regime of numpy's pairwise sum (in sequence
+    below 8, eight partial sums up to 128, split halves above), with many
+    in-band cells per row and values spread over many decades."""
+    rng = np.random.default_rng(w)
+    n_features = w + w // 2 + 1
+    tmap = _random_map_case(rng, n_features, 10)
+    plan = pack_tiles(tmap, 4, w)
+    calls = _undecided_recorder(monkeypatch)
+    for sigma in (0.0, 0.05):
+        arch = program(plan, D, CFG, [(0.0, 1.0)] * n_features, 2,
+                       sigma_rel=sigma, seed=w)
+        X = _in_band_inputs(arch, tmap, rng, 60)
+        dense = _dense_ml_voltages(arch, X, CFG.t_clk)
+        assert np.array_equal(_kernel_lines(arch, X, CFG.t_clk)[0],
+                              dense > CFG.v_sa)
+        matches, currents, _ = _evaluate(arch, X)
+        assert np.array_equal(matches, _dense_matches(arch, dense))
+        _assert_bit_identical(currents, _dense_currents(arch, matches))
+        undecided = _assert_undecided_voltages(calls, arch, dense)
+        if sigma == 0.0:
+            assert undecided > 0
+            lines = np.concatenate([line for a, line, _, _ in calls
+                                    if a is arch])
+            assert (_cells_per_slot(arch)[arch.term_slots[lines]].max()
+                    >= min(w, 3))
+
+
+def test_wide_rows_bit_identical_to_dense(monkeypatch):
     """At W = 130 numpy splits each dense row at column 64 and sums the
     halves apart; rows with cells in both halves add the halves last. The
     map keeps its feature order: reordering would pack the features the
@@ -242,11 +505,16 @@ def test_wide_rows_bit_identical_to_dense():
                    seed=2)
     slot, col = np.divmod(arch.active_cell, arch.plan.tile_w)
     assert np.intersect1d(slot[col < 64], slot[col >= 64]).size > 0
-    X = np.vstack([X[:80], _threshold_inputs(forest, X[:40])])
-    _assert_bit_identical(
-        _ml_voltages(arch, _term_t1(arch, _input_voltages(arch, X)),
-                     CFG.t_clk),
-        _dense_ml_voltages(arch, X, CFG.t_clk))
+    X = np.vstack([X[:80], _threshold_inputs(forest, X[:40]),
+                   _edge_inputs(arch, X, CFG.t_clk, n_terms=20)])
+    dense = _dense_ml_voltages(arch, X, CFG.t_clk)
+    calls = _undecided_recorder(monkeypatch)
+    assert np.array_equal(_kernel_lines(arch, X, CFG.t_clk)[0],
+                          dense > CFG.v_sa)
+    assert _assert_undecided_voltages(calls, arch, dense) > 0
+    matches, currents, _ = _evaluate(arch, X)
+    assert np.array_equal(matches, _dense_matches(arch, dense))
+    _assert_bit_identical(currents, _dense_currents(arch, matches))
 
 
 @pytest.mark.parametrize("data", ["iris", "blobs64"])
@@ -256,24 +524,23 @@ def test_chunks_split_mid_batch_stay_bit_identical(data, request, monkeypatch):
                    forest.feature_bounds, forest.n_classes, sigma_rel=0.1,
                    seed=2)
     X = np.vstack([X[:100], _threshold_inputs(forest, X[:30])])
-    # One program: per sample its terms' T1 currents and one row of the
-    # chunk (cell-law currents, schedule values, row current, ML voltage).
-    per_sample = 8 * (2 * arch.term_cell.size + arch.row_terms.width
-                      + 2 * arch.plan.n_tiles * arch.plan.tile_h)
     chunks = []
+    original = arch_module._sensed_lines
 
     def recorded(*args):
-        chunks.append(_ml_voltages(*args))
-        return chunks[-1]
+        for programs, samples, lines in original(*args):
+            chunks.append(samples.stop - samples.start)
+            yield programs, samples, lines
 
-    # 7 samples per chunk: 130 samples end in a partial chunk.
-    monkeypatch.setattr("camforest.arch.CHUNK_BYTES", 7 * per_sample + 5)
-    monkeypatch.setattr("camforest.arch._ml_voltages", recorded)
-    matches, _, _ = _evaluate(arch, X)
-    assert [len(c) for c in chunks] == [7] * 18 + [4]
+    # One word of T1 currents per chunk: 130 samples end in a partial one.
+    monkeypatch.setattr("camforest.arch.CHUNK_BYTES",
+                        8 * 64 * arch.term_cell.size + 5)
+    monkeypatch.setattr(arch_module, "_sensed_lines", recorded)
+    matches, currents, _ = _evaluate(arch, X)
+    assert chunks == [64, 64, 2]
     dense = _dense_ml_voltages(arch, X, CFG.t_clk)
-    _assert_bit_identical(np.concatenate(chunks), dense)
     assert np.array_equal(matches, _dense_matches(arch, dense))
+    _assert_bit_identical(currents, _dense_currents(arch, matches))
 
 
 def _skipped_cells(arch):
@@ -317,16 +584,18 @@ def test_branches_without_terms_draw_no_current_across_window(data, request):
                    forest.feature_bounds, forest.n_classes, sigma_rel=0.1,
                    seed=7)
     cells = np.arange(arch.active_cell.size)
-    lower, upper = np.split(arch.term_cell, [arch.n_lower])
+    lower = arch.term_cell[~arch.term_upper]
+    upper = arch.term_cell[arch.term_upper]
     no_lower, no_upper = np.setdiff1d(cells, lower), np.setdiff1d(cells, upper)
     # Nearly every active cell draws current on one side only.
     assert no_lower.size + no_upper.size > cells.size // 2
+    m1, m2 = _active_conductances(arch)
     i_t1 = t1_current(np.linspace(V_DL_MIN, V_DL_MAX, 10_001)[:, None], None,
                       CFG.params)
     for s0 in range(0, len(i_t1), 500):
         i = i_t1[s0:s0 + 500]
-        assert np.all(lower_branch_t1(i, arch.active_m1[no_lower], CFG.params) == 0)
-        assert np.all(upper_branch_t1(i, arch.active_m2[no_upper], CFG.params) == 0)
+        assert np.all(lower_branch_t1(i, m1[no_lower], CFG.params) == 0)
+        assert np.all(upper_branch_t1(i, m2[no_upper], CFG.params) == 0)
 
 
 def test_active_cells_are_the_ones_that_can_draw_current(iris):
@@ -335,58 +604,71 @@ def test_active_cells_are_the_ones_that_can_draw_current(iris):
                    forest.feature_bounds, forest.n_classes, sigma_rel=0.1,
                    seed=7)
     v = np.array([[V_DL_MIN], [V_DL_MAX]])
-    drawn = cell_current(arch.active_m1, arch.active_m2, v, CFG.params)
+    drawn = cell_current(*_active_conductances(arch), v, CFG.params)
     assert np.all(drawn.max(axis=0) > 0.0)
     # Wildcards and padding are skipped: far fewer cells than packed.
     assert arch.active_cell.size < arch.plan.memory_cells // 2
 
 
-def test_regime_boundary_inside_window_is_probed():
+def test_regime_boundary_inside_window_is_rejected():
     """With the ohmic regime starting inside the window, the T1 current
     peaks just below the boundary, not at a window end: a cell can be off at
-    both ends and still draw current in between."""
+    both ends and still draw current in between. Calibration rejects such
+    a law, so the kernel may bound T1 over the window by its ends."""
     params = replace(CFG.params, v_ohmic_min=0.48)
     g1, g2 = np.array([D.g_hrs]), np.array([11e-6])
     ends = cell_current(g1, g2, np.array([[V_DL_MIN], [V_DL_MAX]]), params)
     window = cell_current(g1, g2, np.linspace(V_DL_MIN, V_DL_MAX, 10_001)[:, None],
                           params)
     assert np.all(ends == 0.0) and np.any(window > 0.0)
-    lower, upper = _branches_can_draw(g1, g2, params)
-    assert (lower | upper).all()
+    X, y = load_iris()
+    forest = train_forest(X, y, n_trees=2, max_depth=2, seed=0)
+    with pytest.raises(CalibrationError, match="regime boundary"):
+        program(compile_forest(forest, 16, 16), D, replace(CFG, params=params),
+                forest.feature_bounds, forest.n_classes)
+    i_t1 = t1_current(np.linspace(V_DL_MIN, V_DL_MAX, 10_001), None, CFG.params)
+    assert np.all(np.diff(i_t1) >= 0.0)
 
 
-def test_row_with_three_near_edge_cells(iris):
+def test_row_with_three_near_edge_cells(iris, monkeypatch):
     """A row whose total adds three small unclamped currents (the fewest
-    for which summation order can change the result) keeps the dense
-    order bit for bit."""
+    for which summation order can change the result) is left undecided and
+    summed in the dense order bit for bit."""
     forest, X = iris
     arch = program(compile_forest(forest, 16, 16), D, CFG,
                    forest.feature_bounds, forest.n_classes)
     w = arch.plan.tile_w
-    i_ref = CFG.parasitics.ml_capacitance(w) * (CFG.v_ml0 - CFG.v_sa) / CFG.t_clk
+    i_ref = C_ML(w) * (CFG.v_ml0 - CFG.v_sa) / CFG.t_clk
     # A matched row with three active cells: its other cells are quiet.
     matches, _, _ = _evaluate(arch, X)
     slot_of_cell = arch.active_cell // w
-    for row, slot in zip(*arch.slot_rows[0]):
+    for row, line in zip(*arch.line_rows[0]):
+        slot = arch.term_slots[line]
         cells = np.flatnonzero(slot_of_cell == slot)
         hits = np.flatnonzero(matches[:, row])
         if cells.size >= 3 and hits.size:
             break
     sample = X[hits[0]].astype(float)
+    m1, m2 = _active_conductances(arch)
     # Move three of its features to where their cells draw a small current.
     for c in cells[:3]:
         f = arch.active_input[c]
         xs = np.linspace(*arch.feature_bounds[f], 10_001)
         v = feature_to_voltage(xs, arch.feature_bounds[f])
-        cur = cell_current(arch.active_m1[c], arch.active_m2[c], v, CFG.params)
+        cur = cell_current(m1[c], m2[c], v, CFG.params)
         sample[f] = xs[np.flatnonzero((cur > 0) & (cur < 0.2 * i_ref))[0]]
     v_in = _input_voltages(arch, sample[None])
-    terms = cell_current(arch.active_m1[cells], arch.active_m2[cells],
+    terms = cell_current(m1[cells], m2[cells],
                          v_in[0, arch.active_input[cells]], CFG.params)
     assert np.count_nonzero(terms) >= 3
-    v_ml = _ml_voltages(arch, _term_t1(arch, v_in), CFG.t_clk)
-    assert CFG.v_sa < v_ml[0, slot] < CFG.v_ml0
-    _assert_bit_identical(v_ml, _dense_ml_voltages(arch, sample[None], CFG.t_clk))
+    v_ml = _trace_voltages(infer(arch, sample), arch)
+    assert CFG.v_sa < v_ml[slot] < CFG.v_ml0
+    dense = _dense_ml_voltages(arch, sample[None], CFG.t_clk)
+    _assert_bit_identical(v_ml, dense[0])
+    calls = _undecided_recorder(monkeypatch)
+    assert np.array_equal(_kernel_lines(arch, sample[None], CFG.t_clk)[0],
+                          dense > CFG.v_sa)
+    assert _assert_undecided_voltages(calls, arch, dense) > 0
 
 
 def test_padding_slots_trace_at_precharge(iris):
@@ -406,7 +688,4 @@ def test_padding_slots_trace_at_precharge(iris):
             padded += h - len(tile)
     assert padded > 0
     dense = _dense_ml_voltages(arch, X[:1], CFG.t_clk)[0]
-    traced = np.concatenate([trace.ml_voltages[(g, ti)]
-                             for g, tiles in enumerate(arch.plan.groups)
-                             for ti in range(len(tiles))])
-    _assert_bit_identical(traced, dense)
+    _assert_bit_identical(_trace_voltages(trace, arch), dense)
