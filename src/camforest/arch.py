@@ -364,9 +364,10 @@ def _clock(config: ArchConfig, t_clk) -> float:
 
 def _input_voltages(arch, X) -> np.ndarray:
     """(samples, F + 1) DL voltages in original feature order; the last
-    column is the mid-window voltage that drives padding columns."""
+    column is the mid-window voltage that drives padding columns. The map
+    writes straight into the result, with no input-sized temporary."""
     v = np.empty((X.shape[0], X.shape[1] + 1))
-    v[:, :-1] = feature_to_voltage(X, arch.feature_bounds)
+    feature_to_voltage(X, arch.feature_bounds, out=v[:, :-1])
     v[:, -1] = 0.5 * (V_DL_MIN + V_DL_MAX)
     return v
 

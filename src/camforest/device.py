@@ -45,7 +45,11 @@ class DeviceModel:
 
     g_hrs: float = 0.5e-6     # high-resistance (off/wildcard) conductance, S
     g_lrs: float = 200e-6     # low-resistance conductance, S
-    n_levels: int = 16        # distinguishable programming levels
+    # Distinguishable levels over the DL window. No library computation
+    # reads it (programming resolution is ``n_bits``): acceptance check 08
+    # takes (V_DL_MAX - V_DL_MIN) / n_levels as its round-trip step, and
+    # stored bounds must measure back within half of it.
+    n_levels: int = 16
     sigma_rel: float = 0.0    # relative std of programming noise
 
     def __post_init__(self):
@@ -82,21 +86,27 @@ class ConductancePair:
 
 
 def feature_to_voltage(x, feature_bounds, v_dl_min: float = V_DL_MIN,
-                       v_dl_max: float = V_DL_MAX, clip: bool = True):
+                       v_dl_max: float = V_DL_MAX, clip: bool = True,
+                       out=None):
     """Affine map of [min, max] feature values onto the DL window.
 
     Input samples are clipped into the window; stored thresholds are mapped
     with clip=False so widened bounds may extend into the calibration slack.
     ``feature_bounds`` is one (min, max) pair or an (F, 2) array of them,
-    one per feature along the last axis of ``x``.
+    one per feature along the last axis of ``x``. The map runs in place in
+    ``out`` (a new array when None) as v_dl_min + (x - min) *
+    (v_dl_max - v_dl_min) / (max - min), in that operation order.
     """
     bounds = np.asarray(feature_bounds, dtype=float)
     lo, hi = bounds[..., 0], bounds[..., 1]
     if not np.all(lo < hi):
         raise ValueError("degenerate feature bounds")
-    v = v_dl_min + (np.asarray(x, dtype=float) - lo) * (v_dl_max - v_dl_min) / (hi - lo)
+    v = np.subtract(np.asarray(x, dtype=float), lo, out=out)
+    v *= v_dl_max - v_dl_min
+    v /= hi - lo
+    v += v_dl_min
     if clip:
-        v = np.clip(v, v_dl_min, v_dl_max)
+        v = np.clip(v, v_dl_min, v_dl_max, out=out)
     return v
 
 

@@ -6,12 +6,16 @@ and draws floor(sqrt(F)) candidate features per split. Split semantics are
 half-open: the left child keeps x <= threshold.
 
 Each training call ranks every feature once (one stable argsort). A node is
-an index array into the training rows, bootstrap duplicates included, and
-its split search sorts all candidate features' ranks in one stable argsort,
-which numpy radix-sorts while ranks fit in 16 bits. The models are byte for
-byte those of a per-feature float sort at every node.
+an index array into the training rows, bootstrap duplicates included. All
+trees grow in lockstep, one split search per tree and round, and each
+round's searches run as padded blocks: one stable argsort of all candidate
+features' ranks, which numpy radix-sorts while ranks fit in 16 bits, then
+an exact integer screen of every cut, and the float Gini of the few cuts
+the screen cannot rule out. The models are byte for byte those of a
+recursive grower with a per-feature float sort at every node.
 """
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -22,10 +26,13 @@ from .errors import ConfigError, DataError, ModelFormatError
 
 MODEL_FORMAT = "camforest-model"
 MODEL_VERSION = 1
-# Deepest tree the trainers grow. Growing (one call per level) and the
-# model JSON (one nesting level per tree level) both recurse, so the cap
-# stays at half of Python's default recursion limit of 1000.
+# Deepest tree the trainers grow. Growing keeps explicit stacks, but the
+# model JSON nests one level per tree level and json recurses on it, so
+# the cap stays at half of Python's default recursion limit of 1000.
 MAX_DEPTH = 500
+# Element budget of one batched split search: nodes x candidate features
+# x rows of a padded block (see ``_grow``).
+SPLIT_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,6 +84,11 @@ class Tree:
             if not isinstance(th, (int, float)) or not math.isfinite(th):
                 raise ModelFormatError("split threshold must be finite")
             table.append([f, float(th), i + 1, None, -1])
+        return cls._of_table(table, n_levels)
+
+    @classmethod
+    def _of_table(cls, table, n_levels: int) -> "Tree":
+        """Tree of preorder rows [feature, threshold, left, right, label]."""
         try:
             columns = [np.array(column, dtype=dtype) for column, dtype in zip(
                 zip(*table), (np.intp, float, np.intp, np.intp, np.intp))]
@@ -160,12 +172,13 @@ class Forest:
         return np.argmax(self.votes(X), axis=1)
 
 
-def _gini(counts) -> float:
-    n = counts.sum()
-    if n == 0:
-        return 0.0
-    p = counts / n
-    return float(1.0 - np.sum(p * p))
+def _impurity(counts) -> tuple:
+    """(Gini impurity, majority label) of each row of (nodes, classes)
+    counts. A row sums pairwise in numpy's order as a 1-D sum would, so
+    the bits are those of a per-node ``1 - sum(p * p)``."""
+    n = counts.sum(axis=1)
+    p = counts / np.maximum(n, 1)[:, None]  # an empty node is a leaf anyway
+    return 1.0 - np.sum(p * p, axis=1), np.argmax(counts, axis=1)
 
 
 @dataclass(frozen=True)
@@ -176,12 +189,14 @@ class _Training:
     each value's dense rank within its feature (equal values share one):
     sorting a node's rows by rank sorts them by value. Ranks take the
     smallest unsigned dtype that holds N - 1, so for N <= 65,536 numpy's
-    stable sort radix-sorts them.
+    stable sort radix-sorts them. Row N pads search blocks: its rank is
+    the dtype's largest, so a stable sort leaves it after every real row,
+    and its label, ``n_classes``, counts in no class.
     """
 
     xT: np.ndarray     # (F, N) float
-    rank: np.ndarray   # (F, N) unsigned
-    y: np.ndarray      # (N,) int
+    rank: np.ndarray   # (F, N + 1) unsigned
+    y: np.ndarray      # (N + 1,) unsigned
     n_classes: int
 
     @classmethod
@@ -189,91 +204,230 @@ class _Training:
         xT = np.ascontiguousarray(X.T)
         order = np.argsort(xT, axis=1, kind="stable")
         xs = np.take_along_axis(xT, order, axis=1)
-        dense = np.zeros(xT.shape, dtype=np.min_scalar_type(X.shape[0] - 1))
-        np.cumsum(xs[:, 1:] > xs[:, :-1], axis=1, dtype=dense.dtype,
+        dtype = np.min_scalar_type(X.shape[0] - 1)
+        dense = np.zeros(xT.shape, dtype=dtype)
+        np.cumsum(xs[:, 1:] > xs[:, :-1], axis=1, dtype=dtype,
                   out=dense[:, 1:])
-        rank = np.empty_like(dense)
-        np.put_along_axis(rank, order, dense, axis=1)
+        rank = np.full((xT.shape[0], xT.shape[1] + 1), np.iinfo(dtype).max,
+                       dtype=dtype)
+        np.put_along_axis(rank[:, :-1], order, dense, axis=1)
+        y = np.append(y, n_classes).astype(np.min_scalar_type(n_classes))
         return cls(xT, rank, y, n_classes)
 
 
-def _best_split(data, idx, counts, feat_ids):
-    """Lowest weighted Gini over midpoint thresholds of the given features,
-    on the node holding training rows ``idx`` (duplicates allowed) with
-    class counts ``counts``.
+def _search(data, nodes, feats) -> list:
+    """Splits of one block of nodes, searched together.
 
-    Returns (feature, threshold, weighted_gini, left_idx, right_idx) or
-    None when no feature admits a split. Scanning order (sorted features,
-    ascending thresholds) fixes tie-breaks. Every cut's class counts and
-    midpoint are the same whatever order tied values sort in.
+    ``nodes`` lists (rows, class counts, Gini) per node, largest first;
+    rows are indices into the training rows, duplicates allowed, and
+    ``feats`` (nodes, m) holds each node's sorted candidate features.
+    Returns per node None when no cut lowers its Gini by more than 1e-15,
+    else (feature, threshold, left, right), each child as (rows, counts,
+    Gini, majority label). Scanning order (sorted features, ascending
+    thresholds) fixes tie-breaks. Every cut's class counts and midpoint
+    are the same whatever order tied values sort in.
     """
-    m, n = feat_ids.size, idx.size
-    ranks = data.rank[feat_ids[:, None], idx]
-    order = np.argsort(ranks, axis=1, kind="stable")
-    rows = idx[order]
-    # Sorted ranks by a flat take, far cheaper than take_along_axis here.
-    ranks = np.take(ranks, order + np.arange(0, m * n, n)[:, None])
-    # Splittable positions, between distinct consecutive values, as flat
-    # (feature, cut) indices into the (m, n) block.
-    step = np.zeros((m, n), dtype=bool)
+    k, m = feats.shape
+    c = data.n_classes
+    sizes = np.array([node[0].size for node in nodes])
+    n = int(sizes[0])
+    # Each node's rows padded with the padding row to the block's width;
+    # a (node, feature) pair is one line of the block.
+    pad = np.full((k, n), data.xT.shape[1], dtype=nodes[0][0].dtype)
+    for i, node in enumerate(nodes):
+        pad[i, :node[0].size] = node[0]
+    ranks = np.take(data.rank, (feats * data.rank.shape[1])[:, :, None]
+                    + pad[:, None, :]).reshape(k * m, n)
+    # Sorted ranks and rows by flat takes, far cheaper than take_along_axis.
+    line = np.arange(k * m)[:, None]
+    at = np.argsort(ranks, axis=1, kind="stable")
+    at += line * n
+    ranks = np.take(ranks, at)
+    at -= (line - line // m) * n
+    rows = np.take(pad, at)
+    del at
+    # Splittable positions, between distinct consecutive values of a node's
+    # own rows.
+    size = np.repeat(sizes, m)
+    step = np.zeros((k * m, n), dtype=bool)
     np.less(ranks[:, :-1], ranks[:, 1:], out=step[:, :-1])
-    at = np.flatnonzero(step)
-    if at.size == 0:
-        return None
-    fi, cut = np.divmod(at, n)
-    onehot = data.y[rows][:, :, None] == np.arange(counts.size)
-    left = np.take(np.cumsum(onehot, axis=1).reshape(m * n, -1), at, axis=0)
-    right = counts - left  # each feature's block holds the whole node
+    step[line[:, 0], size - 1] = False
+    # Class counts of each position's left side: one-hot rows (the padding
+    # row's is zero), summed along the line in place.
+    below = np.take(np.eye(c + 1, c, dtype=np.intp), data.y[rows], axis=0)
+    np.cumsum(below, axis=1, out=below)
+    total = np.repeat(np.array([node[1] for node in nodes]), m, axis=0)
+    # Screen: n (1 - weighted Gini) = sum(l_c^2) / n_l + sum(r_c^2) / n_r.
+    # Its sums are exact integers, so only its two divisions and one add
+    # round: with u = eps / 2 it errs by at most 3u n (conversions of sums
+    # above 2**53 included). The float weighted Gini below errs by at most
+    # (C + 6) u: C + 2 from the squared quotients and their sum, 1 from
+    # 1 - s, 1 from the n_l and n_r products, 1 from their add and 1 from
+    # the division by n. So a cut whose float Gini is at or below that of
+    # the screen's best cut scores within 2 (n (C + 6) u + 3u n) =
+    # n (C + 9) eps of the best's score. Finalists are the cuts within
+    # twice that, which also covers second-order terms; only they run the
+    # float expression, so each feature's float first minimum is kept.
+    n_l = np.arange(1, n + 1)
+    left_sq = np.einsum("lnc,lnc->ln", below, below)
+    right_sq = np.einsum("lnc,lc->ln", below, -2 * total)
+    right_sq += left_sq
+    right_sq += np.einsum("lc,lc->l", total, total)[:, None]
+    score = left_sq / n_l
+    del left_sq
+    score += right_sq / np.maximum(size[:, None] - n_l, 1)
+    del right_sq
+    # Every cut scores above 0, so zeroing the other positions leaves each
+    # line's best cut its maximum.
+    score *= step
+    top = score.max(axis=1) - 2 * (c + 9) * np.finfo(float).eps * size
+    fin = np.flatnonzero(step & (score >= top[:, None]))
+    if fin.size == 0:
+        return [None] * k
+    group, cut = np.divmod(fin, n)
+    size = size[group]
+    left = np.take(below.reshape(-1, c), fin, axis=0)
+    right = total[group] - left
     n_l = cut + 1.0
-    n_r = n - n_l
+    n_r = size - n_l
     # A C-contiguous (cuts, classes) sum: numpy adds 8 or more terms
     # pairwise, so summing class-major would change bits.
     g_l = 1.0 - np.sum((left / n_l[:, None]) ** 2, axis=1)
     g_r = 1.0 - np.sum((right / n_r[:, None]) ** 2, axis=1)
-    weighted = (n_l * g_l + n_r * g_r) / n
+    weighted = (n_l * g_l + n_r * g_r) / size
     # Each feature's first minimum, then the 1e-15 rule across features.
-    starts = np.flatnonzero(np.diff(fi, prepend=-1))
-    best = None
-    for s, w in enumerate(np.minimum.reduceat(weighted, starts).tolist()):
-        if best is None or w < best[1] - 1e-15:
-            best = (s, w)
-    s, w = best
-    end = starts[s + 1] if s + 1 < starts.size else weighted.size
-    k = starts[s] + int(np.argmin(weighted[starts[s]:end]))
-    j, c = fi[k], cut[k]
-    f = int(feat_ids[j])
-    xs = data.xT[f, rows[j]]
-    x0, x1 = float(xs[c]), float(xs[c + 1])
-    th = 0.5 * (x0 + x1)
-    if not math.isfinite(th):
-        # The sum overflowed; halving first cannot. Only such pairs take
-        # this path, so every other threshold keeps its bits.
-        th = 0.5 * x0 + 0.5 * x1
-    # Rows are sorted by value, so the left child (x <= th) is a prefix.
-    n_left = int(np.searchsorted(xs, th, side="right"))
-    return f, th, w, rows[j, :n_left], rows[j, n_left:]
+    low = {}
+    for j, (g, w) in enumerate(zip(group.tolist(), weighted.tolist())):
+        if g not in low or w < low[g][0]:
+            low[g] = (w, j)
+    best = {}
+    for g, (w, j) in low.items():
+        if g // m not in best or w < best[g // m][0] - 1e-15:
+            best[g // m] = (w, j)
+    split = [i for i, (w, _) in best.items() if w < nodes[i][2] - 1e-15]
+    if not split:
+        return [None] * k
+    j = np.array([best[i][1] for i in split])
+    line, cut = group[j], cut[j]
+    f = feats.reshape(-1)[line]
+    x0 = data.xT[f, rows[line, cut]].tolist()
+    x1 = data.xT[f, rows[line, cut + 1]].tolist()
+    # Rows are sorted by value, so each left child (x <= th) is a prefix.
+    n_left = (cut + 1).tolist()
+    thresholds = []
+    for s, i in enumerate(split):
+        th = 0.5 * (x0[s] + x1[s])
+        if not math.isfinite(th):
+            # The sum overflowed; halving first cannot. Only such pairs take
+            # this path, so every other threshold keeps its bits.
+            th = 0.5 * x0[s] + 0.5 * x1[s]
+        if th >= x1[s]:
+            # The midpoint rounded onto the upper value: rows equal to it
+            # go left too (the left child keeps x <= threshold).
+            xs = data.xT[f[s], rows[line[s], :nodes[i][0].size]]
+            n_left[s] = int(np.searchsorted(xs, th, side="right"))
+        thresholds.append(th)
+    n_left = np.array(n_left)
+    lc = below.reshape(-1, c)[line * n + n_left - 1]
+    child_counts = np.concatenate([lc, total[line] - lc])
+    gini, label = _impurity(child_counts)
+    gini, label = gini.tolist(), label.tolist()
+    out = [None] * k
+    for s, i in enumerate(split):
+        a, b = n_left[s], nodes[i][0].size
+        out[i] = (int(f[s]), thresholds[s],
+                  (rows[line[s], :a].copy(), child_counts[s], gini[s],
+                   label[s]),
+                  (rows[line[s], a:b].copy(), child_counts[len(split) + s],
+                   gini[len(split) + s], label[len(split) + s]))
+    return out
 
 
-def _grow(data, idx, depth, max_depth, max_features, rng) -> dict:
-    """Model-format object of the CART subtree grown on training rows
-    ``idx``; ``rng`` draws each split's candidate features in preorder."""
-    counts = np.bincount(data.y[idx], minlength=data.n_classes)
-    node_gini = _gini(counts)
-    if depth >= max_depth or node_gini == 0.0 or idx.size < 2:
-        return {"label": int(np.argmax(counts))}
-    n_feat = data.xT.shape[0]
-    if max_features < n_feat:
-        feat_ids = np.sort(rng.choice(n_feat, size=max_features, replace=False))
-    else:
-        feat_ids = np.arange(n_feat)
-    best = _best_split(data, idx, counts, feat_ids)
-    if best is None or best[2] >= node_gini - 1e-15:
-        return {"label": int(np.argmax(counts))}
-    f, th, _, left, right = best
-    return {"feature": f, "threshold": th,
-            "left": _grow(data, left, depth + 1, max_depth, max_features, rng),
-            "right": _grow(data, right, depth + 1, max_depth, max_features,
-                           rng)}
+class _Growth:
+    """One tree in growth: its rng, its preorder stack of pending nodes and
+    its node table so far, in ``Tree.from_obj``'s row layout."""
+
+    def __init__(self, data, rng, rows):
+        # Rows in the smallest dtype that holds the padding row's index.
+        rows = rows.astype(np.min_scalar_type(data.xT.shape[1]))
+        counts = np.bincount(data.y[rows], minlength=data.n_classes)
+        gini, label = _impurity(counts[None])
+        self.rng = rng
+        # (rows, depth, parent if a right child, counts, Gini, label)
+        self.stack = [(rows, 0, None, counts, float(gini[0]),
+                       int(label[0]))]
+        self.table = []
+        self.n_levels = 0
+
+    def next_split(self, max_depth: int):
+        """Pop nodes in preorder, entering each in the table as a leaf, up
+        to the first that needs a split search: its (table row, depth,
+        (rows, counts, Gini)), or None once the tree is complete."""
+        while self.stack:
+            rows, depth, parent, counts, gini, label = self.stack.pop()
+            i = len(self.table)
+            if parent is not None:
+                self.table[parent][3] = i
+            self.n_levels = max(self.n_levels, depth)
+            self.table.append([0, 0.0, i, i, label])
+            if depth < max_depth and gini != 0.0 and rows.size >= 2:
+                return i, depth, (rows, counts, gini)
+        return None
+
+    def place(self, i: int, depth: int, split) -> None:
+        """Make table row ``i`` a split with its children pending, unless
+        the search found none (``split`` None)."""
+        if split is not None:
+            f, th, left, right = split
+            self.table[i] = [f, th, i + 1, None, -1]
+            self.stack.append((right[0], depth + 1, i) + right[1:])
+            self.stack.append((left[0], depth + 1, None) + left[1:])
+
+
+def _grow(data, roots, max_depth, max_features) -> list:
+    """Trees grown in lockstep on the (rng, training rows) pairs of
+    ``roots``, as ``Tree`` node tables in root order.
+
+    Each round, every tree in growth pops nodes off its preorder stack
+    until it reaches one that needs a split, and draws that node's
+    candidate features from its own rng, so each tree draws in the same
+    order as a recursive grower. The round's searches then run together,
+    largest node first, in padded blocks of at most ``SPLIT_BLOCK``
+    (nodes x features x rows) elements; a larger node has a block of its
+    own. The pending nodes of a tree hold at most its N bootstrap rows, so
+    new trees start only while those of the trees in growth fit in the
+    bytes of one block's int64 array (one tree at least): memory does not
+    grow with the number of trees.
+    """
+    n_feat, n_rows = data.xT.shape
+    m = min(max_features, n_feat)
+    in_flight = max(1, 8 * SPLIT_BLOCK // (
+        n_rows * np.min_scalar_type(n_rows).itemsize))
+    roots = enumerate(roots)
+    tables, growing = {}, {}
+    while True:
+        for t, root in itertools.islice(roots, in_flight - len(growing)):
+            growing[t] = _Growth(data, *root)
+        if not growing:
+            return [tables[t] for t in sorted(tables)]
+        searches = []  # (node's rows, tree, table row, depth, node, feats)
+        for t, tree in list(growing.items()):
+            found = tree.next_split(max_depth)
+            if found is None:
+                tables[t] = Tree._of_table(tree.table, tree.n_levels)
+                del growing[t]
+                continue
+            feats = (np.sort(tree.rng.choice(n_feat, size=m, replace=False))
+                     if m < n_feat else np.arange(n_feat))
+            searches.append((found[2][0].size, tree) + found + (feats,))
+        searches.sort(key=lambda search: -search[0])
+        while searches:
+            width = max(1, SPLIT_BLOCK // (m * searches[0][0]))
+            block, searches = searches[:width], searches[width:]
+            splits = _search(data, [b[4] for b in block],
+                             np.array([b[5] for b in block]))
+            for (_, tree, i, depth, _, _), split in zip(block, splits):
+                tree.place(i, depth, split)
 
 
 def _check_data(X, y):
@@ -323,10 +477,10 @@ def train_tree(X, y, max_depth: int = 6, n_classes: int | None = None) -> Forest
     _check_depth(max_depth)
     k = _class_count(y, n_classes)
     # Every feature is offered at every split, so _grow draws nothing.
-    root = _grow(_Training.of(X, y, k), np.arange(X.shape[0]), 0, max_depth,
-                 X.shape[1], None)
-    return Forest(trees=(Tree.from_obj(root),), n_features=X.shape[1],
-                  n_classes=k, feature_bounds=_bounds(X))
+    trees = _grow(_Training.of(X, y, k), [(None, np.arange(X.shape[0]))],
+                  max_depth, X.shape[1])
+    return Forest(trees=tuple(trees), n_features=X.shape[1], n_classes=k,
+                  feature_bounds=_bounds(X))
 
 
 def train_forest(X, y, n_trees: int = 15, max_depth: int = 6, seed: int = 0,
@@ -338,12 +492,13 @@ def train_forest(X, y, n_trees: int = 15, max_depth: int = 6, seed: int = 0,
     _check_depth(max_depth)
     k = _class_count(y, n_classes)
     m = max(1, int(math.isqrt(X.shape[1])))
-    data = _Training.of(X, y, k)
-    trees = []
-    for t in range(n_trees):
-        rng = np.random.default_rng([seed, t])
-        idx = rng.integers(0, X.shape[0], size=X.shape[0])
-        trees.append(Tree.from_obj(_grow(data, idx, 0, max_depth, m, rng)))
+
+    def roots():
+        for t in range(n_trees):
+            rng = np.random.default_rng([seed, t])
+            yield rng, rng.integers(0, X.shape[0], size=X.shape[0])
+
+    trees = _grow(_Training.of(X, y, k), roots(), max_depth, m)
     return Forest(trees=tuple(trees), n_features=X.shape[1], n_classes=k,
                   feature_bounds=_bounds(X))
 

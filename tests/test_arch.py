@@ -28,7 +28,7 @@ from camforest.datasets import (
     load_iris,
     off_grid_inputs,
 )
-from camforest.device import DeviceModel
+from camforest.device import V_DL_MAX, V_DL_MIN, DeviceModel, feature_to_voltage
 from camforest.errors import ConfigError, DataError
 from camforest.forest import Forest, train_forest, train_tree
 from camforest.mapper import ThresholdMap, compile_forest, pack_tiles
@@ -55,6 +55,22 @@ def test_iris_tree_exactly_one_row_matches():
     _, arch, X, _ = _iris_tree_arch()
     matches, _, _ = _evaluate(arch, X)
     assert np.all(matches.sum(axis=1) == 1)
+
+
+def test_input_voltages_are_feature_to_voltage_bit_for_bit():
+    """The in-place map gives ``feature_to_voltage``'s bits, clipped inputs
+    and bounds included, and drives padding at mid-window."""
+    model, arch, X, _ = _iris_tree_arch()
+    rng = np.random.default_rng(8)
+    bounds = np.array(model.feature_bounds)
+    X = np.concatenate([X, bounds[:, 0][None], bounds[:, 1][None],
+                        rng.uniform(bounds[:, 0] - 2, bounds[:, 1] + 2,
+                                    (500, 4))])
+    v = _input_voltages(arch, X)
+    ref = feature_to_voltage(X, model.feature_bounds)
+    assert np.array_equal(v[:, :-1].view(np.int64), ref.view(np.int64))
+    assert np.all(v[:, -1] == 0.5 * (V_DL_MIN + V_DL_MAX))
+    assert v[:, :-1].min() == V_DL_MIN and v[:, :-1].max() == V_DL_MAX
 
 
 def test_single_array_trace_runs_in_four_cycles():

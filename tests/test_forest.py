@@ -4,10 +4,12 @@ import hashlib
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from camforest import forest as forest_module
 from camforest.datasets import gaussian_blobs, load_iris, train_test_split
 from camforest.errors import ConfigError, DataError, ModelFormatError
 from camforest.forest import (
@@ -446,6 +448,157 @@ def test_ranked_trainer_matches_oracle_above_16_bit_ranks():
     assert to_json(tree) == _oracle_json(tree, X, y, 2)
     forest = train_forest(X, y, n_trees=1, max_depth=2, seed=3)
     assert to_json(forest) == _oracle_json(forest, X, y, 2, 1, 3)
+
+
+def _spy_searches(monkeypatch):
+    """Record every block the trainer searches as (nodes, features, widest
+    node's rows), and each split's two children."""
+    blocks, children = [], []
+    search = forest_module._search
+
+    def spy(data, nodes, feats):
+        found = search(data, nodes, feats)
+        blocks.append((len(nodes), feats.shape[1], nodes[0][0].size))
+        children.extend(child[0] for split in found if split is not None
+                        for child in split[2:])
+        return found
+
+    monkeypatch.setattr(forest_module, "_search", spy)
+    return blocks, children
+
+
+def test_lockstep_forest_matches_oracle_across_search_blocks(monkeypatch):
+    """24 trees on 600 rows with a 1000-element block: each root search
+    (2 features x 600 rows) has a block of its own, small nodes share
+    blocks, six trees grow at once and trees finish in different rounds."""
+    rng = np.random.default_rng(31)
+    X, y = _tie_heavy_data(rng, 600, 4, 4)
+    X[:, 0] = rng.normal(size=600)  # at least one many-valued feature
+    reference = None
+    for limit in (forest_module.SPLIT_BLOCK, 1000, 1):
+        monkeypatch.setattr(forest_module, "SPLIT_BLOCK", limit)
+        blocks, _ = _spy_searches(monkeypatch)
+        model = train_forest(X, y, n_trees=24, max_depth=7, seed=5)
+        reference = reference or _oracle_json(model, X, y, 7, 24, 5)
+        assert to_json(model) == reference
+        if limit == 1000:
+            assert any(k == 1 and m * n > limit for k, m, n in blocks)
+            assert max(k for k, _, _ in blocks) >= 4
+            assert all(k * m * n <= limit for k, m, n in blocks if k > 1)
+    # One search per tree and round: trees of different sizes finish in
+    # different rounds.
+    assert len({t.n_leaves() for t in model.trees}) > 1
+
+
+def test_padding_row_may_share_the_largest_rank(monkeypatch):
+    """At N = 256 ranks are uint8 and the padding row's rank, 255, is also
+    the largest real value's: a stable sort must still leave the padding
+    after every real row of a node."""
+    rng = np.random.default_rng(36)
+    X = rng.normal(size=(256, 3))
+    y = (X[:, 0] + rng.normal(scale=0.7, size=256) > 0).astype(int)
+    monkeypatch.setattr(forest_module, "SPLIT_BLOCK", 512)
+    blocks, _ = _spy_searches(monkeypatch)
+    model = train_forest(X, y, n_trees=8, max_depth=6, seed=2)
+    assert to_json(model) == _oracle_json(model, X, y, 6, 8, 2)
+    assert forest_module._Training.of(X, y, 2).rank.dtype == np.uint8
+    assert any(k > 1 for k, _, _ in blocks)  # padded blocks ran
+
+
+def test_lockstep_tree_with_all_features_matches_oracle(monkeypatch):
+    rng = np.random.default_rng(32)
+    for case in range(6):
+        X, y = _tie_heavy_data(rng, int(rng.integers(50, 400)), 5, 3)
+        X[:, case % 5] = rng.normal(size=y.size)
+        for limit in (forest_module.SPLIT_BLOCK, 256):
+            monkeypatch.setattr(forest_module, "SPLIT_BLOCK", limit)
+            blocks, _ = _spy_searches(monkeypatch)
+            tree = train_tree(X, y, max_depth=9)
+            assert to_json(tree) == _oracle_json(tree, X, y, 9)
+            assert all(m == 5 for _, m, _ in blocks)
+
+
+def test_trainer_matches_oracle_with_many_classes_some_absent():
+    """12 classes, half of them with no sample: class sums of 8 or more
+    terms go pairwise, and empty classes still count in every sum."""
+    rng = np.random.default_rng(33)
+    present = np.array([0, 2, 5, 7, 8, 11])
+    for case in range(8):
+        n = int(rng.integers(40, 300))
+        X = np.round(rng.normal(size=(n, 4)), 1 + case % 3)
+        y = present[rng.integers(0, present.size, n)]
+        tree = train_tree(X, y, max_depth=6, n_classes=12)
+        assert to_json(tree) == _oracle_json(tree, X, y, 6)
+        model = train_forest(X, y, n_trees=5, max_depth=6, seed=case,
+                             n_classes=12)
+        assert model.n_classes == 12
+        assert to_json(model) == _oracle_json(model, X, y, 6, 5, case)
+
+
+def _screen_and_float_winners(x, y, n_classes):
+    """First cut (index into the distinct-value cuts of feature ``x``) of
+    the integer screen's largest score and of the float Gini's first
+    minimum, the two expressions the trainer uses."""
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    left = np.cumsum(np.eye(n_classes, dtype=np.int64)[y[order]], axis=0)
+    cut = np.flatnonzero(xs[:-1] < xs[1:])
+    left = left[cut]
+    right = np.bincount(y, minlength=n_classes) - left
+    n_l = cut + 1.0
+    n_r = y.size - n_l
+    score = (left * left).sum(1) / n_l + (right * right).sum(1) / n_r
+    g_l = 1.0 - np.sum((left / n_l[:, None]) ** 2, axis=1)
+    g_r = 1.0 - np.sum((right / n_r[:, None]) ** 2, axis=1)
+    weighted = (n_l * g_l + n_r * g_r) / y.size
+    return int(np.argmax(score)), int(np.argmin(weighted))
+
+
+def test_trainer_keeps_float_winners_the_screen_ranks_below_its_top():
+    # Mirrored labels give cuts of exactly equal Gini; on such ties the
+    # screen's rounding and the float Gini's can rank cuts differently.
+    # The trainer must still choose the float expression's first minimum.
+    rng = np.random.default_rng(34)
+    differ = 0
+    for _ in range(400):
+        n_classes = int(rng.integers(2, 13))
+        swap = rng.permutation(n_classes)
+        pi = np.arange(n_classes)
+        pi[swap[0:-1:2]], pi[swap[1::2]] = swap[1::2], swap[0:-1:2]
+        h = rng.integers(0, n_classes, int(rng.integers(4, 40)))
+        y = np.concatenate([h, pi[h][::-1]])
+        X = np.arange(y.size, dtype=float)[:, None]
+        top, winner = _screen_and_float_winners(X[:, 0], y, n_classes)
+        if top == winner:
+            continue
+        differ += 1
+        tree = train_tree(X, y, max_depth=1, n_classes=n_classes)
+        assert to_json(tree) == _oracle_json(tree, X, y, 1)
+    assert differ > 0
+
+
+def test_split_children_own_their_rows(monkeypatch):
+    """A child's rows are a copy, not a view that would keep its search
+    block's sorted rows alive while the child waits on its tree's stack."""
+    _, children = _spy_searches(monkeypatch)
+    X, y = load_iris()
+    train_forest(X, y, n_trees=6, max_depth=5, seed=1)
+    assert children and all(rows.base is None for rows in children)
+
+
+def test_training_memory_does_not_grow_with_the_tree_count():
+    """Trees in growth hold their bootstrap rows, so only a bounded number
+    grow at once: thirty trees peak at about the memory of three."""
+    rng = np.random.default_rng(35)
+    X = rng.normal(size=(40_000, 2))
+    y = (X[:, 0] + rng.normal(scale=0.5, size=40_000) > 0).astype(int)
+    peaks = []
+    for n_trees in (3, 30):
+        tracemalloc.start()
+        train_forest(X, y, n_trees=n_trees, max_depth=2, seed=0)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] < 1.25 * peaks[0]
 
 
 # sha256 of each trained model's to_json text; the node table must leave
