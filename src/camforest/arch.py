@@ -407,7 +407,7 @@ def _chunk_shape(arch: _Programs, n_samples: int) -> tuple:
     row (the AND-combined block and a class's rows of it) within half of
     it."""
     n_terms = max(1, arch.term_cell.size)
-    words = min(max(1, CHUNK_BYTES // (8 * 64 * n_terms)), -(-n_samples // 64))
+    words = max(1, min(CHUNK_BYTES // (8 * 64 * n_terms), -(-n_samples // 64)))
     per_row = n_terms + 2 * len(arch.plan.tmap.rows)
     programs = CHUNK_BYTES // (2 * 64 * words * per_row)
     return max(1, min(programs, arch.term_g.shape[1])), 64 * words

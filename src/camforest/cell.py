@@ -8,6 +8,11 @@ stored bound, the upper side (through an inverter) when it is above. A row
 matches when the ML, pre-charged to ``v_ml0``, is still above the sense
 threshold after ``t_clk``.
 
+The fitted T1 law does not depend on its drain (the divider node), so each
+divider has one closed-form law, ``divider_node_t1``. The ``*_t1`` entry
+points take the T1 current, which both branches of a cell share; the
+``v_dl`` entry points compute it first.
+
 All current/voltage functions broadcast over numpy arrays.
 """
 
@@ -90,55 +95,20 @@ def t1_current(v_dl, v_div, params: CellParams):
     )
 
 
-def divider_residual(v_div, v_dl, g_m, params: CellParams):
-    """Current imbalance at the divider node: memristor in minus T1 out."""
-    return g_m * (params.v_sl_hi - np.asarray(v_div, dtype=float)) - t1_current(
-        v_dl, v_div, params
-    )
-
-
-def _select(condition, a, b):
-    return a if condition else b
-
-
-def solve_divider(v_dl, g_m, params: CellParams):
-    """Divider-node voltage where the memristor and T1 currents balance.
-
-    Bisection on [v_sl_lo, v_sl_hi]; 60 halvings leave interior roots with
-    |residual| far below 1e-12 A. When even v_sl_lo cannot supply the
-    transistor current (g_m too small, g_m = 0 included) the node clamps to
-    v_sl_lo.
-    """
-    v_dl = np.asarray(v_dl, dtype=float)
-    g_m = np.asarray(g_m, dtype=float)
-    # The T1 law ignores the divider node, so its current is fixed across
-    # the halvings; each residual is divider_residual's expression.
-    i_t1 = t1_current(v_dl, None, params)
-    if v_dl.ndim == 0 and g_m.ndim == 0:
-        # Plain floats: the same IEEE operations without numpy's per-call
-        # cost on 0-d arrays (scalar callers bisect on top of this one).
-        g_m, i_t1 = float(g_m), float(i_t1)
-        lo, hi, select = params.v_sl_lo, params.v_sl_hi, _select
-    else:
-        shape = np.broadcast_shapes(v_dl.shape, g_m.shape)
-        lo = np.full(shape, params.v_sl_lo)
-        hi = np.full(shape, params.v_sl_hi)
-        select = np.where
-    clamped = g_m * (params.v_sl_hi - lo) - i_t1 <= 0.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        above = g_m * (params.v_sl_hi - mid) - i_t1 > 0.0
-        lo = select(above, mid, lo)
-        hi = select(above, hi, mid)
-    return np.where(clamped, params.v_sl_lo, 0.5 * (lo + hi))
-
-
 def divider_node_t1(i_t1, g_m, params: CellParams):
-    """Closed-form divider node for T1 current ``i_t1``: the fitted T1 law
-    is drain-independent, so the balance equation is linear."""
+    """Divider node where the memristor current g_m * (v_sl_hi - v) meets
+    T1 current ``i_t1``. The fitted T1 law is drain-independent, so the
+    balance is linear: v = v_sl_hi - i_t1 / g_m, clipped to the rails (the
+    node sits at v_sl_lo when even that rail cannot supply ``i_t1``). At
+    g_m = 0 with i_t1 = 0 the node floats; it reads v_sl_hi."""
     g_safe = np.maximum(np.asarray(g_m, dtype=float), 1e-30)
     v = params.v_sl_hi - i_t1 / g_safe
     return np.clip(v, params.v_sl_lo, params.v_sl_hi)
+
+
+def solve_divider(v_dl, g_m, params: CellParams):
+    """Divider-node voltage for DL input ``v_dl`` (see ``divider_node_t1``)."""
+    return divider_node_t1(t1_current(v_dl, None, params), g_m, params)
 
 
 def discharge_current(v_gate, params: CellParams):
@@ -163,8 +133,7 @@ def lower_branch_current(v_dl, g_m1, params: CellParams):
     threshold. Non-increasing in v_dl, non-decreasing in g_m1 over the
     operating window.
     """
-    v_div = solve_divider(v_dl, g_m1, params)
-    return discharge_current(v_div, params)
+    return lower_branch_t1(t1_current(v_dl, None, params), g_m1, params)
 
 
 def upper_branch_current(v_dl, g_m2, params: CellParams):
@@ -174,8 +143,7 @@ def upper_branch_current(v_dl, g_m2, params: CellParams):
     gate when the input exceeds the stored bound. Non-decreasing in v_dl,
     non-increasing in g_m2 over the operating window.
     """
-    v_div = solve_divider(v_dl, g_m2, params)
-    return discharge_current(inverter_output(v_div, params), params)
+    return upper_branch_t1(t1_current(v_dl, None, params), g_m2, params)
 
 
 def lower_branch_t1(i_t1, g_m1, params: CellParams):
@@ -195,19 +163,16 @@ def upper_branch_t1(i_t1, g_m2, params: CellParams):
         inverter_output(divider_node_t1(i_t1, g_m2, params), params), params)
 
 
-def cell_current(g_m1, g_m2, v_dl, params: CellParams, fast: bool = True):
+def cell_current(g_m1, g_m2, v_dl, params: CellParams):
     """ML discharge current of each cell: lower plus upper branch."""
-    if fast:
-        i_t1 = t1_current(v_dl, None, params)
-        return lower_branch_t1(i_t1, g_m1, params) + upper_branch_t1(
-            i_t1, g_m2, params)
-    return lower_branch_current(v_dl, g_m1, params) + upper_branch_current(
-        v_dl, g_m2, params)
+    i_t1 = t1_current(v_dl, None, params)
+    return lower_branch_t1(i_t1, g_m1, params) + upper_branch_t1(
+        i_t1, g_m2, params)
 
 
-def row_total_current(g_m1, g_m2, v_dl, params: CellParams, fast: bool = True):
+def row_total_current(g_m1, g_m2, v_dl, params: CellParams):
     """Summed discharge current of one row of cells (last axis = cells)."""
-    return cell_current(g_m1, g_m2, v_dl, params, fast).sum(axis=-1)
+    return cell_current(g_m1, g_m2, v_dl, params).sum(axis=-1)
 
 
 def ml_voltage_at(g_m1, g_m2, v_dl, t, v_ml0, c_ml_total, params: CellParams):
@@ -216,9 +181,7 @@ def ml_voltage_at(g_m1, g_m2, v_dl, t, v_ml0, c_ml_total, params: CellParams):
     The total row current is treated as constant over the evaluation window,
     so the pre-charged ML ramps down linearly and clamps at 0 V.
     """
-    i_total = row_total_current(
-        np.asarray(g_m1), np.asarray(g_m2), np.asarray(v_dl), params, fast=False
-    )
+    i_total = row_total_current(g_m1, g_m2, v_dl, params)
     return np.maximum(v_ml0 - i_total * t / c_ml_total, 0.0)
 
 

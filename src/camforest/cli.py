@@ -252,39 +252,44 @@ def cmd_compile(args, cfg, config_sha):
           "compile", config_sha, cfg, seed)
 
 
-def _architecture_from_input(args, cfg, seed):
-    """Program an architecture from a model or plan artifact."""
+def _plan_from_input(args, cfg, unseeded_noise: bool = False) -> tuple:
+    """(plan, feature bounds, class count) of the model or plan artifact
+    given on the command line; a model compiles with the [arch] tile and
+    reorder keys. ``unseeded_noise`` raises ConfigError once the artifact's
+    kind is known, before it is parsed."""
     text = _read_input(args.input)
     kind = _input_kind(text)
+    if unseeded_noise:
+        raise ConfigError("sigma or vote_sigma > 0 needs a seed")
+    if kind == "plan":
+        plan, bounds = plan_from_json(text)
+        return plan, bounds, int(plan.tmap.labels.max()) + 1
+    forest = from_json(text)
+    a = cfg["arch"]
+    plan = compile_forest(forest, a["tile_h"], a["tile_w"],
+                          reorder_map=a["reorder"])
+    return plan, forest.feature_bounds, forest.n_classes
+
+
+def _architecture_from_input(args, cfg, seed):
+    """Program an architecture from a model or plan artifact."""
     a = cfg["arch"]
     stochastic = a["sigma"] > 0.0 or a["vote_sigma"] > 0.0
-    if stochastic and seed is None:
-        raise ConfigError("sigma or vote_sigma > 0 needs a seed")
-    prog_seed = seed if seed is not None else 0
-    if kind == "model":
-        forest = from_json(text)
-        plan = compile_forest(forest, a["tile_h"], a["tile_w"],
-                              reorder_map=a["reorder"])
-        bounds = forest.feature_bounds
-        n_classes = forest.n_classes
-    else:
-        plan, bounds = plan_from_json(text)
-        if bounds is None:
-            raise ModelFormatError("plan lacks feature_bounds; re-export it "
-                                   "with bounds to simulate")
-        forest = None
-        n_classes = int(plan.tmap.labels.max()) + 1
-    arch = program(plan, _device(cfg), _arch_config(cfg), bounds, n_classes,
+    plan, bounds, n_classes = _plan_from_input(
+        args, cfg, unseeded_noise=stochastic and seed is None)
+    if bounds is None:
+        raise ModelFormatError("plan lacks feature_bounds; re-export it "
+                               "with bounds to simulate")
+    return program(plan, _device(cfg), _arch_config(cfg), bounds, n_classes,
                    n_bits=a["n_bits"], sigma_rel=a["sigma"],
-                   seed=[prog_seed, 0])
-    return arch, forest
+                   seed=[seed if seed is not None else 0, 0])
 
 
 def cmd_simulate(args, cfg, config_sha):
     seed = _resolve_seed(args, cfg, "simulate", stochastic=False)
     X, y = _load_dataset(cfg)
     _, _, X_ev, y_ev = _split_dataset(cfg, X, y, seed)
-    arch, _ = _architecture_from_input(args, cfg, seed)
+    arch = _architecture_from_input(args, cfg, seed)
     if int(np.max(y_ev)) >= arch.n_classes:
         raise DataError("dataset labels exceed the model's class count")
     rng = (np.random.default_rng([seed, 1])
@@ -402,10 +407,6 @@ def cmd_sweep(args, cfg, config_sha):
           cfg, seed)
 
 
-def _count_nodes(forest) -> int:
-    return sum(t.n_leaves() - 1 for t in forest.trees)
-
-
 def cmd_perf(args, cfg, config_sha):
     seed = _resolve_seed(args, cfg, "perf", stochastic=False)
     p = cfg["perf"]
@@ -417,25 +418,15 @@ def cmd_perf(args, cfg, config_sha):
     geometry = {k: p[k] for k in
                 ("tile_h", "tile_w", "n_tiles", "n_arrays", "n_nodes")}
     if args.input is not None:
-        text = _read_input(args.input)
-        kind = _input_kind(text)
-        if kind == "model":
-            forest = from_json(text)
-            a = cfg["arch"]
-            plan = compile_forest(forest, a["tile_h"], a["tile_w"],
-                                  reorder_map=a["reorder"])
-            n_nodes = _count_nodes(forest)
-        else:
-            plan, _ = plan_from_json(text)
-            # one mapped row per leaf; binary trees: internals = leaves - trees
-            n_trees = max(r.tree_index for r in plan.tmap.rows) + 1
-            n_nodes = len(plan.tmap.rows) - n_trees
+        plan, _, _ = _plan_from_input(args, cfg)
+        # One mapped row per leaf; binary trees: internals = leaves - trees.
+        n_trees = max(r.tree_index for r in plan.tmap.rows) + 1
         defaults = {
             "tile_h": plan.tile_h,
             "tile_w": plan.tile_w,
             "n_tiles": plan.n_tiles,
             "n_arrays": max(1, plan.n_active_groups),
-            "n_nodes": n_nodes,
+            "n_nodes": len(plan.tmap.rows) - n_trees,
         }
         for key, value in defaults.items():
             if geometry[key] is None:

@@ -117,8 +117,10 @@ def reference_current(c_ml_total: float, v_ml0: float, v_sa_threshold: float,
 
 
 def _branch_currents(v, g, params, side):
-    """Branch current through the bisection divider solver (a reference
-    independent of the closed-form calibration)."""
+    """Current of a ``side`` branch of conductance ``g`` at DL input ``v``
+    on the forward cell law. Acceptance check 08 bisects it for each
+    encoded edge, so it measures the calibration's inverse formulas
+    against the law they invert."""
     if side == "lower":
         return lower_branch_current(v, g, params)
     return upper_branch_current(v, g, params)
@@ -128,32 +130,33 @@ def _branch_currents(v, g, params, side):
 class Calibration:
     """Closed-form match-edge placement for one operating point.
 
-    i_ref (with the edge margin) alone fixes the divider node at each
-    branch's edge: ``v_div_lower`` opens the discharge gate to that current,
-    ``v_div_upper`` drives the inverter to it. The conductance placing an
-    edge at e balances T1 there: g = I_T1(e) / (v_sl_hi - v_div).
+    ``band_edges`` gives each branch's edge as a T1 current per siemens of
+    its conductance: ``lower_divisor`` is ``lower_full`` at i_ref * (1 +
+    EDGE_MARGIN), ``upper_divisor`` is ``upper_full`` at i_ref * (1 -
+    EDGE_MARGIN). The conductance placing an edge at e is g = I_T1(e) /
+    divisor.
     """
 
     i_ref: float
     params: CellParams
     g_hrs: float
     g_lrs: float
-    v_div_lower: float
-    v_div_upper: float
+    lower_divisor: float
+    upper_divisor: float
 
-    def _g_for(self, edge_v, v_div):
+    def _g_for(self, edge_v, divisor):
         edge = np.clip(edge_v, CAL_V_LO, CAL_V_HI)
-        g = t1_current(edge, None, self.params) / (self.params.v_sl_hi - v_div)
+        g = t1_current(edge, None, self.params) / divisor
         return np.clip(g, self.g_hrs, self.g_lrs)
 
     def g_for_lower(self, edge_v):
         """Conductance placing the lower-bound edge at ``edge_v``; edges clamp
         to the domain (beyond clipped inputs: permissive), g to the rails."""
-        return self._g_for(edge_v, self.v_div_lower)
+        return self._g_for(edge_v, self.lower_divisor)
 
     def g_for_upper(self, edge_v):
         """Conductance placing the upper-bound edge at ``edge_v``."""
-        return self._g_for(edge_v, self.v_div_upper)
+        return self._g_for(edge_v, self.upper_divisor)
 
 
 def _gate_for(params: CellParams, current: float) -> float:
@@ -213,7 +216,7 @@ def band_edges(params: CellParams, i_sense: float) -> BandEdges:
 
 def build_calibration(params: CellParams, device: DeviceModel,
                       i_ref: float) -> Calibration:
-    """Divider-node targets of both branches' match edges.
+    """Both branches' edge divisors, from ``band_edges`` at the edge currents.
 
     Raises CalibrationError when i_ref is out of reach of the discharge gate
     or the inverter, when a T1 regime boundary (where the law jumps) lies in
@@ -223,24 +226,22 @@ def build_calibration(params: CellParams, device: DeviceModel,
         if CAL_V_LO < b <= CAL_V_HI:
             raise CalibrationError(f"T1 regime boundary {b} V inside the "
                                    "calibration domain; edges not monotone")
-    # Discharge-gate voltages at which each branch draws its edge current.
-    gate_lower = _gate_for(params, i_ref * (1 + EDGE_MARGIN))
-    gate_upper = _gate_for(params, i_ref * (1 - EDGE_MARGIN))
-    if not 0 < gate_upper < INVERTER_RAIL:
+    if not 0 < _gate_for(params, i_ref * (1 - EDGE_MARGIN)) < INVERTER_RAIL:
         raise CalibrationError("upper branch: i_ref beyond the inverter rail")
-    v_div_upper = _inverter_input(params, gate_upper)
+    lower = band_edges(params, i_ref * (1 + EDGE_MARGIN)).lower_full
+    upper = band_edges(params, i_ref * (1 - EDGE_MARGIN)).upper_full
     ends = t1_current(np.array([CAL_V_LO, CAL_V_HI]), None, params)
-    for side, v_div in (("lower", gate_lower), ("upper", v_div_upper)):
-        if not params.v_sl_lo < v_div < params.v_sl_hi:
+    for side, divisor in (("lower", lower), ("upper", upper)):
+        # The edge's divider node v_sl_hi - divisor must lie between the rails.
+        if not 0 < divisor < params.v_sl_hi - params.v_sl_lo:
             raise CalibrationError(f"{side} branch: i_ref out of reach "
                                    "(divider node beyond the rails)")
-        g_lo, g_hi = ends / (params.v_sl_hi - v_div)
+        g_lo, g_hi = ends / divisor
         if g_hi < device.g_hrs or g_lo > device.g_lrs:
             raise CalibrationError(
                 f"{side} branch: no match edge in ({CAL_V_LO}, {CAL_V_HI}) V "
                 "fits [g_hrs, g_lrs]; operating point cannot encode thresholds")
-    return Calibration(i_ref, params, device.g_hrs, device.g_lrs, gate_lower,
-                       v_div_upper)
+    return Calibration(i_ref, params, device.g_hrs, device.g_lrs, lower, upper)
 
 
 def encode_bounds(lo, hi, feature_bounds, device: DeviceModel,

@@ -229,18 +229,9 @@ def perf_report(tile_h: int, tile_w: int, n_tiles: int, n_arrays: int,
     )
 
 
-def report_for_plan(plan, n_nodes: int, config: PerfConfig = None,
-                    final_ml_voltages=None, v_ml0: float = 0.8,
-                    i_d0: float = None,
-                    ml_mode: str = "dimensional") -> PerfReport:
-    """Performance report for a compiled TiledPlan.
-
-    n_arrays is the plan's number of active groups.
-    """
-    if config is None:
-        config = PerfConfig()
+def report_for_plan(plan, n_nodes: int) -> PerfReport:
+    """Performance report for a compiled TiledPlan at the default
+    PerfConfig; n_arrays is the plan's number of active groups."""
     return perf_report(plan.tile_h, plan.tile_w, plan.n_tiles,
-                       max(1, plan.n_active_groups), n_nodes, config,
-                       final_ml_voltages=final_ml_voltages, v_ml0=v_ml0,
-                       i_d0=i_d0, ml_mode=ml_mode)
+                       max(1, plan.n_active_groups), n_nodes, PerfConfig())
 

@@ -467,5 +467,8 @@ def test_multi_group_equivalence():
     for w in (4, 7):
         arch = program_forest(forest, tile_h=6, tile_w=w)
         assert arch.n_active_arrays > 1
-        Xe = off_grid_inputs(120, 15, seed=9)
-        assert np.array_equal(infer_batch(arch, Xe), forest.predict(Xe))
+        # An empty batch gives empty results, as Forest.predict does.
+        for Xe in (off_grid_inputs(120, 15, seed=9), np.empty((0, 15))):
+            assert np.array_equal(infer_batch(arch, Xe), forest.predict(Xe))
+            matches, currents, _ = _evaluate(arch, Xe)
+            assert currents.shape == (len(Xe), forest.n_classes)

@@ -1,5 +1,7 @@
 """Cell-level electrical model against hand-computed values."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from camforest.cell import (
     cell_current,
     discharge_current,
     divider_node_t1,
-    divider_residual,
     inverter_output,
     lower_branch_current,
     lower_branch_t1,
@@ -27,6 +28,23 @@ P = CellParams()
 PAR = Parasitics()
 
 
+def bisect_node(v_dl, g_m, p=P):
+    """Independent divider oracle in plain floats: bisect the balance
+    g_m * (v_sl_hi - v) = I_T1 on [v_sl_lo, v_sl_hi], as acceptance check 07
+    writes its own; v_sl_lo when even that rail cannot supply I_T1."""
+    i_t1 = float(t1_current(v_dl, None, p))
+    lo, hi = p.v_sl_lo, p.v_sl_hi
+    if g_m * (p.v_sl_hi - lo) - i_t1 <= 0.0:
+        return lo
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if g_m * (p.v_sl_hi - mid) - i_t1 > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def test_t1_current_subthreshold():
     assert t1_current(0.0, 0.0, P) == pytest.approx(50e-9, rel=1e-12)
     assert t1_current(0.25, 0.0, P) == pytest.approx(1.1379948e-6, rel=1e-6)
@@ -41,8 +59,6 @@ def test_t1_current_ohmic():
 
 
 def test_t1_current_ohmic_clamps_to_zero():
-    from dataclasses import replace
-
     # Gate overdrive below threshold: no conduction.
     p = replace(P, v_sl_lo=0.3)
     assert t1_current(0.6, 0.0, p) == 0.0
@@ -75,7 +91,8 @@ def test_solve_divider_interior_residual():
     g = np.geomspace(2e-6, 2e-4, 25)
     v_div = solve_divider(v_dl, g, P)
     interior = v_div > P.v_sl_lo + 1e-9
-    res = divider_residual(v_div, v_dl, g, P)
+    # Memristor current in minus T1 current out of the divider node.
+    res = g * (P.v_sl_hi - v_div) - t1_current(v_dl, None, P)
     assert np.all(np.abs(res[interior]) < 1e-12)
 
 
@@ -91,7 +108,7 @@ def test_solve_divider_short_limit():
 
 
 def test_solve_divider_scalar_calls_match_array_call():
-    # Scalar calls bisect on plain floats; the array call is the reference.
+    # Scalar calls return 0-d results equal to the array call's elements.
     rng = np.random.default_rng(8)
     v_dl = np.concatenate([rng.uniform(-0.2, 1.9, 600),
                            [P.v_sub_max, P.v_ohmic_min, V_DL_MIN, V_DL_MAX]])
@@ -104,11 +121,30 @@ def test_solve_divider_scalar_calls_match_array_call():
 
 
 def test_fast_node_matches_bisection():
-    v_dl, g = np.meshgrid(np.linspace(0.31, 0.49, 40),
-                          np.geomspace(0.5e-6, 200e-6, 40))
-    exact = solve_divider(v_dl, g, P)
-    fast = divider_node_t1(t1_current(v_dl, None, P), g, P)
-    assert np.max(np.abs(exact - fast)) < 1e-6
+    edges = [P.v_sub_max, P.v_ohmic_min]
+    v_dl = np.concatenate([
+        np.linspace(V_DL_MIN, V_DL_MAX, 40), edges,
+        [np.nextafter(b, d) for b in edges for d in (-np.inf, np.inf)]])
+    g = np.concatenate([[0.0], np.geomspace(0.5e-6, 200e-6, 40)])
+    oracle = np.array([[bisect_node(v, gm) for v in v_dl] for gm in g])
+    vv, gg = np.meshgrid(v_dl, g)
+    assert np.max(np.abs(solve_divider(vv, gg, P) - oracle)) < 1e-12
+    node = divider_node_t1(t1_current(vv, None, P), gg, P)
+    assert np.max(np.abs(node - oracle)) < 1e-12
+    # The grid holds nodes clamped to the low rail and interior nodes.
+    assert np.any(oracle == P.v_sl_lo) and np.any(oracle > P.v_sl_lo)
+
+
+def test_floating_divider_node_reads_high_rail():
+    # g = 0 and a cut-off ohmic T1: neither device conducts, so the node
+    # floats. The closed form reads v_sl_hi there, a bisection's rail test
+    # reads v_sl_lo. Only custom CellParams reach it; across the default
+    # window T1 is exponential and never 0.
+    p = replace(P, v_sl_lo=0.3)
+    assert t1_current(0.6, None, p) == 0.0
+    assert solve_divider(0.6, 0.0, p) == p.v_sl_hi
+    assert bisect_node(0.6, 0.0, p) == p.v_sl_lo
+    assert lower_branch_current(0.6, 0.0, p) == discharge_current(p.v_sl_hi, p)
 
 
 def test_t1_entry_point_bitwise_equals_cell_current():
@@ -147,7 +183,7 @@ def test_row_total_current_sums_cells():
     g1 = np.array([2e-6, 5e-6])
     g2 = np.array([8e-6, 1e-5])
     v = np.array([0.35, 0.42])
-    total = row_total_current(g1, g2, v, P, fast=False)
+    total = row_total_current(g1, g2, v, P)
     per_cell = lower_branch_current(v, g1, P) + upper_branch_current(v, g2, P)
     assert total == pytest.approx(float(np.sum(per_cell)), rel=1e-12)
 
@@ -182,8 +218,6 @@ def test_ml_capacitance():
 
 
 def test_cell_params_validation():
-    from dataclasses import replace
-
     with pytest.raises(ValueError):
         replace(P, v_sl_lo=2.0)
     with pytest.raises(ValueError):

@@ -72,7 +72,7 @@ def _dense_ml_voltages(arch, X, t):
         for k, c in enumerate(plan.group_columns(g)):
             v[:, k] = v_all[:, plan.col_perm[c]]
         current = row_total_current(arch.cells_m1[g][None], arch.cells_m2[g][None],
-                                    v[:, None, None, :], cfg.params, fast=True)
+                                    v[:, None, None, :], cfg.params)
         v_ml = np.maximum(cfg.v_ml0 - current * t / c_ml, 0.0)
         out.append(v_ml.reshape(len(X), -1))
     return np.concatenate(out, axis=1)
