@@ -204,7 +204,7 @@ def _encode(plan: TiledPlan, device: DeviceModel, config: ArchConfig,
                               config.v_ml0, config.v_sa, config.t_clk)
     cal = build_calibration(config.params, device, i_ref)
     h, w = plan.tile_h, plan.tile_w
-    n_rows = len(plan.tmap.rows)
+    n_rows = plan.tmap.n_rows
     padded = plan.n_groups * w
     # Map-order bounds padded with a wildcard row (for padding slots) and
     # wildcard columns; padding columns take any valid feature bounds.
@@ -253,12 +253,20 @@ def _noisy(device: DeviceModel, sigma_rel: float | None) -> DeviceModel:
 
 def _draw(enc: _Encoding, device: DeviceModel, seed) -> tuple:
     """Flat (g_m1, g_m2) of one trial: the encoding with programming noise
-    from the trial's own stream, drawn group by group, m1 before m2."""
-    rng = np.random.default_rng(seed)
+    from the trial's own stream, group by group, m1 before m2. A
+    Generator's stream split across calls is that of one call of the
+    total size, so the cells go through ``inject_noise`` at once, laid
+    out in that order."""
+    parts = [part for cells in enc.groups
+             for part in (enc.m1[cells], enc.m2[cells])]
+    noisy = inject_noise(np.concatenate(parts), device,
+                         np.random.default_rng(seed))
     m1, m2 = np.empty_like(enc.m1), np.empty_like(enc.m2)
+    at = 0
     for cells in enc.groups:
-        m1[cells] = inject_noise(enc.m1[cells], device, rng)
-        m2[cells] = inject_noise(enc.m2[cells], device, rng)
+        n = cells.stop - cells.start
+        m1[cells], m2[cells] = noisy[at:at + n], noisy[at + n:at + 2 * n]
+        at += 2 * n
     return m1, m2
 
 
@@ -408,7 +416,7 @@ def _chunk_shape(arch: _Programs, n_samples: int) -> tuple:
     it."""
     n_terms = max(1, arch.term_cell.size)
     words = max(1, min(CHUNK_BYTES // (8 * 64 * n_terms), -(-n_samples // 64)))
-    per_row = n_terms + 2 * len(arch.plan.tmap.rows)
+    per_row = n_terms + 2 * arch.plan.tmap.n_rows
     programs = CHUNK_BYTES // (2 * 64 * words * per_row)
     return max(1, min(programs, arch.term_g.shape[1])), 64 * words
 
@@ -487,7 +495,7 @@ def _evaluate_programs(arch: _Programs, v_in, t: float,
     samples, ...)."""
     cfg = arch.config
     n_programs, n_samples = arch.term_g.shape[1], len(v_in)
-    n_rows = len(arch.plan.tmap.rows)
+    n_rows = arch.plan.tmap.n_rows
     # Exact-count evaluation of v_read * (matches @ vote_matrix): each vote
     # row holds g_lrs on its class and g_hrs elsewhere, so per-class
     # currents follow from counts of matched rows. Those are sums of 0.0

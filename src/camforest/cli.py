@@ -170,17 +170,19 @@ def _read_input(path: str) -> str:
         raise DataError(f"input file not found: {path}") from None
 
 
-def _input_kind(text: str) -> str:
+def _input_kind(text: str) -> tuple:
+    """(kind, parsed object) of a model or plan artifact's text."""
     try:
-        tag = json.loads(text).get("format")
+        obj = json.loads(text)
+        tag = obj.get("format")
     except (json.JSONDecodeError, AttributeError):
         raise ModelFormatError("input is not a JSON artifact") from None
     except RecursionError:
         raise ModelFormatError("input JSON nested too deeply") from None
     if tag == MODEL_FORMAT:
-        return "model"
+        return "model", obj
     if tag == PLAN_FORMAT:
-        return "plan"
+        return "plan", obj
     raise ModelFormatError(f"unrecognized artifact format {tag!r}")
 
 
@@ -245,7 +247,7 @@ def cmd_compile(args, cfg, config_sha):
                    n_bits=a["n_bits"], sigma_rel=0.0)
     text = plan_to_json(plan, feature_bounds=forest.feature_bounds,
                         programming=_programming_payload(arch))
-    print(f"compiled {len(plan.tmap.rows)} rows into {plan.n_tiles} tiles "
+    print(f"compiled {plan.tmap.n_rows} rows into {plan.n_tiles} tiles "
           f"({plan.memory_cells} cells)")
     _emit(args.out or cfg["output"]["dir"],
           {"plan.json": (text + "\n").encode("utf-8")},
@@ -258,17 +260,35 @@ def _plan_from_input(args, cfg, unseeded_noise: bool = False) -> tuple:
     reorder keys. ``unseeded_noise`` raises ConfigError once the artifact's
     kind is known, before it is parsed."""
     text = _read_input(args.input)
-    kind = _input_kind(text)
+    kind, obj = _input_kind(text)
     if unseeded_noise:
         raise ConfigError("sigma or vote_sigma > 0 needs a seed")
     if kind == "plan":
         plan, bounds = plan_from_json(text)
-        return plan, bounds, int(plan.tmap.labels.max()) + 1
+        return plan, bounds, _plan_class_count(obj, plan)
     forest = from_json(text)
     a = cfg["arch"]
     plan = compile_forest(forest, a["tile_h"], a["tile_w"],
                           reorder_map=a["reorder"])
     return plan, forest.feature_bounds, forest.n_classes
+
+
+def _plan_class_count(obj, plan) -> int:
+    """A plan's class count: the width of the vote matrix its programming
+    payload stores (a class may win no leaf), else its largest row class
+    + 1."""
+    seen = int(plan.tmap.labels.max()) + 1
+    programming = obj.get("programming")
+    votes = (programming.get("vote_matrix")
+             if isinstance(programming, dict) else None)
+    if votes is None:
+        return seen
+    if not (isinstance(votes, list) and len(votes) == plan.tmap.n_rows
+            and all(isinstance(row, list) and len(row) == len(votes[0])
+                    for row in votes) and len(votes[0]) >= seen):
+        raise ModelFormatError("plan vote_matrix must hold one row per map "
+                               "row and a column per class")
+    return len(votes[0])
 
 
 def _architecture_from_input(args, cfg, seed):
@@ -420,13 +440,13 @@ def cmd_perf(args, cfg, config_sha):
     if args.input is not None:
         plan, _, _ = _plan_from_input(args, cfg)
         # One mapped row per leaf; binary trees: internals = leaves - trees.
-        n_trees = max(r.tree_index for r in plan.tmap.rows) + 1
+        n_trees = int(plan.tmap.trees.max()) + 1
         defaults = {
             "tile_h": plan.tile_h,
             "tile_w": plan.tile_w,
             "n_tiles": plan.n_tiles,
             "n_arrays": max(1, plan.n_active_groups),
-            "n_nodes": len(plan.tmap.rows) - n_trees,
+            "n_nodes": plan.tmap.n_rows - n_trees,
         }
         for key, value in defaults.items():
             if geometry[key] is None:

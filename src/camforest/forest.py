@@ -6,9 +6,10 @@ and draws floor(sqrt(F)) candidate features per split. Split semantics are
 half-open: the left child keeps x <= threshold.
 
 Each training call ranks every feature once (one stable argsort). A node is
-an index array into the training rows, bootstrap duplicates included. All
-trees grow in lockstep, one split search per tree and round, and each
-round's searches run as padded blocks: one stable argsort of all candidate
+its distinct training rows, each weighted by its multiplicity in the
+bootstrap, so a split search sorts and counts each row once. All trees
+grow in lockstep, one split search per tree and round, and each round's
+searches run as padded blocks: one stable argsort of all candidate
 features' ranks, which numpy radix-sorts while ranks fit in 16 bits, then
 an exact integer screen of every cut, and the float Gini of the few cuts
 the screen cannot rule out. The models are byte for byte those of a
@@ -185,66 +186,72 @@ def _impurity(counts) -> tuple:
 class _Training:
     """Training rows as a split search reads them, built once per call.
 
-    ``xT`` holds each feature's values as one contiguous row, and ``rank``
-    each value's dense rank within its feature (equal values share one):
-    sorting a node's rows by rank sorts them by value. Ranks take the
-    smallest unsigned dtype that holds N - 1, so for N <= 65,536 numpy's
-    stable sort radix-sorts them. Row N pads search blocks: its rank is
-    the dtype's largest, so a stable sort leaves it after every real row,
-    and its label, ``n_classes``, counts in no class.
+    ``X`` is the caller's (N, F) float array, not a copy; ``rank`` holds
+    each value's dense rank within its feature (equal values share one),
+    one contiguous row per feature: sorting a node's rows by rank sorts
+    them by value. Ranks take the smallest unsigned dtype that holds
+    N - 1, so for N <= 65,536 numpy's stable sort radix-sorts them. Row N
+    pads search blocks: its rank is the dtype's largest, so a stable sort
+    leaves it after every real row, and its label, ``n_classes``, counts
+    in no class.
     """
 
-    xT: np.ndarray     # (F, N) float
+    X: np.ndarray      # (N, F) float
     rank: np.ndarray   # (F, N + 1) unsigned
     y: np.ndarray      # (N + 1,) unsigned
     n_classes: int
 
     @classmethod
     def of(cls, X, y, n_classes) -> "_Training":
-        xT = np.ascontiguousarray(X.T)
-        order = np.argsort(xT, axis=1, kind="stable")
-        xs = np.take_along_axis(xT, order, axis=1)
-        dtype = np.min_scalar_type(X.shape[0] - 1)
-        dense = np.zeros(xT.shape, dtype=dtype)
-        np.cumsum(xs[:, 1:] > xs[:, :-1], axis=1, dtype=dtype,
-                  out=dense[:, 1:])
-        rank = np.full((xT.shape[0], xT.shape[1] + 1), np.iinfo(dtype).max,
-                       dtype=dtype)
-        np.put_along_axis(rank[:, :-1], order, dense, axis=1)
+        n = X.shape[0]
+        dtype = np.min_scalar_type(n - 1)
+        rank = np.full((X.shape[1], n + 1), np.iinfo(dtype).max, dtype=dtype)
+        dense = np.zeros(n, dtype=dtype)
+        # One feature at a time, so only (N,) temporaries sit beside X.
+        for f in range(X.shape[1]):
+            order = np.argsort(X[:, f], kind="stable")
+            xs = X[order, f]
+            np.cumsum(xs[1:] > xs[:-1], dtype=dtype, out=dense[1:])
+            rank[f, order] = dense
         y = np.append(y, n_classes).astype(np.min_scalar_type(n_classes))
-        return cls(xT, rank, y, n_classes)
+        return cls(X, rank, y, n_classes)
 
 
 def _search(data, nodes, feats) -> list:
     """Splits of one block of nodes, searched together.
 
-    ``nodes`` lists (rows, class counts, Gini) per node, largest first;
-    rows are indices into the training rows, duplicates allowed, and
-    ``feats`` (nodes, m) holds each node's sorted candidate features.
-    Returns per node None when no cut lowers its Gini by more than 1e-15,
-    else (feature, threshold, left, right), each child as (rows, counts,
-    Gini, majority label). Scanning order (sorted features, ascending
-    thresholds) fixes tie-breaks. Every cut's class counts and midpoint
-    are the same whatever order tied values sort in.
+    ``nodes`` lists (rows, weights, class counts, Gini, majority label) per
+    node, largest first: rows are distinct indices into the training rows,
+    each weighted by its multiplicity in the node, and ``feats`` (nodes, m)
+    holds each node's sorted candidate features. Returns per node None when
+    no cut lowers its Gini by more than 1e-15, else (feature, threshold,
+    left, right), each child a node. Scanning order (sorted features,
+    ascending thresholds) fixes tie-breaks. Every cut's class counts and
+    midpoint are the same whatever order tied values sort in, and the same
+    as those of the node with each row repeated by its weight.
     """
     k, m = feats.shape
     c = data.n_classes
     sizes = np.array([node[0].size for node in nodes])
     n = int(sizes[0])
-    # Each node's rows padded with the padding row to the block's width;
-    # a (node, feature) pair is one line of the block.
-    pad = np.full((k, n), data.xT.shape[1], dtype=nodes[0][0].dtype)
+    # Each node's rows padded with the padding row (weight 0) to the
+    # block's width; a (node, feature) pair is one line of the block.
+    pad = np.full((k, n), data.X.shape[0], dtype=nodes[0][0].dtype)
+    weight = np.zeros((k, n), dtype=nodes[0][1].dtype)
     for i, node in enumerate(nodes):
         pad[i, :node[0].size] = node[0]
+        weight[i, :node[0].size] = node[1]
     ranks = np.take(data.rank, (feats * data.rank.shape[1])[:, :, None]
                     + pad[:, None, :]).reshape(k * m, n)
-    # Sorted ranks and rows by flat takes, far cheaper than take_along_axis.
+    # Sorted ranks, rows and weights by flat takes, far cheaper than
+    # take_along_axis.
     line = np.arange(k * m)[:, None]
     at = np.argsort(ranks, axis=1, kind="stable")
     at += line * n
     ranks = np.take(ranks, at)
     at -= (line - line // m) * n
     rows = np.take(pad, at)
+    weights = np.take(weight, at)
     del at
     # Splittable positions, between distinct consecutive values of a node's
     # own rows.
@@ -252,11 +259,21 @@ def _search(data, nodes, feats) -> list:
     step = np.zeros((k * m, n), dtype=bool)
     np.less(ranks[:, :-1], ranks[:, 1:], out=step[:, :-1])
     step[line[:, 0], size - 1] = False
-    # Class counts of each position's left side: one-hot rows (the padding
-    # row's is zero), summed along the line in place.
-    below = np.take(np.eye(c + 1, c, dtype=np.intp), data.y[rows], axis=0)
+    # Class counts of each position's left side: each row's class counts
+    # (its weight in its class; the padding row's are zero) from one table
+    # of (label, weight) pairs, summed along the line in place.
+    w1 = int(weight.max()) + 1
+    table = (np.eye(c + 1, c, dtype=np.intp)[:, None, :]
+             * np.arange(w1)[:, None]).reshape(-1, c)
+    key = data.y[rows].astype(np.intp)
+    key *= w1
+    key += weights
+    below = np.take(table, key, axis=0)
+    del key
     np.cumsum(below, axis=1, out=below)
-    total = np.repeat(np.array([node[1] for node in nodes]), m, axis=0)
+    n_l = np.cumsum(weights, axis=1, dtype=np.intp)
+    total = np.repeat(np.array([node[2] for node in nodes]), m, axis=0)
+    count = total.sum(axis=1)
     # Screen: n (1 - weighted Gini) = sum(l_c^2) / n_l + sum(r_c^2) / n_r.
     # Its sums are exact integers, so only its two divisions and one add
     # round: with u = eps / 2 it errs by at most 3u n (conversions of sums
@@ -268,33 +285,32 @@ def _search(data, nodes, feats) -> list:
     # n (C + 9) eps of the best's score. Finalists are the cuts within
     # twice that, which also covers second-order terms; only they run the
     # float expression, so each feature's float first minimum is kept.
-    n_l = np.arange(1, n + 1)
     left_sq = np.einsum("lnc,lnc->ln", below, below)
     right_sq = np.einsum("lnc,lc->ln", below, -2 * total)
     right_sq += left_sq
     right_sq += np.einsum("lc,lc->l", total, total)[:, None]
     score = left_sq / n_l
     del left_sq
-    score += right_sq / np.maximum(size[:, None] - n_l, 1)
+    score += right_sq / np.maximum(count[:, None] - n_l, 1)
     del right_sq
     # Every cut scores above 0, so zeroing the other positions leaves each
     # line's best cut its maximum.
     score *= step
-    top = score.max(axis=1) - 2 * (c + 9) * np.finfo(float).eps * size
+    top = score.max(axis=1) - 2 * (c + 9) * np.finfo(float).eps * count
     fin = np.flatnonzero(step & (score >= top[:, None]))
     if fin.size == 0:
         return [None] * k
     group, cut = np.divmod(fin, n)
-    size = size[group]
+    count = count[group]
     left = np.take(below.reshape(-1, c), fin, axis=0)
     right = total[group] - left
-    n_l = cut + 1.0
-    n_r = size - n_l
+    n_l = np.take(n_l, fin).astype(float)
+    n_r = count - n_l
     # A C-contiguous (cuts, classes) sum: numpy adds 8 or more terms
     # pairwise, so summing class-major would change bits.
     g_l = 1.0 - np.sum((left / n_l[:, None]) ** 2, axis=1)
     g_r = 1.0 - np.sum((right / n_r[:, None]) ** 2, axis=1)
-    weighted = (n_l * g_l + n_r * g_r) / size
+    weighted = (n_l * g_l + n_r * g_r) / count
     # Each feature's first minimum, then the 1e-15 rule across features.
     low = {}
     for j, (g, w) in enumerate(zip(group.tolist(), weighted.tolist())):
@@ -304,14 +320,14 @@ def _search(data, nodes, feats) -> list:
     for g, (w, j) in low.items():
         if g // m not in best or w < best[g // m][0] - 1e-15:
             best[g // m] = (w, j)
-    split = [i for i, (w, _) in best.items() if w < nodes[i][2] - 1e-15]
+    split = [i for i, (w, _) in best.items() if w < nodes[i][3] - 1e-15]
     if not split:
         return [None] * k
     j = np.array([best[i][1] for i in split])
     line, cut = group[j], cut[j]
     f = feats.reshape(-1)[line]
-    x0 = data.xT[f, rows[line, cut]].tolist()
-    x1 = data.xT[f, rows[line, cut + 1]].tolist()
+    x0 = data.X[rows[line, cut], f].tolist()
+    x1 = data.X[rows[line, cut + 1], f].tolist()
     # Rows are sorted by value, so each left child (x <= th) is a prefix.
     n_left = (cut + 1).tolist()
     thresholds = []
@@ -324,7 +340,7 @@ def _search(data, nodes, feats) -> list:
         if th >= x1[s]:
             # The midpoint rounded onto the upper value: rows equal to it
             # go left too (the left child keeps x <= threshold).
-            xs = data.xT[f[s], rows[line[s], :nodes[i][0].size]]
+            xs = data.X[rows[line[s], :nodes[i][0].size], f[s]]
             n_left[s] = int(np.searchsorted(xs, th, side="right"))
         thresholds.append(th)
     n_left = np.array(n_left)
@@ -334,12 +350,12 @@ def _search(data, nodes, feats) -> list:
     gini, label = gini.tolist(), label.tolist()
     out = [None] * k
     for s, i in enumerate(split):
-        a, b = n_left[s], nodes[i][0].size
+        a, b, r = n_left[s], nodes[i][0].size, len(split) + s
         out[i] = (int(f[s]), thresholds[s],
-                  (rows[line[s], :a].copy(), child_counts[s], gini[s],
-                   label[s]),
-                  (rows[line[s], a:b].copy(), child_counts[len(split) + s],
-                   gini[len(split) + s], label[len(split) + s]))
+                  (rows[line[s], :a].copy(), weights[line[s], :a].copy(),
+                   child_counts[s], gini[s], label[s]),
+                  (rows[line[s], a:b].copy(), weights[line[s], a:b].copy(),
+                   child_counts[r], gini[r], label[r]))
     return out
 
 
@@ -347,31 +363,36 @@ class _Growth:
     """One tree in growth: its rng, its preorder stack of pending nodes and
     its node table so far, in ``Tree.from_obj``'s row layout."""
 
-    def __init__(self, data, rng, rows):
-        # Rows in the smallest dtype that holds the padding row's index.
-        rows = rows.astype(np.min_scalar_type(data.xT.shape[1]))
-        counts = np.bincount(data.y[rows], minlength=data.n_classes)
+    def __init__(self, data, rng, sample):
+        # The sample's distinct rows and their multiplicities, in the
+        # smallest dtype that holds the padding row's index.
+        dtype = np.min_scalar_type(data.X.shape[0])
+        weights = np.bincount(sample, minlength=data.X.shape[0])
+        rows = np.flatnonzero(weights)
+        counts = np.bincount(data.y[sample], minlength=data.n_classes)
         gini, label = _impurity(counts[None])
+        node = (rows.astype(dtype), weights[rows].astype(dtype), counts,
+                float(gini[0]), int(label[0]))
         self.rng = rng
-        # (rows, depth, parent if a right child, counts, Gini, label)
-        self.stack = [(rows, 0, None, counts, float(gini[0]),
-                       int(label[0]))]
+        # (depth, parent if a right child, node), a node as _search takes it
+        self.stack = [(0, None, node)]
         self.table = []
         self.n_levels = 0
 
     def next_split(self, max_depth: int):
         """Pop nodes in preorder, entering each in the table as a leaf, up
         to the first that needs a split search: its (table row, depth,
-        (rows, counts, Gini)), or None once the tree is complete."""
+        node), or None once the tree is complete. A node of one distinct
+        row has one label, so Gini 0."""
         while self.stack:
-            rows, depth, parent, counts, gini, label = self.stack.pop()
+            depth, parent, node = self.stack.pop()
             i = len(self.table)
             if parent is not None:
                 self.table[parent][3] = i
             self.n_levels = max(self.n_levels, depth)
-            self.table.append([0, 0.0, i, i, label])
-            if depth < max_depth and gini != 0.0 and rows.size >= 2:
-                return i, depth, (rows, counts, gini)
+            self.table.append([0, 0.0, i, i, node[4]])
+            if depth < max_depth and node[3] != 0.0:
+                return i, depth, node
         return None
 
     def place(self, i: int, depth: int, split) -> None:
@@ -380,26 +401,27 @@ class _Growth:
         if split is not None:
             f, th, left, right = split
             self.table[i] = [f, th, i + 1, None, -1]
-            self.stack.append((right[0], depth + 1, i) + right[1:])
-            self.stack.append((left[0], depth + 1, None) + left[1:])
+            self.stack.append((depth + 1, i, right))
+            self.stack.append((depth + 1, None, left))
 
 
 def _grow(data, roots, max_depth, max_features) -> list:
-    """Trees grown in lockstep on the (rng, training rows) pairs of
+    """Trees grown in lockstep on the (rng, training sample) pairs of
     ``roots``, as ``Tree`` node tables in root order.
 
     Each round, every tree in growth pops nodes off its preorder stack
     until it reaches one that needs a split, and draws that node's
     candidate features from its own rng, so each tree draws in the same
     order as a recursive grower. The round's searches then run together,
-    largest node first, in padded blocks of at most ``SPLIT_BLOCK``
-    (nodes x features x rows) elements; a larger node has a block of its
-    own. The pending nodes of a tree hold at most its N bootstrap rows, so
-    new trees start only while those of the trees in growth fit in the
-    bytes of one block's int64 array (one tree at least): memory does not
-    grow with the number of trees.
+    largest node (in distinct rows) first, in padded blocks of at most
+    ``SPLIT_BLOCK`` (nodes x features x rows) elements; a larger node has
+    a block of its own. The pending nodes of a tree hold at most its N
+    sample rows' distinct rows and their weights, so new trees start only
+    while the rows of the trees in growth fit in the bytes of one block's
+    int64 array (one tree at least): memory does not grow with the number
+    of trees.
     """
-    n_feat, n_rows = data.xT.shape
+    n_rows, n_feat = data.X.shape
     m = min(max_features, n_feat)
     in_flight = max(1, 8 * SPLIT_BLOCK // (
         n_rows * np.min_scalar_type(n_rows).itemsize))
@@ -410,7 +432,7 @@ def _grow(data, roots, max_depth, max_features) -> list:
             growing[t] = _Growth(data, *root)
         if not growing:
             return [tables[t] for t in sorted(tables)]
-        searches = []  # (node's rows, tree, table row, depth, node, feats)
+        searches = []  # (distinct rows, tree, table row, depth, node, feats)
         for t, tree in list(growing.items()):
             found = tree.next_split(max_depth)
             if found is None:

@@ -9,7 +9,7 @@ it has at least one occupied cell, and matches implicitly elsewhere.
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,33 +35,85 @@ class MapRow:
         return np.array([not r.wildcard for r in self.ranges])
 
 
-@dataclass(frozen=True)
 class ThresholdMap:
-    """Map rows plus their read-only arrays, built once: ``lo``/``hi``
-    (rows, F) bounds with infinities at wildcards, ``labels`` (rows,)
-    classes and ``occupied`` (rows, F) non-wildcard cells."""
+    """Stored-range rows as read-only arrays: ``lo``/``hi`` (rows, F)
+    bounds with infinities at wildcards, ``labels`` and ``trees`` (rows,)
+    each row's class and tree, and ``occupied`` (rows, F) non-wildcard
+    cells. ``ThresholdMap(rows, F)`` builds a map from ``MapRow``s;
+    ``ThresholdMap.of_arrays`` takes the arrays, and its ``rows`` are
+    built from them on first use. Maps are equal when their arrays are.
+    """
 
-    rows: tuple
-    n_features: int
-    lo: np.ndarray = field(init=False, repr=False, compare=False)
-    hi: np.ndarray = field(init=False, repr=False, compare=False)
-    labels: np.ndarray = field(init=False, repr=False, compare=False)
-    occupied: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        for row in self.rows:
-            if len(row.ranges) != self.n_features:
+    def __init__(self, rows, n_features: int):
+        rows = tuple(rows)
+        for row in rows:
+            if len(row.ranges) != n_features:
                 raise InvariantError("row length differs from n_features")
         # Flat float lists: no per-cell containers for the collector to track.
-        cells = [r for row in self.rows for r in row.ranges]
-        shape = (len(self.rows), self.n_features)
-        lo = np.array([r.lo for r in cells], dtype=float).reshape(shape)
-        hi = np.array([r.hi for r in cells], dtype=float).reshape(shape)
-        labels = np.array([row.class_label for row in self.rows], dtype=np.intp)
-        for name, value in (("lo", lo), ("hi", hi), ("labels", labels),
-                            ("occupied", ~(np.isinf(lo) & np.isinf(hi)))):
+        cells = [r for row in rows for r in row.ranges]
+        shape = (len(rows), n_features)
+        self._set(np.array([r.lo for r in cells], dtype=float).reshape(shape),
+                  np.array([r.hi for r in cells], dtype=float).reshape(shape),
+                  np.array([row.class_label for row in rows], dtype=np.intp),
+                  np.array([row.tree_index for row in rows], dtype=np.intp),
+                  n_features, rows)
+
+    @classmethod
+    def of_arrays(cls, lo, hi, labels, trees,
+                  n_features: int) -> "ThresholdMap":
+        """The map of (rows, F) ``lo``/``hi`` bounds and (rows,) ``labels``
+        and ``trees``; the arrays become the map's, read-only."""
+        if lo.shape != (labels.size, n_features) or hi.shape != lo.shape:
+            raise InvariantError("row length differs from n_features")
+        tmap = cls.__new__(cls)
+        tmap._set(lo, hi, labels.astype(np.intp, copy=False),
+                  trees.astype(np.intp, copy=False), n_features, None)
+        return tmap
+
+    def _set(self, lo, hi, labels, trees, n_features, rows) -> None:
+        occupied = ~(np.isinf(lo) & np.isinf(hi))
+        for value in (lo, hi, labels, trees, occupied):
             value.setflags(write=False)
+        for name, value in (("lo", lo), ("hi", hi), ("labels", labels),
+                            ("trees", trees), ("occupied", occupied),
+                            ("n_features", n_features), ("_rows", rows)):
             object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ThresholdMap is read-only")
+
+    def __eq__(self, other):
+        if not isinstance(other, ThresholdMap):
+            return NotImplemented
+        return self.n_features == other.n_features and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("lo", "hi", "labels", "trees"))
+
+    def __hash__(self):
+        return hash((self.n_features, self.labels.tobytes(),
+                     self.trees.tobytes()))
+
+    @property
+    def n_rows(self) -> int:
+        return self.labels.size
+
+    @property
+    def rows(self) -> tuple:
+        """The map's ``MapRow``s (for plan JSON and reports), built once."""
+        if self._rows is None:
+            # Only cells with a finite bound get a range object of their own.
+            ranges = [[_WILDCARD] * self.n_features for _ in self.labels]
+            cell = np.nonzero((self.lo > -math.inf) | (self.hi < math.inf))
+            for r, f, a, b in zip(*(axis.tolist() for axis in cell),
+                                  self.lo[cell].tolist(),
+                                  self.hi[cell].tolist()):
+                ranges[r][f] = ThresholdRange(a, b)
+            rows = tuple(MapRow(tuple(cells), label, tree)
+                         for cells, label, tree in zip(ranges,
+                                                       self.labels.tolist(),
+                                                       self.trees.tolist()))
+            object.__setattr__(self, "_rows", rows)
+        return self._rows
 
     def occupancy(self) -> np.ndarray:
         """Count of non-wildcard cells per column."""
@@ -73,32 +125,47 @@ class ThresholdMap:
 
 
 def extract_paths(forest: Forest) -> ThresholdMap:
-    """One map row per leaf, in preorder (left to right); a left branch
-    tightens its child's hi, a right branch its child's lo."""
-    rows = []
-    inf = math.inf
-    for t_idx, tree in enumerate(forest.trees):
-        feature, threshold, left, right, label = (
-            a.tolist() for a in (tree.feature, tree.threshold, tree.left,
-                                 tree.right, tree.label))
-        # bounds[i] = (lo, hi) lists of node i's path; parents come first.
-        bounds = [None] * len(label)
-        bounds[0] = ([-inf] * forest.n_features, [inf] * forest.n_features)
-        for i, (lo, hi) in enumerate(bounds):
-            if left[i] == i:
-                ranges = tuple(ThresholdRange(a, b) if a > -inf or b < inf
-                               else _WILDCARD for a, b in zip(lo, hi))
-                rows.append(MapRow(ranges, label[i], t_idx))
-                continue
-            f, th = feature[i], threshold[i]
-            # Both children's ranges are non-empty iff th lies strictly
-            # inside the path's range; it then tightens one side of each.
-            if not lo[f] < th < hi[f]:
-                raise InvariantError(
-                    f"tree {t_idx}: contradictory path on feature {f}")
-            bounds[left[i]] = (lo, hi[:f] + [th] + hi[f + 1:])
-            bounds[right[i]] = (lo[:f] + [th] + lo[f + 1:], hi)
-    return ThresholdMap(rows=tuple(rows), n_features=forest.n_features)
+    """One map row per leaf, tree by tree and in preorder (left to right)
+    within a tree; a left branch tightens its child's hi, a right branch
+    its child's lo.
+
+    The trees' node tables are joined into one, and each level's splits
+    hand their paths' bounds to their children at once."""
+    trees, n_features = forest.trees, forest.n_features
+    base = np.cumsum([0] + [tree.label.size for tree in trees])
+    feature, threshold, label = (np.concatenate([getattr(tree, name)
+                                                 for tree in trees])
+                                 for name in ("feature", "threshold", "label"))
+    left, right = (np.concatenate([getattr(tree, name) + b
+                                   for tree, b in zip(trees, base)])
+                   for name in ("left", "right"))
+    is_split = left != np.arange(base[-1])
+    lo = np.full((base[-1], n_features), -math.inf)
+    hi = np.full((base[-1], n_features), math.inf)
+    bad = []
+    node = base[:-1]
+    while node.size:
+        node = node[is_split[node]]
+        f, th = feature[node], threshold[node]
+        # Both children's ranges are non-empty iff th lies strictly
+        # inside the path's range; it then tightens one side of each.
+        bad.append(node[~((lo[node, f] < th) & (th < hi[node, f]))])
+        a, b = left[node], right[node]
+        lo[a] = lo[b] = lo[node]
+        hi[a] = hi[b] = hi[node]
+        hi[a, f] = th
+        lo[b, f] = th
+        node = np.concatenate([a, b])
+    bad = np.concatenate(bad)
+    if bad.size:
+        i = bad.min()  # the first in tree order, then in preorder
+        raise InvariantError(
+            f"tree {np.searchsorted(base, i, side='right') - 1}: "
+            f"contradictory path on feature {feature[i]}")
+    leaf = np.flatnonzero(~is_split)
+    tree_of = np.repeat(np.arange(len(trees)), np.diff(base))
+    return ThresholdMap.of_arrays(lo[leaf], hi[leaf], label[leaf],
+                                  tree_of[leaf], n_features)
 
 
 def map_matches(tmap: ThresholdMap, X) -> np.ndarray:
@@ -107,15 +174,15 @@ def map_matches(tmap: ThresholdMap, X) -> np.ndarray:
     if X.ndim != 2 or X.shape[1] != tmap.n_features:
         raise ValueError(f"samples must have {tmap.n_features} features")
     lo, hi = tmap.bound_arrays()
-    matched = np.ones((len(X), len(tmap.rows)), dtype=bool)
+    matched = np.ones((len(X), tmap.n_rows), dtype=bool)
     for f in range(tmap.n_features):   # no (samples, rows, F) temporary
         matched &= (X[:, f, None] > lo[:, f]) & (X[:, f, None] <= hi[:, f])
     return matched
 
 
 def map_votes(tmap: ThresholdMap, matched: np.ndarray, n_classes: int) -> np.ndarray:
-    onehot = np.zeros((len(tmap.rows), n_classes), dtype=int)
-    onehot[np.arange(len(tmap.rows)), tmap.labels] = 1
+    onehot = np.zeros((tmap.n_rows, n_classes), dtype=int)
+    onehot[np.arange(tmap.n_rows), tmap.labels] = 1
     return matched.astype(int) @ onehot
 
 
@@ -147,20 +214,16 @@ def reorder(tmap: ThresholdMap, group_width: int | None = None) -> tuple:
 
 def apply_permutations(tmap: ThresholdMap, col_perm, row_perm) -> ThresholdMap:
     """Rebuild a map under explicit permutations (inverses undo reorder)."""
-    new_rows = tuple(
-        MapRow(
-            ranges=tuple(tmap.rows[r].ranges[c] for c in col_perm),
-            class_label=tmap.rows[r].class_label,
-            tree_index=tmap.rows[r].tree_index,
-        )
-        for r in row_perm
-    )
-    return ThresholdMap(new_rows, tmap.n_features)
+    rows = np.asarray(row_perm, dtype=np.intp)
+    cols = np.ix_(rows, np.asarray(col_perm, dtype=np.intp))
+    return ThresholdMap.of_arrays(tmap.lo[cols], tmap.hi[cols],
+                                  tmap.labels[rows], tmap.trees[rows],
+                                  tmap.n_features)
 
 
 def raw_cells(tmap: ThresholdMap) -> int:
     """Cell count of the unpacked map: rows times features."""
-    return len(tmap.rows) * tmap.n_features
+    return tmap.n_rows * tmap.n_features
 
 
 @dataclass(frozen=True)

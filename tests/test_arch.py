@@ -15,6 +15,7 @@ from camforest.arch import (
     _noisy,
     _program_trials,
     _Programs,
+    _draw,
     _sensed_lines,
     evaluate_accuracy,
     infer,
@@ -28,7 +29,13 @@ from camforest.datasets import (
     load_iris,
     off_grid_inputs,
 )
-from camforest.device import V_DL_MAX, V_DL_MIN, DeviceModel, feature_to_voltage
+from camforest.device import (
+    V_DL_MAX,
+    V_DL_MIN,
+    DeviceModel,
+    feature_to_voltage,
+    inject_noise,
+)
 from camforest.errors import ConfigError, DataError
 from camforest.forest import Forest, train_forest, train_tree
 from camforest.mapper import ThresholdMap, compile_forest, pack_tiles
@@ -383,6 +390,26 @@ def _lines(arch, v_in, t):
     for programs, samples, lines in _sensed_lines(arch, v_in, t):
         out[programs, samples] = lines.transpose(1, 2, 0)
     return out
+
+
+def test_draw_is_group_by_group_inject_noise(iris_forest):
+    """One draw for all groups gives the bits of ``inject_noise`` called
+    group by group on one stream, m1 before m2."""
+    forest, _, _ = iris_forest
+    plan = compile_forest(forest, 8, 2)
+    enc = _encode(plan, D, ArchConfig(), forest.feature_bounds,
+                  forest.n_classes, None)
+    assert len(enc.groups) == 2
+    for sigma in (0.0, 0.05, 0.8):
+        device = _noisy(D, sigma)
+        m1, m2 = _draw(enc, device, [7, 2, 1])
+        rng = np.random.default_rng([7, 2, 1])
+        for cells in enc.groups:
+            assert np.array_equal(m1[cells],
+                                  inject_noise(enc.m1[cells], device, rng))
+            assert np.array_equal(m2[cells],
+                                  inject_noise(enc.m2[cells], device, rng))
+        assert sigma == 0.0 or not np.array_equal(m1, enc.m1)
 
 
 @pytest.mark.parametrize("t_scale", [1.0, 1e-3])

@@ -140,6 +140,46 @@ def test_simulate_from_plan_matches_model(ini, run, tmp_path):
     assert len(a["confusion"]) == 3
 
 
+def test_simulate_plan_counts_a_class_that_wins_no_leaf(ini, run, tmp_path):
+    """A plan's class count is the width of its stored vote matrix: class
+    2, one sample of 60, wins no leaf, yet the plan simulates as its model
+    does."""
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(60, 2))
+    y = (X[:, 0] > 0).astype(int)
+    # Inside class 1's half and central on feature 1: no two cuts isolate it.
+    X[0], y[0] = (1.0, 0.0), 2
+    data = tmp_path / "rare.csv"
+    save_csv(str(data), X, y)
+    text = (BASE.replace("builtin = iris", f"path = {data}")
+            .replace("test_fraction = 0.25", "test_fraction = 0.0")
+            .replace("n_trees = 5", "n_trees = 3")
+            .replace("max_depth = 4", "max_depth = 2"))
+    cfg = ini(text, "rare.ini")
+    model = str(tmp_path / "m" / "model.json")
+    assert run("train", "--config", cfg, "--out", str(tmp_path / "m"))[0] == 0
+    assert run("compile", model, "--config", cfg,
+               "--out", str(tmp_path / "p"))[0] == 0
+    plan = tmp_path / "p" / "plan.json"
+    obj = json.loads(plan.read_text())
+    assert max(row["class"] for row in obj["rows"]) == 1
+    assert len(obj["programming"]["vote_matrix"][0]) == 3
+    for out, artifact in (("s1", model), ("s2", str(plan))):
+        assert run("simulate", artifact, "--config", cfg,
+                   "--out", str(tmp_path / out))[0] == 0
+    for name in ("accuracy.csv", "confusion.csv"):
+        assert (tmp_path / "s1" / name).read_bytes() == \
+            (tmp_path / "s2" / name).read_bytes()
+    # A vote matrix narrower than the rows' classes is malformed.
+    votes = obj["programming"]["vote_matrix"]
+    obj["programming"]["vote_matrix"] = [row[:1] for row in votes]
+    plan.write_text(json.dumps(obj))
+    code, cap = run("simulate", str(plan), "--config", cfg,
+                    "--out", str(tmp_path / "s3"))
+    assert code == 3 and "vote_matrix" in cap.err
+    assert not (tmp_path / "s3" / "manifest.json").exists()
+
+
 def test_sweep_csv_shape_and_byte_identical_reruns(ini, run, tmp_path):
     cfg = ini()
     d1, d2 = str(tmp_path / "w1"), str(tmp_path / "w2")

@@ -452,14 +452,15 @@ def test_ranked_trainer_matches_oracle_above_16_bit_ranks():
 
 def _spy_searches(monkeypatch):
     """Record every block the trainer searches as (nodes, features, widest
-    node's rows), and each split's two children."""
+    node's distinct rows), and each split's two children as (rows,
+    weights)."""
     blocks, children = [], []
     search = forest_module._search
 
     def spy(data, nodes, feats):
         found = search(data, nodes, feats)
         blocks.append((len(nodes), feats.shape[1], nodes[0][0].size))
-        children.extend(child[0] for split in found if split is not None
+        children.extend(child[:2] for split in found if split is not None
                         for child in split[2:])
         return found
 
@@ -468,20 +469,21 @@ def _spy_searches(monkeypatch):
 
 
 def test_lockstep_forest_matches_oracle_across_search_blocks(monkeypatch):
-    """24 trees on 600 rows with a 1000-element block: each root search
-    (2 features x 600 rows) has a block of its own, small nodes share
-    blocks, six trees grow at once and trees finish in different rounds."""
+    """24 trees on 600 rows with a 600-element block: each root search
+    (2 features x about 380 distinct rows) has a block of its own, small
+    nodes share blocks, four trees grow at once and trees finish in
+    different rounds."""
     rng = np.random.default_rng(31)
     X, y = _tie_heavy_data(rng, 600, 4, 4)
     X[:, 0] = rng.normal(size=600)  # at least one many-valued feature
     reference = None
-    for limit in (forest_module.SPLIT_BLOCK, 1000, 1):
+    for limit in (forest_module.SPLIT_BLOCK, 600, 1):
         monkeypatch.setattr(forest_module, "SPLIT_BLOCK", limit)
         blocks, _ = _spy_searches(monkeypatch)
         model = train_forest(X, y, n_trees=24, max_depth=7, seed=5)
         reference = reference or _oracle_json(model, X, y, 7, 24, 5)
         assert to_json(model) == reference
-        if limit == 1000:
+        if limit == 600:
             assert any(k == 1 and m * n > limit for k, m, n in blocks)
             assert max(k for k, _, _ in blocks) >= 4
             assert all(k * m * n <= limit for k, m, n in blocks if k > 1)
@@ -506,16 +508,18 @@ def test_padding_row_may_share_the_largest_rank(monkeypatch):
 
 
 def test_lockstep_tree_with_all_features_matches_oracle(monkeypatch):
+    """``train_tree`` offers every row once: each weight is 1."""
     rng = np.random.default_rng(32)
     for case in range(6):
         X, y = _tie_heavy_data(rng, int(rng.integers(50, 400)), 5, 3)
         X[:, case % 5] = rng.normal(size=y.size)
         for limit in (forest_module.SPLIT_BLOCK, 256):
             monkeypatch.setattr(forest_module, "SPLIT_BLOCK", limit)
-            blocks, _ = _spy_searches(monkeypatch)
+            blocks, children = _spy_searches(monkeypatch)
             tree = train_tree(X, y, max_depth=9)
             assert to_json(tree) == _oracle_json(tree, X, y, 9)
             assert all(m == 5 for _, m, _ in blocks)
+            assert children and all(np.all(w == 1) for _, w in children)
 
 
 def test_trainer_matches_oracle_with_many_classes_some_absent():
@@ -578,12 +582,53 @@ def test_trainer_keeps_float_winners_the_screen_ranks_below_its_top():
 
 
 def test_split_children_own_their_rows(monkeypatch):
-    """A child's rows are a copy, not a view that would keep its search
-    block's sorted rows alive while the child waits on its tree's stack."""
+    """A child's rows and weights are copies, not views that would keep
+    its search block's sorted arrays alive while the child waits on its
+    tree's stack."""
     _, children = _spy_searches(monkeypatch)
     X, y = load_iris()
     train_forest(X, y, n_trees=6, max_depth=5, seed=1)
-    assert children and all(rows.base is None for rows in children)
+    assert children and all(rows.base is None and weights.base is None
+                            and rows.shape == weights.shape
+                            and weights.min() >= 1
+                            for rows, weights in children)
+
+
+def test_heavily_duplicated_bootstraps_match_oracle():
+    """A node is its distinct rows with their multiplicities: tiny sets
+    (2-5 rows, where bootstraps repeat most rows) and larger ones grown
+    into many trees, where some rows are drawn more than five times."""
+    rng = np.random.default_rng(37)
+    most = 0
+    for case in range(24):
+        n = int(rng.integers(2, 6)) if case % 2 == 0 else int(
+            rng.integers(100, 160))
+        X, y = _tie_heavy_data(rng, n, int(rng.integers(1, 4)),
+                               int(rng.integers(2, 5)))
+        n_trees, seed = 40, int(rng.integers(1000))
+        model = train_forest(X, y, n_trees=n_trees, max_depth=6, seed=seed)
+        assert to_json(model) == _oracle_json(model, X, y, 6, n_trees, seed)
+        for t in range(n_trees):
+            sample = np.random.default_rng([seed, t]).integers(0, n, size=n)
+            most = max(most, int(np.bincount(sample).max()))
+    assert most > 5
+
+
+def test_two_distinct_rows_with_equal_values_stay_a_leaf(monkeypatch):
+    """Rows 1 and 2 share their value but not their label: their node is
+    searched, finds no cut and stays a leaf of the lower label."""
+    blocks, _ = _spy_searches(monkeypatch)
+    X = np.array([[0.0], [1.0], [1.0]])
+    y = np.array([0, 0, 1])
+    tree = train_tree(X, y, max_depth=3)
+    assert to_json(tree) == _oracle_json(tree, X, y, 3)
+    assert _tree_objs(tree)[0] == {"feature": 0, "threshold": 0.5,
+                                   "left": {"label": 0},
+                                   "right": {"label": 0}}
+    assert (1, 1, 2) in blocks
+    for seed in range(20):
+        model = train_forest(X, y, n_trees=4, max_depth=3, seed=seed)
+        assert to_json(model) == _oracle_json(model, X, y, 3, 4, seed)
 
 
 def test_training_memory_does_not_grow_with_the_tree_count():

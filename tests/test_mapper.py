@@ -6,7 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from camforest.datasets import load_iris, sparse_informative
+from camforest.datasets import (
+    gaussian_blobs,
+    load_iris,
+    sparse_informative,
+    train_test_split,
+)
 from camforest.device import ThresholdRange
 from camforest.errors import InvariantError, ModelFormatError
 from camforest.forest import Forest, Tree, to_json, train_forest, train_tree
@@ -172,6 +177,53 @@ def test_extract_paths_matches_recursive_reference_on_random_forests():
             seen["single_split"] += len(path) == 1
             seen["repeat"] += len(set(features)) < len(features)
     assert min(seen.values()) > 0, seen
+
+
+def _benchmark_forest(name):
+    """The forests of the benchmark's three workloads."""
+    if name == "iris":
+        return train_forest(*load_iris(), n_trees=15, max_depth=4, seed=0)
+    F = int(name[-2:])
+    X, y, _, _ = train_test_split(*gaussian_blobs(7000, F, 4, 0),
+                                  test_fraction=5 / 7, seed=0)
+    return train_forest(X, y, n_trees=32 if F == 16 else 64,
+                        max_depth=6 if F == 16 else 8, seed=0)
+
+
+@pytest.mark.parametrize("name", ["iris", "blobs16", "wide64"])
+def test_array_map_equals_row_map_and_round_trips(name):
+    """extract_paths and apply_permutations build arrays only; their maps
+    equal maps built from MapRows of the recursive reference, and their
+    lazily built rows are those rows."""
+    forest = _benchmark_forest(name)
+    n_features = forest.n_features
+    rows = []
+    for t, obj in enumerate(json.loads(to_json(forest))["trees"]):
+        for path, label in _leaf_paths(obj):
+            ranges = []
+            for f in range(n_features):
+                lo = max([th for g, th, left in path if g == f and not left],
+                         default=-INF)
+                hi = min([th for g, th, left in path if g == f and left],
+                         default=INF)
+                ranges.append(ThresholdRange(lo, hi))
+            rows.append(MapRow(tuple(ranges), label, t))
+    reference = ThresholdMap(rows, n_features)
+    tmap = extract_paths(forest)
+    assert tmap == reference and tmap.rows == reference.rows
+    assert tmap.n_rows == len(rows) and tmap.trees.tolist() == [
+        row.tree_index for row in rows]
+    col_perm, row_perm, new = reorder(tmap, group_width=16)
+    permuted = ThresholdMap(
+        [MapRow(tuple(rows[r].ranges[c] for c in col_perm),
+                rows[r].class_label, rows[r].tree_index) for r in row_perm],
+        n_features)
+    assert new == permuted and new.rows == permuted.rows
+    assert np.array_equal(new.occupied, permuted.occupied)
+    plan = pack_tiles(new, 16, 16, col_perm)
+    text = plan_to_json(plan, feature_bounds=forest.feature_bounds)
+    back, _ = plan_from_json(text)
+    assert back == plan and plan_to_json(back, forest.feature_bounds) == text
 
 
 def test_reorder_untouched_feature_lands_rightmost():
