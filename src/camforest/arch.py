@@ -19,9 +19,17 @@ currents are never negative and rounded adds are monotone. Only the slots
 left, with a term inside its band, run the cell law: every cell's lower
 plus upper current in a zeroed row of W cells, summed along the row, which
 is the every-cell evaluation's own expression, so every sensed bit equals
-it. Traces evaluate every line of their one sample that way. Inference
-then ANDs each original row across its groups and reads the majority vote
-as per-class currents through the conductance matrix.
+it. Traces evaluate every line of their one sample that way.
+
+Sensed bits live in packed words, 64 samples to a uint64, at two levels.
+Compare blocks gather the terms' T1 currents and compare them within
+``CHUNK_BYTES``, and pack their bits at once. A chunk holds one word per
+(line, program, 64 samples), sized over that packed footprint. Its blocks
+hold their undecided (line, program, sample) triples, which run the cell
+law together, once per chunk, ORing the lines that stay above v_sa into
+the words. Inference then ANDs each original row's words across its
+groups and reads the majority vote as per-class currents through the
+conductance matrix, unpacking only each class's rows to count them.
 
 The kernel evaluates programs on a leading axis. A single program is the
 one-row case; a sweep point runs all its trials as one batch over the union
@@ -380,45 +388,64 @@ def _input_voltages(arch, X) -> np.ndarray:
     return v
 
 
-def _line_voltages(arch: _Programs, i_t1, program, line, sample,
-                   t: float) -> np.ndarray:
-    """ML voltages of (program, line, sample) triples from the every-cell
+def _line_voltages(arch: _Programs, v_in, t: float, line, program,
+                   sample) -> np.ndarray:
+    """ML voltages of (line, program, sample) triples from the every-cell
     expression: each cell's lower plus upper current in a zeroed row of W
     cells, summed along the row. A branch without a term draws exactly
-    0.0 A, so only terms run the cell law and an upper term adds onto its
-    cell's lower one. The first F + 1 rows of ``i_t1`` hold each input's
-    T1 current per sample."""
+    0.0 A, so only terms run the cell law, on the T1 current of their
+    sample's DL input, and an upper term adds onto its cell's lower one.
+    Runs in batches of ``_undecided_shape`` lines."""
     cfg = arch.config
     w = arch.plan.tile_w
-    first = arch.line_terms[line]
-    count = arch.line_terms[line + 1] - first
-    row = np.repeat(np.arange(line.size), count)
-    term = np.arange(row.size) + np.repeat(first - np.cumsum(count) + count,
-                                           count)
-    cell = arch.term_cell[term]
-    i = np.take(i_t1, arch.active_input[cell] * i_t1.shape[1] + sample[row])
-    g = np.take(arch.term_g, term * arch.term_g.shape[1] + program[row])
-    at = row * w + arch.active_cell[cell] % w
-    up = arch.term_upper[term]
-    current = np.zeros(line.size * w)
-    current[at[~up]] = lower_branch_t1(i[~up], g[~up], cfg.params)
-    current[at[up]] += upper_branch_t1(i[up], g[up], cfg.params)
     c_ml = cfg.parasitics.ml_capacitance(w)
-    return np.maximum(
-        cfg.v_ml0 - current.reshape(-1, w).sum(axis=-1) * t / c_ml, 0.0)
+    _, batch = _undecided_shape(arch)
+    v_ml = np.empty(line.size)
+    for b in range(0, line.size, batch):
+        cut = slice(b, b + batch)
+        first = arch.line_terms[line[cut]]
+        count = arch.line_terms[line[cut] + 1] - first
+        row = np.repeat(np.arange(count.size), count)
+        term = np.arange(row.size) + np.repeat(
+            first - np.cumsum(count) + count, count)
+        cell = arch.term_cell[term]
+        i = t1_current(np.take(v_in, sample[cut][row] * v_in.shape[1]
+                               + arch.active_input[cell]), None, cfg.params)
+        g = np.take(arch.term_g, term * arch.term_g.shape[1]
+                    + program[cut][row])
+        at = row * w + arch.active_cell[cell] % w
+        up = arch.term_upper[term]
+        current = np.zeros(count.size * w)
+        current[at[~up]] = lower_branch_t1(i[~up], g[~up], cfg.params)
+        current[at[up]] += upper_branch_t1(i[up], g[up], cfg.params)
+        v_ml[cut] = np.maximum(
+            cfg.v_ml0 - current.reshape(-1, w).sum(axis=-1) * t / c_ml, 0.0)
+    return v_ml
 
 
 def _chunk_shape(arch: _Programs, n_samples: int) -> tuple:
-    """(programs, samples) per kernel chunk: whole 64-sample words of packed
-    bits, with the gathered T1 currents within ``CHUNK_BYTES`` and, per
-    (program, sample), one compare's bool per term and two bools per map
-    row (the AND-combined block and a class's rows of it) within half of
-    it."""
+    """(programs, words) of a compare block, then of a chunk.
+
+    A compare block gathers each term's T1 current for whole 64-sample
+    words within ``CHUNK_BYTES`` and holds one compare bool per (term,
+    program, sample) within a quarter of it, beside the bits it packs and
+    the chunk's words. A chunk spans whole blocks of words and holds, per
+    (program, word), a packed word per line and per map row and the
+    largest class's rows unpacked within ``CHUNK_BYTES``."""
+    n_programs = arch.term_g.shape[1]
     n_terms = max(1, arch.term_cell.size)
-    words = max(1, min(CHUNK_BYTES // (8 * 64 * n_terms), -(-n_samples // 64)))
-    per_row = n_terms + 2 * arch.plan.tmap.n_rows
-    programs = CHUNK_BYTES // (2 * 64 * words * per_row)
-    return max(1, min(programs, arch.term_g.shape[1])), 64 * words
+    n_words = max(1, -(-n_samples // 64))
+    words = max(1, min(CHUNK_BYTES // (8 * 64 * n_terms), n_words))
+    class_rows = np.bincount(arch.plan.tmap.labels).max(initial=1)
+    per_word = (8 * (arch.term_slots.size + arch.plan.tmap.n_rows)
+                + 64 * int(class_rows))
+    chunk_words = min(n_words,
+                      max(1, CHUNK_BYTES // (per_word * words)) * words)
+    chunk_programs = max(1, min(CHUNK_BYTES // (per_word * chunk_words),
+                                n_programs))
+    programs = max(1, min(CHUNK_BYTES // (4 * 64 * words * n_terms),
+                          chunk_programs))
+    return programs, words, chunk_programs, chunk_words
 
 
 def _term_thresholds(arch: _Programs, t: float) -> tuple:
@@ -432,60 +459,121 @@ def _term_thresholds(arch: _Programs, t: float) -> tuple:
             arch.term_g * np.where(up, -upper_full, lower_full))
 
 
-def _sensed_lines(arch: _Programs, v_in, t: float):
-    """Yield (programs, samples, sensed lines) chunk by chunk, for every
-    program of ``arch`` on DL inputs ``v_in`` at sense time ``t``: two
-    slices and the (lines, programs, samples) sensed match bits of the slots
-    holding terms. Every other slot draws exactly 0.0 A and matches.
+def _undecided_shape(arch: _Programs) -> tuple:
+    """(undecided triples held per chunk, lines per ``_line_voltages``
+    batch): held triples keep three ids each within a quarter of
+    ``CHUNK_BYTES``, beside the compare block; a batch makes a zeroed row
+    of W currents and about 16 values per term within ``CHUNK_BYTES``."""
+    per_line = -(-arch.term_cell.size // max(1, arch.term_slots.size))
+    return (max(1, CHUNK_BYTES // (4 * 3 * 8)),
+            max(1, CHUNK_BYTES // (8 * (arch.plan.tile_w + 16 * per_line))))
 
-    Per chunk the kernel gathers each term's T1 current, negated for upper
-    branches so that both branch sides compare alike: a term draws 0.0 A at
-    or above its zero threshold and at least the sense current at or below
-    its full threshold. The compares are packed into 64-sample words and
-    reduced per line: the AND of zero bits matches it, the OR of full bits
-    mismatches it. Lines with neither are sensed on ``_line_voltages``."""
-    n_programs, n_samples = arch.term_g.shape[1], len(v_in)
-    zero, full = _term_thresholds(arch, t)
+
+def _or_undecided(arch: _Programs, v_in, t: float, words, first: tuple,
+                  undecided) -> None:
+    """Sense undecided (line, program, sample) triples on ``_line_voltages``
+    and OR the bits that pass v_sa into ``words``, the packed lines of the
+    chunk whose first program and sample are ``first``."""
+    line, program, sample = (np.concatenate(ids) for ids in zip(*undecided))
+    hit = _line_voltages(arch, v_in, t, line, program, sample) > \
+        arch.config.v_sa
+    # A triple sets one bit of one byte of the little-endian packing.
+    sample = sample[hit] - first[1]
+    at = ((line[hit] * words.shape[1] + program[hit] - first[0])
+          * (8 * words.shape[2]) + sample // 8)
+    np.bitwise_or.at(words.view(np.uint8).reshape(-1), at,
+                     np.left_shift(1, sample % 8).astype(np.uint8))
+
+
+def _chunks(arch: _Programs, n_samples: int):
+    """Yield the (programs, samples) slices of each kernel chunk."""
+    _, _, chunk_programs, chunk_words = _chunk_shape(arch, n_samples)
+    n_programs = arch.term_g.shape[1]
+    for p0 in range(0, n_programs, chunk_programs):
+        for s0 in range(0, n_samples, 64 * chunk_words):
+            yield (slice(p0, min(p0 + chunk_programs, n_programs)),
+                   slice(s0, min(s0 + 64 * chunk_words, n_samples)))
+
+
+def _sensed_words(arch: _Programs, v_in, t: float, programs: slice,
+                  samples: slice) -> np.ndarray:
+    """(lines, programs, words) sensed match bits of the slots holding
+    terms, for one chunk of ``arch``'s programs on DL inputs ``v_in`` at
+    sense time ``t``: 64 samples to a uint64 word in little-endian bit
+    order (bits past the last sample are set). Every other slot draws
+    exactly 0.0 A and matches.
+
+    Per compare block the kernel gathers each term's T1 current, negated
+    for upper branches so that both branch sides compare alike: a term
+    draws 0.0 A at or above its zero threshold and at least the sense
+    current at or below its full threshold. The compares are packed into
+    words and reduced per line: the AND of zero bits matches it, the OR of
+    full bits mismatches it. Lines with neither are held as (line,
+    program, sample) triples and sensed together on ``_line_voltages``
+    after the chunk's last block, or once ``_undecided_shape``'s count of
+    them is held."""
     n_in = v_in.shape[1]
+    zero, full = _term_thresholds(arch, t)
     source = arch.active_input[arch.term_cell] + n_in * arch.term_upper
-    per_chunk, samples = _chunk_shape(arch, n_samples)
-    # Undecided lines per _line_voltages call: a zeroed row of W currents
-    # and about 16 values per term within CHUNK_BYTES.
-    per_line = -(-source.size // max(1, arch.term_slots.size))
-    batch = max(1, CHUNK_BYTES // (8 * (arch.plan.tile_w + 16 * per_line)))
-    # Per chunk, each input's T1 current and its negation, padded to the
-    # chunk's width with +inf, on which every term counts as drawing 0.0 A.
-    signed = np.empty((2 * n_in, samples))
-    t1 = np.empty((source.size, 1, samples))
-    for s0 in range(0, n_samples, samples):
-        n = min(samples, n_samples - s0)
-        signed[:n_in, :n] = t1_current(v_in[s0:s0 + n].T, None,
+    starts = arch.line_terms[:-1]
+    block_programs, block_words, _, _ = _chunk_shape(arch, len(v_in))
+    width = 64 * block_words
+    held, _ = _undecided_shape(arch)
+    # Per block, each input's T1 current and its negation, padded to the
+    # block's width with +inf, on which every term counts as drawing 0.0 A.
+    signed = np.empty((2 * n_in, width))
+    t1 = np.empty((source.size, 1, width))
+    compare = np.empty((source.size, block_programs, width), dtype=bool)
+    first = (programs.start, samples.start)
+    lines = np.empty((starts.size, programs.stop - programs.start,
+                      -(-(samples.stop - samples.start) // 64)),
+                     dtype=np.uint64)
+    undecided, n_undecided = [], 0
+    for b0 in range(samples.start, samples.stop, width):
+        n = min(width, samples.stop - b0)
+        at = slice((b0 - first[1]) // 64, (b0 - first[1] + n + 63) // 64)
+        signed[:n_in, :n] = t1_current(v_in[b0:b0 + n].T, None,
                                        arch.config.params)
         np.negative(signed[:n_in, :n], out=signed[n_in:, :n])
         signed[:, n:] = np.inf
         np.take(signed, source, axis=0, out=t1[:, 0], mode="clip")
-        for p0 in range(0, n_programs, per_chunk):
-            programs = slice(p0, min(p0 + per_chunk, n_programs))
+        for q0 in range(programs.start, programs.stop, block_programs):
+            q = slice(q0, min(q0 + block_programs, programs.stop))
+            bits = compare[:, :q.stop - q0]
+            np.greater_equal(t1, zero[:, q, None], out=bits)
             matched = np.bitwise_and.reduceat(np.packbits(
-                t1 >= zero[:, programs, None], axis=-1).view(np.uint64),
-                arch.line_terms[:-1])
+                bits, axis=-1, bitorder="little").view(np.uint64),
+                starts)[..., :at.stop - at.start]
+            np.less_equal(t1, full[:, q, None], out=bits)
             unsure = ~(matched | np.bitwise_or.reduceat(np.packbits(
-                t1 <= full[:, programs, None], axis=-1).view(np.uint64),
-                arch.line_terms[:-1]))
-            lines = np.unpackbits(matched.view(np.uint8), axis=-1,
-                                  count=n).view(bool)
-            if unsure.any():
-                line, trial, word = np.nonzero(unsure)
-                hit, bit = np.nonzero(np.unpackbits(
-                    unsure[line, trial, word, None].view(np.uint8), axis=-1))
-                line, trial = line[hit], trial[hit]
-                sample = 64 * word[hit] + bit
-                for b in range(0, line.size, batch):
-                    at = slice(b, b + batch)
-                    lines[line[at], trial[at], sample[at]] = _line_voltages(
-                        arch, signed, p0 + trial[at], line[at], sample[at],
-                        t) > arch.config.v_sa
-            yield programs, slice(s0, s0 + n), lines
+                bits, axis=-1, bitorder="little").view(np.uint64),
+                starts)[..., :at.stop - at.start])
+            lines[:, q0 - first[0]:q.stop - first[0], at] = matched
+            # Flat positions of the undecided bits (nonzero runs fastest on
+            # flat arrays and on bools).
+            held_words = np.flatnonzero(unsure)
+            if not held_words.size:
+                continue
+            bit = np.flatnonzero(np.unpackbits(
+                unsure.reshape(-1)[held_words].view(np.uint8),
+                bitorder="little").view(bool))
+            line, trial, word = np.unravel_index(held_words[bit >> 6],
+                                                 unsure.shape)
+            undecided.append((line, q0 + trial, b0 + 64 * word + (bit & 63)))
+            n_undecided += line.size
+            if n_undecided >= held:
+                _or_undecided(arch, v_in, t, lines, first, undecided)
+                undecided, n_undecided = [], 0
+    del signed, t1, compare     # not held through the last batch
+    if undecided:
+        _or_undecided(arch, v_in, t, lines, first, undecided)
+    return lines
+
+
+def _unpack(words, n: int) -> np.ndarray:
+    """The first ``n`` bits of each row of packed ``words`` as bools."""
+    return np.unpackbits(words.view(np.uint8), axis=-1, count=n,
+                         bitorder="little").view(bool)
 
 
 def _evaluate_programs(arch: _Programs, v_in, t: float,
@@ -507,15 +595,20 @@ def _evaluate_programs(arch: _Programs, v_in, t: float,
     matches = (np.empty((n_programs, n_samples, n_rows), dtype=bool)
                if keep_matches else None)
     currents = np.empty((n_programs, n_samples, arch.n_classes))
-    for programs, samples, lines in _sensed_lines(arch, v_in, t):
-        block = np.ones((n_rows,) + lines.shape[1:], dtype=bool)
+    for programs, samples in _chunks(arch, n_samples):
+        n = samples.stop - samples.start
+        lines = _sensed_words(arch, v_in, t, programs, samples)
+        # Rows AND-combine on words; a row without terms matches.
+        block = np.full((n_rows,) + lines.shape[1:], ~np.uint64(0))
         for rows, group_lines in arch.line_rows:
             block[rows] &= lines[group_lines]
-        counts = np.array([block[rows].sum(axis=0) for rows in class_rows])
+        del lines                   # not held through the counts
+        counts = np.array([_unpack(block[rows], n).sum(axis=0, dtype=np.intp)
+                           for rows in class_rows])
         currents[programs, samples] = np.moveaxis(cfg.v_read * (
             g_hrs * counts.sum(axis=0) + (g_lrs - g_hrs) * counts), 0, -1)
         if matches is not None:
-            matches[programs, samples] = block.transpose(1, 2, 0)
+            matches[programs, samples] = _unpack(block, n).transpose(1, 2, 0)
     return matches, currents
 
 
@@ -534,8 +627,7 @@ def _evaluate(arch: ProgrammedArchitecture, X, t_clk=None, collect=False):
         v_ml = np.full(arch.plan.n_tiles * h, arch.config.v_ml0)
         first = np.zeros(arch.term_slots.size, dtype=np.intp)
         v_ml[arch.term_slots] = _line_voltages(
-            arch, t1_current(v_in[:1].T, None, arch.config.params), first,
-            np.arange(first.size), first, t)
+            arch, v_in, t, np.arange(first.size), first, first)
         tile_record, volt_record = {}, {}
         slot = 0
         for g, tiles in enumerate(arch.plan.groups):
@@ -660,12 +752,16 @@ def sweep(forest: Forest, X, y, variable: str, grid, trials: int, seed: int,
         fields, _ = _program_trials(
             enc, noisy, [[seed, i, trial] for trial in range(n_programs)])
         _, currents = _evaluate_programs(_Programs(**fields), v_in, t)
+        if config.vote_sigma == 0.0:
+            # Every program scored at once: the row means are exact integer
+            # counts over len(y), as ``_score`` gives them trial by trial.
+            acc = np.mean(np.argmax(currents, axis=-1) == y, axis=1)
+            return [float(acc[min(trial, n_programs - 1)])
+                    for trial in range(trials)]
         accs = []
         for trial in range(trials):
-            vote_rng = (np.random.default_rng([seed, i, trial, 1])
-                        if config.vote_sigma > 0.0 else None)
             pred = _vote(config, currents[min(trial, n_programs - 1)],
-                         vote_rng)
+                         np.random.default_rng([seed, i, trial, 1]))
             accs.append(_score(pred, y, enc.n_classes)[0])
         return accs
 

@@ -36,6 +36,17 @@ MAX_DEPTH = 500
 SPLIT_BLOCK = 1 << 14
 
 
+def _integer(v) -> bool:
+    """A JSON integer; ``bool`` subclasses ``int``, but true and false are
+    not numbers of the model format."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _number(v) -> bool:
+    """A JSON number (integer or float), not a boolean."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True, eq=False)
 class Tree:
     """A tree as a read-only node table; build it with ``Tree.from_obj``.
@@ -69,7 +80,7 @@ class Tree:
             if not isinstance(node, dict):
                 raise ModelFormatError("node must be an object")
             if "label" in node:
-                if not isinstance(node["label"], int):
+                if not _integer(node["label"]):
                     raise ModelFormatError("leaf label must be an integer")
                 table.append([0, 0.0, i, i, node["label"]])
                 continue
@@ -80,9 +91,9 @@ class Tree:
             except KeyError as exc:
                 raise ModelFormatError(
                     f"split node missing key {exc}") from None
-            if not isinstance(f, int):
+            if not _integer(f):
                 raise ModelFormatError("split feature must be an integer")
-            if not isinstance(th, (int, float)) or not math.isfinite(th):
+            if not _number(th) or not math.isfinite(th):
                 raise ModelFormatError("split threshold must be finite")
             table.append([f, float(th), i + 1, None, -1])
         return cls._of_table(table, n_levels)
@@ -555,8 +566,7 @@ def from_json(text: str) -> Forest:
         tree_objs = obj["trees"]
     except KeyError as exc:
         raise ModelFormatError(f"missing key {exc}") from None
-    if not all(isinstance(n, int) and not isinstance(n, bool)
-               for n in (n_features, n_classes)):
+    if not (_integer(n_features) and _integer(n_classes)):
         raise ModelFormatError("n_features and n_classes must be integers")
     if n_features < 1 or n_classes < 1:
         raise ModelFormatError("n_features and n_classes must be positive")
@@ -565,7 +575,7 @@ def from_json(text: str) -> Forest:
     fb = []
     for b in bounds:
         if not (isinstance(b, list) and len(b) == 2
-                and all(isinstance(v, (int, float)) for v in b)
+                and all(_number(v) for v in b)
                 and b[0] < b[1]):
             raise ModelFormatError("each feature bound must be (min, max)")
         fb.append((float(b[0]), float(b[1])))

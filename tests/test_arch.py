@@ -16,7 +16,9 @@ from camforest.arch import (
     _program_trials,
     _Programs,
     _draw,
-    _sensed_lines,
+    _chunks,
+    _sensed_words,
+    _unpack,
     evaluate_accuracy,
     infer,
     infer_batch,
@@ -360,34 +362,36 @@ def test_sweep_rows_equal_per_trial_replay(variable, vote_sigma, workers,
     config = ArchConfig(vote_sigma=vote_sigma)
     calls = []  # (programs, samples) per kernel chunk
 
-    def recorded(*args):
-        for programs, samples, lines in _sensed_lines(*args):
-            calls.append((programs.stop - programs.start,
-                          samples.stop - samples.start))
-            yield programs, samples, lines
+    def recorded(arch, v_in, t, programs, samples):
+        calls.append((programs.stop - programs.start,
+                      samples.stop - samples.start))
+        return _sensed_words(arch, v_in, t, programs, samples)
 
-    monkeypatch.setattr("camforest.arch._sensed_lines", recorded)
+    monkeypatch.setattr("camforest.arch._sensed_words", recorded)
     res = sweep(forest, X, y, variable, grid, trials=4, seed=seed,
                 config=config, workers=workers, **noise)
     monkeypatch.undo()
     rows, terms = _replay_sweep(forest, X, y, variable, grid, 4, seed,
                                 config, **noise)
     assert res.rows == rows
-    if n_eval == 12:
-        # A small evaluation set runs several trials per kernel chunk.
-        assert max(programs for programs, _ in calls) > 1
+    # Each point's trials and samples are one kernel chunk.
+    assert all(n == n_eval for _, n in calls)
     if variable == "sigma":
         # At sigma = 0 the four trials are one program, evaluated once; at
         # 0.8 some trial's terms are a strict subset of the union's.
-        assert sum(p * n for p, n in calls) == (1 + 4 + 4) * n_eval
+        assert sorted(p for p, _ in calls) == [1, 4, 4]
         assert any(own < set.union(*terms[2]) for own in terms[2])
+    else:
+        assert [p for p, _ in calls] == [4] * len(grid)
 
 
 def _lines(arch, v_in, t):
     """(programs, samples, slots with terms) sensed bits of the kernel."""
     out = np.empty((arch.term_g.shape[1], len(v_in), arch.term_slots.size),
                    dtype=bool)
-    for programs, samples, lines in _sensed_lines(arch, v_in, t):
+    for programs, samples in _chunks(arch, len(v_in)):
+        lines = _unpack(_sensed_words(arch, v_in, t, programs, samples),
+                        samples.stop - samples.start)
         out[programs, samples] = lines.transpose(1, 2, 0)
     return out
 
@@ -412,7 +416,7 @@ def test_draw_is_group_by_group_inject_noise(iris_forest):
         assert sigma == 0.0 or not np.array_equal(m1, enc.m1)
 
 
-@pytest.mark.parametrize("t_scale", [1.0, 1e-3])
+@pytest.mark.parametrize("t_scale", [1.0, 1e-3, 1e-5])
 def test_batched_lines_bit_identical_to_replay(iris_forest, t_scale):
     """Each trial of a batch, classified on its own thresholds over the
     union of the trials' terms, senses every line, row and vote current as

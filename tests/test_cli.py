@@ -318,11 +318,21 @@ def test_bad_plan_feature_bounds_exit_three(ini, run, tmp_path, bound):
     assert not (tmp_path / "s" / "manifest.json").exists()
 
 
+def _first_split(trees):
+    """The first tree's root, which the CLI's default forest splits."""
+    assert "feature" in trees[0]
+    return trees[0]
+
+
 @pytest.mark.parametrize("field, edit, message", [
     ("n_features", lambda obj: "x", "integers"),
     ("feature_bounds", lambda obj: [0.5] + obj[1:], "(min, max)"),
+    ("feature_bounds", lambda obj: [[False, True]] + obj[1:], "(min, max)"),
+    ("trees", lambda obj: [dict(_first_split(obj), feature=True)] + obj[1:],
+     "split feature must be an integer"),
     ("trees", lambda obj: 5, "list of trees")],
-    ids=["n_features_string", "scalar_feature_bound", "trees_number"])
+    ids=["n_features_string", "scalar_feature_bound", "boolean_feature_bound",
+         "boolean_split_feature", "trees_number"])
 def test_malformed_model_fields_exit_three(ini, run, tmp_path, field, edit,
                                            message):
     cfg = ini()

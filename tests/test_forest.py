@@ -794,6 +794,31 @@ def test_from_json_rejects_malformed():
             from_json(json.dumps(doc))
 
 
+def test_from_json_rejects_booleans_as_numbers():
+    """JSON true and false are Python ints, but no field of the model
+    format takes them: not as a split feature, a threshold, a leaf label or
+    a feature bound (true would load as feature 1, [false, true] as the
+    bounds (0.0, 1.0))."""
+    good = json.loads(to_json(train_tree(np.array([[0.0], [1.0]]),
+                                         np.array([0, 1]))))
+    assert good["trees"][0]["feature"] == 0
+    from_json(json.dumps(good))
+    leaf = {"label": 0}
+    for tree in ({"feature": True, "threshold": 0.5, "left": leaf,
+                  "right": leaf},
+                 {"feature": 0, "threshold": False, "left": leaf,
+                  "right": leaf},
+                 {"feature": 0, "threshold": 0.5, "left": {"label": True},
+                  "right": leaf}):
+        doc = dict(good, trees=[tree])
+        with pytest.raises(ModelFormatError, match="must be"):
+            from_json(json.dumps(doc))
+    for bound in ([False, True], [0.0, True]):
+        doc = dict(good, feature_bounds=[bound])
+        with pytest.raises(ModelFormatError, match="feature bound"):
+            from_json(json.dumps(doc))
+
+
 def test_invalid_training_inputs():
     with pytest.raises(DataError):
         train_tree(np.empty((0, 2)), np.empty(0, dtype=int))

@@ -22,9 +22,11 @@ from camforest.arch import (
     ArchConfig,
     _evaluate,
     _input_voltages,
+    _chunks,
     _limits,
-    _sensed_lines,
+    _sensed_words,
     _term_thresholds,
+    _unpack,
     infer,
     infer_batch,
     program,
@@ -105,8 +107,10 @@ def _kernel_lines(arch, X, t):
     without terms match."""
     n_slots = arch.plan.n_tiles * arch.plan.tile_h
     out = np.ones((arch.term_g.shape[1], len(X), n_slots), dtype=bool)
-    for programs, samples, lines in _sensed_lines(
-            arch, _input_voltages(arch, np.asarray(X, dtype=float)), t):
+    v_in = _input_voltages(arch, np.asarray(X, dtype=float))
+    for programs, samples in _chunks(arch, len(X)):
+        lines = _unpack(_sensed_words(arch, v_in, t, programs, samples),
+                        samples.stop - samples.start)
         out[programs, samples][..., arch.term_slots] = lines.transpose(1, 2, 0)
     return out
 
@@ -371,8 +375,8 @@ def _undecided_recorder(monkeypatch):
     calls = []
     original = arch_module._line_voltages
 
-    def recorded(arch, i_t1, program_ids, line, sample, t):
-        v_ml = original(arch, i_t1, program_ids, line, sample, t)
+    def recorded(arch, v_in, t, line, program_ids, sample):
+        v_ml = original(arch, v_in, t, line, program_ids, sample)
         calls.append((arch, line, sample, v_ml))
         return v_ml
 
@@ -517,28 +521,54 @@ def test_wide_rows_bit_identical_to_dense(monkeypatch):
     _assert_bit_identical(currents, _dense_currents(arch, matches))
 
 
+def _set_budget(monkeypatch, arch, n_samples, shape):
+    """Set ``CHUNK_BYTES`` to the smallest budget at which ``_chunk_shape``
+    gives ``shape`` for ``n_samples`` samples."""
+    for budget in range(64, 1 << 21, 64):
+        monkeypatch.setattr(arch_module, "CHUNK_BYTES", budget)
+        if arch_module._chunk_shape(arch, n_samples) == shape:
+            return
+    raise AssertionError(f"no budget gives {shape}")
+
+
 @pytest.mark.parametrize("data", ["iris", "blobs64"])
 def test_chunks_split_mid_batch_stay_bit_identical(data, request, monkeypatch):
+    """Compare blocks of one word inside chunks of two: the 130 samples end
+    mid-word in the last block and the last chunk. Undecided lines are
+    sensed per chunk, across its blocks, and every bit stays that of the
+    dense oracle."""
     forest, X = request.getfixturevalue(data)
     arch = program(compile_forest(forest, 16, 16), D, CFG,
                    forest.feature_bounds, forest.n_classes, sigma_rel=0.1,
                    seed=2)
-    X = np.vstack([X[:100], _threshold_inputs(forest, X[:30])])
+    on = _threshold_inputs(forest, X[:30])
+    X = np.vstack([on[:10], X[:50], on[10:20], X[50:100], on[20:]])
     chunks = []
-    original = arch_module._sensed_lines
+    original = arch_module._sensed_words
 
-    def recorded(*args):
-        for programs, samples, lines in original(*args):
-            chunks.append(samples.stop - samples.start)
-            yield programs, samples, lines
+    def recorded(arch, v_in, t, programs, samples):
+        chunks.append((samples.start, samples.stop))
+        return original(arch, v_in, t, programs, samples)
 
-    # One word of T1 currents per chunk: 130 samples end in a partial one.
-    monkeypatch.setattr("camforest.arch.CHUNK_BYTES",
-                        8 * 64 * arch.term_cell.size + 5)
-    monkeypatch.setattr(arch_module, "_sensed_lines", recorded)
+    _set_budget(monkeypatch, arch, len(X), (1, 1, 1, 2))
+    monkeypatch.setattr(arch_module, "_sensed_words", recorded)
+    calls = _undecided_recorder(monkeypatch)
     matches, currents, _ = _evaluate(arch, X)
-    assert chunks == [64, 64, 2]
+    calls = list(calls)             # the kernel's own, not the checks'
+    assert chunks == [(0, 128), (128, 130)]
+    # Undecided lines are sensed per chunk: a call never spans two chunks,
+    # and holds both blocks of the first unless the first alone fills the
+    # count ``_undecided_shape`` holds.
+    blocks = [set((sample // 64).tolist()) for _, _, sample, _ in calls]
+    assert set.union(*blocks) == {0, 1, 2}
+    assert all(b <= {0, 1} or b == {2} for b in blocks)
+    in_first = sum(int(np.sum(sample < 64)) for _, _, sample, _ in calls)
+    held = arch_module._undecided_shape(arch)[0]
+    assert ({0, 1} in blocks) == (in_first < held)
     dense = _dense_ml_voltages(arch, X, CFG.t_clk)
+    assert _assert_undecided_voltages(calls, arch, dense) > 0
+    assert np.array_equal(_kernel_lines(arch, X, CFG.t_clk)[0],
+                          dense > CFG.v_sa)
     assert np.array_equal(matches, _dense_matches(arch, dense))
     _assert_bit_identical(currents, _dense_currents(arch, matches))
 
