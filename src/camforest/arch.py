@@ -37,6 +37,7 @@ of their terms, each trial with its own thresholds, so a term that only
 another trial can draw on is found at 0.0 A on every input.
 """
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -90,11 +91,12 @@ class ArchConfig:
     vote_sigma: float = 0.0
 
     def __post_init__(self):
-        if self.t_clk <= 0:
+        if not (math.isfinite(self.t_clk) and self.t_clk > 0):
             raise ConfigError("t_clk must be positive")
         if not 0 < self.v_sa < self.v_ml0:
             raise ConfigError("need 0 < v_sa < v_ml0")
-        if self.v_read <= 0 or self.vote_sigma < 0:
+        if not (self.v_read > 0 and math.isfinite(self.vote_sigma)
+                and self.vote_sigma >= 0):
             raise ConfigError("v_read must be positive, vote_sigma >= 0")
 
 
@@ -373,7 +375,7 @@ def _check_samples(arch, X) -> np.ndarray:
 
 def _clock(config: ArchConfig, t_clk) -> float:
     t = config.t_clk if t_clk is None else float(t_clk)
-    if t <= 0:
+    if not (math.isfinite(t) and t > 0):
         raise ConfigError("t_clk must be positive")
     return t
 
@@ -727,6 +729,9 @@ def sweep(forest: Forest, X, y, variable: str, grid, trials: int, seed: int,
         raise ConfigError("sweep grid is empty")
     if trials < 1:
         raise ConfigError("trials must be at least 1")
+    if variable in ("n_bits", "tile_h", "tile_w") and not all(
+            float(value).is_integer() for value in grid):
+        raise ConfigError(f"sweep {variable} values must be integers")
 
     plans, encodings, points = {}, {}, []
     for i, value in enumerate(grid):

@@ -7,6 +7,10 @@ recording the config hash, resolved settings, seed, and a checksum per
 output file. Identical config and seed reproduce byte-identical files;
 the manifest carries no timestamps.
 
+``main`` resolves the seed, runs the command's handler and writes the
+files it returns; handlers share one compile (``_compile``), program
+(``_program``) and table writer (``_files``, JSON or CSV).
+
 Exit codes: 0 success, 2 configuration error, 3 data or file-format
 error, 4 invariant violation, 1 anything unexpected.
 """
@@ -44,10 +48,6 @@ from .perf import ML_MODES, PerfConfig, ScaleFactors, perf_report
 MANIFEST_FILE = "manifest.json"
 
 
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def _atomic_write(path: str, data: bytes):
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
@@ -66,14 +66,8 @@ def _csv_bytes(header, rows) -> bytes:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
-        writer.writerow([_cell(v) for v in row])
+        writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
     return buf.getvalue().encode("utf-8")
-
-
-def _cell(v):
-    if isinstance(v, float):
-        return repr(v)
-    return v
 
 
 def _json_bytes(obj) -> bytes:
@@ -103,7 +97,7 @@ def _emit(out_dir: str, files: dict, command: str, config_sha: str,
     for name, data in files.items():
         path = os.path.join(out_dir, name)
         _atomic_write(path, data)
-        checksums[name] = _sha256(data)
+        checksums[name] = hashlib.sha256(data).hexdigest()
         print(f"wrote {path}")
     manifest = {
         "command": command,
@@ -125,32 +119,24 @@ def _emit(out_dir: str, files: dict, command: str, config_sha: str,
     print(f"wrote {path}")
 
 
-def _resolve_seed(args, cfg, command: str, stochastic: bool):
-    seed = args.seed if args.seed is not None else cfg["meta"]["seed"]
-    if seed is None and stochastic:
-        raise ConfigError(f"{command} is stochastic: provide --seed or "
-                          "[meta] seed")
-    return seed
-
-
-def _load_dataset(cfg):
+def _dataset(cfg, seed) -> tuple:
+    """(X_train, y_train, X_eval, y_eval) of the configured dataset; with
+    no test fraction both halves are the whole set."""
     ds = cfg["dataset"]
     if ds["path"] and ds["builtin"]:
         raise ConfigError("set either dataset.path or dataset.builtin, not both")
     if ds["builtin"]:
         if ds["builtin"] != "iris":
             raise ConfigError(f"unknown builtin dataset {ds['builtin']!r}")
-        return load_iris()
-    if ds["path"]:
+        X, y = load_iris()
+    elif ds["path"]:
         try:
-            return load_csv(ds["path"])
+            X, y = load_csv(ds["path"])
         except FileNotFoundError:
             raise DataError(f"dataset file not found: {ds['path']}") from None
-    raise ConfigError("config needs dataset.path or dataset.builtin")
-
-
-def _split_dataset(cfg, X, y, seed):
-    frac = cfg["dataset"]["test_fraction"]
+    else:
+        raise ConfigError("config needs dataset.path or dataset.builtin")
+    frac = ds["test_fraction"]
     if not 0.0 <= frac < 1.0:
         raise ConfigError("[dataset] test_fraction must be in [0, 1)")
     if frac == 0.0:
@@ -161,29 +147,11 @@ def _split_dataset(cfg, X, y, seed):
 
 
 def _read_input(path: str) -> str:
-    if path is None:
-        raise ConfigError("this command requires an input file argument")
     try:
         with open(path, "r") as fh:
             return fh.read()
     except FileNotFoundError:
         raise DataError(f"input file not found: {path}") from None
-
-
-def _input_kind(text: str) -> tuple:
-    """(kind, parsed object) of a model or plan artifact's text."""
-    try:
-        obj = json.loads(text)
-        tag = obj.get("format")
-    except (json.JSONDecodeError, AttributeError):
-        raise ModelFormatError("input is not a JSON artifact") from None
-    except RecursionError:
-        raise ModelFormatError("input JSON nested too deeply") from None
-    if tag == MODEL_FORMAT:
-        return "model", obj
-    if tag == PLAN_FORMAT:
-        return "plan", obj
-    raise ModelFormatError(f"unrecognized artifact format {tag!r}")
 
 
 def _device(cfg) -> DeviceModel:
@@ -197,61 +165,64 @@ def _arch_config(cfg) -> ArchConfig:
     return ArchConfig(t_clk=a["t_clk"], vote_sigma=a["vote_sigma"])
 
 
-def _perf_config(cfg) -> PerfConfig:
-    p = cfg["perf"]
-    return PerfConfig(
-        v_dd=p["v_dd"], v_sl_hi=p["v_sl_hi"], t_clk=p["t_clk"],
-        r_out=p["r_out"], r_w=p["r_w"], c_dl=p["c_dl"], c_ml=p["c_ml"],
-        scale=ScaleFactors(power_scale=p["power_scale"],
-                           cap_scale=p["cap_scale"],
-                           volt_scale=p["volt_scale"]),
-        pipelined=p["pipelined"],
-    )
+def _compile(cfg, forest):
+    """The forest's plan under the [arch] tile and reorder keys."""
+    a = cfg["arch"]
+    return compile_forest(forest, a["tile_h"], a["tile_w"],
+                          reorder_map=a["reorder"])
 
 
-def _programming_payload(arch) -> dict:
-    return {
-        "t_clk": arch.config.t_clk,
-        "n_bits": arch.n_bits,
-        "g_hrs": arch.device.g_hrs,
-        "g_lrs": arch.device.g_lrs,
-        "groups": [
-            {"m1": m1.tolist(), "m2": m2.tolist()}
-            for m1, m2 in zip(arch.cells_m1, arch.cells_m2)
-        ],
-        "vote_matrix": arch.vote_matrix.tolist(),
-    }
+def _program(cfg, plan, bounds, n_classes, noise_seed=None, ideal=False):
+    """``plan`` programmed on the configured device at [arch] n_bits, with
+    [arch] sigma programming noise from ``noise_seed`` when one is given;
+    ``ideal`` programs it exactly, without quantization or vote noise."""
+    a = cfg["arch"]
+    device, config = _device(cfg), _arch_config(cfg)
+    if ideal:
+        config = dataclasses.replace(config, vote_sigma=0.0)
+    return program(plan, device, config, bounds, n_classes,
+                   n_bits=None if ideal else a["n_bits"],
+                   sigma_rel=0.0 if noise_seed is None else a["sigma"],
+                   seed=0 if noise_seed is None else [noise_seed, 0])
 
 
-def cmd_train(args, cfg, config_sha):
-    seed = _resolve_seed(args, cfg, "train", stochastic=True)
-    X, y = _load_dataset(cfg)
-    X_tr, y_tr, _, _ = _split_dataset(cfg, X, y, seed)
+def _files(args, stem: str, payload, tables: dict) -> dict:
+    """A command's tabular outputs: ``payload`` as ``<stem>.json`` in the
+    json format, else one CSV file per ``tables`` entry,
+    ``{name: (header, rows)}``."""
+    if args.format == "json":
+        return {f"{stem}.json": _json_bytes(payload)}
+    return {name: _csv_bytes(header, rows)
+            for name, (header, rows) in tables.items()}
+
+
+def cmd_train(args, cfg, seed):
+    X_tr, y_tr, _, _ = _dataset(cfg, seed)
     t = cfg["train"]
     forest = train_forest(X_tr, y_tr, n_trees=t["n_trees"],
                           max_depth=t["max_depth"], seed=seed)
     print(f"trained {t['n_trees']} trees on {len(y_tr)} samples")
-    _emit(args.out or cfg["output"]["dir"],
-          {"model.json": (to_json(forest) + "\n").encode("utf-8")},
-          "train", config_sha, cfg, seed)
+    return {"model.json": (to_json(forest) + "\n").encode("utf-8")}
 
 
-def cmd_compile(args, cfg, config_sha):
-    seed = _resolve_seed(args, cfg, "compile", stochastic=False)
+def cmd_compile(args, cfg, seed):
     forest = from_json(_read_input(args.input))
-    a = cfg["arch"]
-    plan = compile_forest(forest, a["tile_h"], a["tile_w"],
-                          reorder_map=a["reorder"])
-    arch = program(plan, _device(cfg), _arch_config(cfg),
-                   forest.feature_bounds, forest.n_classes,
-                   n_bits=a["n_bits"], sigma_rel=0.0)
+    plan = _compile(cfg, forest)
+    arch = _program(cfg, plan, forest.feature_bounds, forest.n_classes)
+    programming = {
+        "t_clk": arch.config.t_clk,
+        "n_bits": arch.n_bits,
+        "g_hrs": arch.device.g_hrs,
+        "g_lrs": arch.device.g_lrs,
+        "groups": [{"m1": m1.tolist(), "m2": m2.tolist()}
+                   for m1, m2 in zip(arch.cells_m1, arch.cells_m2)],
+        "vote_matrix": arch.vote_matrix.tolist(),
+    }
     text = plan_to_json(plan, feature_bounds=forest.feature_bounds,
-                        programming=_programming_payload(arch))
+                        programming=programming)
     print(f"compiled {plan.tmap.n_rows} rows into {plan.n_tiles} tiles "
           f"({plan.memory_cells} cells)")
-    _emit(args.out or cfg["output"]["dir"],
-          {"plan.json": (text + "\n").encode("utf-8")},
-          "compile", config_sha, cfg, seed)
+    return {"plan.json": (text + "\n").encode("utf-8")}
 
 
 def _plan_from_input(args, cfg, unseeded_noise: bool = False) -> tuple:
@@ -260,17 +231,22 @@ def _plan_from_input(args, cfg, unseeded_noise: bool = False) -> tuple:
     reorder keys. ``unseeded_noise`` raises ConfigError once the artifact's
     kind is known, before it is parsed."""
     text = _read_input(args.input)
-    kind, obj = _input_kind(text)
+    try:
+        obj = json.loads(text)
+        tag = obj.get("format")
+    except (json.JSONDecodeError, AttributeError):
+        raise ModelFormatError("input is not a JSON artifact") from None
+    except RecursionError:
+        raise ModelFormatError("input JSON nested too deeply") from None
+    if tag not in (MODEL_FORMAT, PLAN_FORMAT):
+        raise ModelFormatError(f"unrecognized artifact format {tag!r}")
     if unseeded_noise:
         raise ConfigError("sigma or vote_sigma > 0 needs a seed")
-    if kind == "plan":
+    if tag == PLAN_FORMAT:
         plan, bounds = plan_from_json(text)
         return plan, bounds, _plan_class_count(obj, plan)
     forest = from_json(text)
-    a = cfg["arch"]
-    plan = compile_forest(forest, a["tile_h"], a["tile_w"],
-                          reorder_map=a["reorder"])
-    return plan, forest.feature_bounds, forest.n_classes
+    return _compile(cfg, forest), forest.feature_bounds, forest.n_classes
 
 
 def _plan_class_count(obj, plan) -> int:
@@ -291,8 +267,8 @@ def _plan_class_count(obj, plan) -> int:
     return len(votes[0])
 
 
-def _architecture_from_input(args, cfg, seed):
-    """Program an architecture from a model or plan artifact."""
+def cmd_simulate(args, cfg, seed):
+    _, _, X_ev, y_ev = _dataset(cfg, seed)
     a = cfg["arch"]
     stochastic = a["sigma"] > 0.0 or a["vote_sigma"] > 0.0
     plan, bounds, n_classes = _plan_from_input(
@@ -300,40 +276,23 @@ def _architecture_from_input(args, cfg, seed):
     if bounds is None:
         raise ModelFormatError("plan lacks feature_bounds; re-export it "
                                "with bounds to simulate")
-    return program(plan, _device(cfg), _arch_config(cfg), bounds, n_classes,
-                   n_bits=a["n_bits"], sigma_rel=a["sigma"],
-                   seed=[seed if seed is not None else 0, 0])
-
-
-def cmd_simulate(args, cfg, config_sha):
-    seed = _resolve_seed(args, cfg, "simulate", stochastic=False)
-    X, y = _load_dataset(cfg)
-    _, _, X_ev, y_ev = _split_dataset(cfg, X, y, seed)
-    arch = _architecture_from_input(args, cfg, seed)
+    arch = _program(cfg, plan, bounds, n_classes, noise_seed=seed or 0)
     if int(np.max(y_ev)) >= arch.n_classes:
         raise DataError("dataset labels exceed the model's class count")
     rng = (np.random.default_rng([seed, 1])
            if arch.config.vote_sigma > 0.0 else None)
     accuracy, confusion = evaluate_accuracy(arch, X_ev, y_ev, rng=rng)
     print(f"accuracy {accuracy:.4f} on {len(y_ev)} samples")
-    k = arch.n_classes
-    if args.format == "json":
-        files = {"simulate.json": _json_bytes({
-            "accuracy": accuracy,
-            "n_samples": int(len(y_ev)),
-            "confusion": confusion.tolist(),
-        })}
-    else:
-        files = {
-            "accuracy.csv": _csv_bytes(
-                ["accuracy", "n_samples"], [[accuracy, int(len(y_ev))]]),
-            "confusion.csv": _csv_bytes(
-                ["true\\pred"] + [f"pred_{j}" for j in range(k)],
-                [[f"true_{i}"] + [int(v) for v in confusion[i]]
-                 for i in range(k)]),
-        }
-    _emit(args.out or cfg["output"]["dir"], files, "simulate", config_sha,
-          cfg, seed)
+    n = int(len(y_ev))
+    return _files(args, "simulate", {
+        "accuracy": accuracy, "n_samples": n,
+        "confusion": confusion.tolist(),
+    }, {
+        "accuracy.csv": (["accuracy", "n_samples"], [[accuracy, n]]),
+        "confusion.csv": (
+            ["true\\pred"] + [f"pred_{j}" for j in range(arch.n_classes)],
+            [[f"true_{i}"] + row for i, row in enumerate(confusion.tolist())]),
+    })
 
 
 def _sweep_svg(variable: str, summary) -> str:
@@ -382,15 +341,13 @@ def _sweep_svg(variable: str, summary) -> str:
     return "\n".join(parts) + "\n"
 
 
-def cmd_sweep(args, cfg, config_sha):
-    seed = _resolve_seed(args, cfg, "sweep", stochastic=True)
+def cmd_sweep(args, cfg, seed):
     s = cfg["sweep"]
     if s["variable"] is None:
         raise ConfigError("sweep needs [sweep] variable")
     if s["grid"] is None:
         raise ConfigError("sweep needs a non-empty [sweep] grid")
-    X, y = _load_dataset(cfg)
-    X_tr, y_tr, X_ev, y_ev = _split_dataset(cfg, X, y, seed)
+    X_tr, y_tr, X_ev, y_ev = _dataset(cfg, seed)
     t = cfg["train"]
     forest = train_forest(X_tr, y_tr, n_trees=t["n_trees"],
                           max_depth=t["max_depth"], seed=seed)
@@ -403,34 +360,33 @@ def cmd_sweep(args, cfg, config_sha):
     for value, mean, std in result.summary:
         print(f"{s['variable']}={value:g}: mean accuracy {mean:.4f} "
               f"(std {std:.4f})")
-    if args.format == "json":
-        files = {"sweep.json": _json_bytes({
-            "variable": result.variable,
-            "rows": [list(r) for r in result.rows],
-            "summary": [list(r) for r in result.summary],
-        })}
-    else:
-        files = {
-            "sweep.csv": _csv_bytes(
-                ["variable", "value", "trial", "accuracy"],
-                [[result.variable, value, trial, acc]
-                 for value, trial, acc in result.rows]),
-            "sweep_summary.csv": _csv_bytes(
-                ["variable", "value", "mean_accuracy", "std_accuracy"],
-                [[result.variable, value, mean, std]
-                 for value, mean, std in result.summary]),
-        }
+    rows = [list(r) for r in result.rows]
+    summary = [list(r) for r in result.summary]
+    files = _files(args, "sweep", {
+        "variable": result.variable, "rows": rows, "summary": summary,
+    }, {
+        "sweep.csv": (["variable", "value", "trial", "accuracy"],
+                      [[result.variable] + r for r in rows]),
+        "sweep_summary.csv": (
+            ["variable", "value", "mean_accuracy", "std_accuracy"],
+            [[result.variable] + r for r in summary]),
+    })
     if s["plot"]:
         files["sweep.svg"] = _sweep_svg(result.variable,
                                         result.summary).encode("utf-8")
-    _emit(args.out or cfg["output"]["dir"], files, "sweep", config_sha,
-          cfg, seed)
+    return files
 
 
-def cmd_perf(args, cfg, config_sha):
-    seed = _resolve_seed(args, cfg, "perf", stochastic=False)
+def cmd_perf(args, cfg, seed):
     p = cfg["perf"]
-    pcfg = _perf_config(cfg)
+    pcfg = PerfConfig(
+        v_dd=p["v_dd"], v_sl_hi=p["v_sl_hi"], t_clk=p["t_clk"],
+        r_out=p["r_out"], r_w=p["r_w"], c_dl=p["c_dl"], c_ml=p["c_ml"],
+        scale=ScaleFactors(power_scale=p["power_scale"],
+                           cap_scale=p["cap_scale"],
+                           volt_scale=p["volt_scale"]),
+        pipelined=p["pipelined"],
+    )
     ml_mode = p["ml_mode"] or "dimensional"
     if ml_mode not in ML_MODES:
         raise ConfigError("[perf] ml_mode must be one of "
@@ -466,61 +422,42 @@ def cmd_perf(args, cfg, config_sha):
           f"energy {main_report.energy_per_decision:.4g} J/dec")
     fields = ["p_static", "p_dl", "p_ml", "p_total", "tau_dl", "throughput",
               "energy_per_decision", "energy_per_node_per_decision"]
-    if args.format == "json":
-        files = {"perf.json": _json_bytes({
-            mode: {f: getattr(rep, f) for f in fields} |
-                  {"pipelined": rep.pipelined}
-            for mode, rep in reports.items()
-        })}
-    else:
-        files = {"perf.csv": _csv_bytes(
-            ["ml_mode"] + fields + ["pipelined"],
-            [[mode] + [getattr(rep, f) for f in fields] + [rep.pipelined]
-             for mode, rep in reports.items()])}
-    _emit(args.out or cfg["output"]["dir"], files, "perf", config_sha,
-          cfg, seed)
+    values = {mode: [getattr(rep, f) for f in fields] + [rep.pipelined]
+              for mode, rep in reports.items()}
+    return _files(args, "perf", {
+        mode: dict(zip(fields + ["pipelined"], row))
+        for mode, row in values.items()
+    }, {"perf.csv": (["ml_mode"] + fields + ["pipelined"],
+                     [[mode] + row for mode, row in values.items()])})
 
 
-def cmd_validate(args, cfg, config_sha):
-    seed = _resolve_seed(args, cfg, "validate", stochastic=False)
-    X, y = _load_dataset(cfg)
-    _, _, X_ev, _ = _split_dataset(cfg, X, y, seed)
+def cmd_validate(args, cfg, seed):
+    _, _, X_ev, _ = _dataset(cfg, seed)
     forest = from_json(_read_input(args.input))
-    a = cfg["arch"]
-    plan = compile_forest(forest, a["tile_h"], a["tile_w"],
-                          reorder_map=a["reorder"])
     # The ideal program: no programming, quantization or vote noise.
-    ideal = dataclasses.replace(_arch_config(cfg), vote_sigma=0.0)
-    arch = program(plan, _device(cfg), ideal, forest.feature_bounds,
-                   forest.n_classes, n_bits=None, sigma_rel=0.0)
+    arch = _program(cfg, _compile(cfg, forest), forest.feature_bounds,
+                    forest.n_classes, ideal=True)
     hardware = infer_batch(arch, X_ev)
     software = forest.predict(X_ev)
     mismatches = int(np.sum(hardware != software))
     equivalent = mismatches == 0
     print(f"equivalent: {str(equivalent).lower()}, mismatches: {mismatches} "
           f"of {len(X_ev)}")
-    payload = {
-        "equivalent": equivalent,
-        "mismatches": mismatches,
-        "n_samples": int(len(X_ev)),
-    }
-    if args.format == "json":
-        files = {"validate.json": _json_bytes(payload)}
-    else:
-        files = {"validate.csv": _csv_bytes(
-            ["equivalent", "mismatches", "n_samples"],
-            [[str(equivalent).lower(), mismatches, int(len(X_ev))]])}
-    _emit(args.out or cfg["output"]["dir"], files, "validate", config_sha,
-          cfg, seed)
+    n = int(len(X_ev))
+    return _files(args, "validate", {
+        "equivalent": equivalent, "mismatches": mismatches, "n_samples": n,
+    }, {"validate.csv": (["equivalent", "mismatches", "n_samples"],
+                         [[str(equivalent).lower(), mismatches, n]])})
 
 
+# name: (handler, takes an input artifact, stochastic: needs a seed)
 _COMMANDS = {
-    "train": (cmd_train, False),
-    "compile": (cmd_compile, True),
-    "simulate": (cmd_simulate, True),
-    "sweep": (cmd_sweep, False),
-    "perf": (cmd_perf, True),
-    "validate": (cmd_validate, True),
+    "train": (cmd_train, False, True),
+    "compile": (cmd_compile, True, False),
+    "simulate": (cmd_simulate, True, False),
+    "sweep": (cmd_sweep, False, True),
+    "perf": (cmd_perf, True, False),
+    "validate": (cmd_validate, True, False),
 }
 
 
@@ -530,7 +467,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Train, compile, and simulate decision forests on an "
                     "analog range-matching memory architecture.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, takes_input) in _COMMANDS.items():
+    for name, (_, takes_input, _) in _COMMANDS.items():
         p = sub.add_parser(name)
         if takes_input:
             nargs = "?" if name == "perf" else None
@@ -550,12 +487,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if not hasattr(args, "input"):
-        args.input = None
     try:
         cfg, config_sha = load_config(args.config)
-        handler = _COMMANDS[args.command][0]
-        handler(args, cfg, config_sha)
+        handler, _, stochastic = _COMMANDS[args.command]
+        seed = args.seed if args.seed is not None else cfg["meta"]["seed"]
+        if seed is None and stochastic:
+            raise ConfigError(f"{args.command} is stochastic: provide --seed "
+                              "or [meta] seed")
+        files = handler(args, cfg, seed)
+        _emit(args.out or cfg["output"]["dir"], files, args.command,
+              config_sha, cfg, seed)
         return 0
     except (ConfigError, CalibrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

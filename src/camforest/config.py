@@ -8,6 +8,7 @@ manifest, so no silent assumption leaves the process unrecorded.
 
 import configparser
 import hashlib
+import math
 
 from .errors import ConfigError
 
@@ -31,9 +32,12 @@ def _to_opt_int(raw: str):
 
 def _to_float(raw: str):
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"expected a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {raw!r}")
+    return value
 
 
 def _to_bool(raw: str):

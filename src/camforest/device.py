@@ -53,11 +53,11 @@ class DeviceModel:
     sigma_rel: float = 0.0    # relative std of programming noise
 
     def __post_init__(self):
-        if not 0 < self.g_hrs < self.g_lrs:
+        if not (0 < self.g_hrs < self.g_lrs and math.isfinite(self.g_lrs)):
             raise ConfigError("need 0 < g_hrs < g_lrs")
         if self.n_levels < 2:
             raise ConfigError("n_levels must be at least 2")
-        if self.sigma_rel < 0:
+        if not (math.isfinite(self.sigma_rel) and self.sigma_rel >= 0):
             raise ConfigError("sigma_rel must be non-negative")
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .device import ThresholdRange
 from .errors import ConfigError, InvariantError, ModelFormatError
-from .forest import Forest
+from .forest import Forest, _integer, _number
 
 PLAN_FORMAT = "camforest-plan"
 PLAN_VERSION = 1
@@ -280,43 +280,24 @@ def pack_tiles(tmap: ThresholdMap, tile_h: int, tile_w: int,
                      col_perm=col_perm, groups=tuple(groups))
 
 
-def _range_to_obj(r: ThresholdRange):
-    return {"lo": None if math.isinf(r.lo) else r.lo,
-            "hi": None if math.isinf(r.hi) else r.hi}
-
-
-def _range_from_obj(obj) -> ThresholdRange:
-    try:
-        lo, hi = obj["lo"], obj["hi"]
-    except (TypeError, KeyError):
-        raise ModelFormatError("range must carry lo and hi") from None
-    return ThresholdRange(-math.inf if lo is None else float(lo),
-                          math.inf if hi is None else float(hi))
-
-
-def _plan_int(value, name) -> int:
-    """A plan's integer field; floats, strings and bools are malformed."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ModelFormatError(f"plan {name} must be an integer")
-    return value
-
-
 def plan_to_json(plan: TiledPlan, feature_bounds=None, programming=None) -> str:
     """Serialize a plan; optionally embed bounds and encoded conductances."""
+    tmap = plan.tmap
     obj = {
         "format": PLAN_FORMAT,
         "version": PLAN_VERSION,
         "tile_h": plan.tile_h,
         "tile_w": plan.tile_w,
-        "n_features": plan.tmap.n_features,
+        "n_features": tmap.n_features,
         "col_perm": list(plan.col_perm),
-        "rows": [
-            {
-                "ranges": [_range_to_obj(r) for r in row.ranges],
-                "class": row.class_label,
-                "tree": row.tree_index,
-            }
-            for row in plan.tmap.rows
+        "rows": [  # an open side of a range is null
+            {"ranges": [{"lo": None if math.isinf(a) else a,
+                         "hi": None if math.isinf(b) else b}
+                        for a, b in zip(row_lo, row_hi)],
+             "class": label, "tree": tree}
+            for row_lo, row_hi, label, tree in zip(
+                tmap.lo.tolist(), tmap.hi.tolist(), tmap.labels.tolist(),
+                tmap.trees.tolist())
         ],
         "groups": [[list(tile) for tile in tiles] for tiles in plan.groups],
         "memory_cells": plan.memory_cells,
@@ -326,6 +307,23 @@ def plan_to_json(plan: TiledPlan, feature_bounds=None, programming=None) -> str:
     if programming is not None:
         obj["programming"] = programming
     return json.dumps(obj, sort_keys=True, indent=1)
+
+
+def _range_bounds(obj) -> tuple:
+    """A stored range's (lo, hi): null opens a side, and a bound must be a
+    finite JSON number (what ``float`` cannot read fails there first)."""
+    try:
+        lo, hi = obj["lo"], obj["hi"]
+    except (TypeError, KeyError):
+        raise ModelFormatError("range must carry lo and hi") from None
+    pair = (-math.inf if lo is None else float(lo),
+            math.inf if hi is None else float(hi))
+    if not all(v is None or _number(v) and math.isfinite(v) for v in (lo, hi)):
+        raise ModelFormatError("plan range bounds must be finite numbers "
+                               "or null")
+    if pair[0] > pair[1]:
+        raise ValueError("range lower bound exceeds upper bound")
+    return pair
 
 
 def plan_from_json(text: str) -> tuple:
@@ -341,26 +339,32 @@ def plan_from_json(text: str) -> tuple:
     if obj.get("version") != PLAN_VERSION:
         raise ModelFormatError(f"unsupported plan version {obj.get('version')!r}")
     try:
-        n_features = _plan_int(obj["n_features"], "n_features")
-        rows = tuple(
-            MapRow(
-                ranges=tuple(_range_from_obj(r) for r in row["ranges"]),
-                class_label=_plan_int(row["class"], "row class"),
-                tree_index=_plan_int(row["tree"], "row tree"),
-            )
-            for row in obj["rows"]
-        )
-        if not rows:
+        n_features = obj["n_features"]
+        if not _integer(n_features):
+            raise ModelFormatError("plan n_features must be an integer")
+        ranges, labels, trees = [], [], []
+        for row in obj["rows"]:
+            ranges.append([_range_bounds(r) for r in row["ranges"]])
+            for key, values in (("class", labels), ("tree", trees)):
+                if not _integer(row[key]):
+                    raise ModelFormatError(f"plan row {key} must be an integer")
+                values.append(row[key])
+        if not labels:
             raise ModelFormatError("plan has no rows")
-        if any(row.class_label < 0 or row.tree_index < 0 for row in rows):
+        if min(labels) < 0 or min(trees) < 0:
             raise ModelFormatError("row class and tree must be non-negative")
-        if any(len(row.ranges) != n_features for row in rows):
+        if any(len(row) != n_features for row in ranges):
             raise ModelFormatError("row ranges must hold one range per feature")
-        tmap = ThresholdMap(rows, n_features)
-        plan = pack_tiles(tmap, _plan_int(obj["tile_h"], "tile_h"),
-                          _plan_int(obj["tile_w"], "tile_w"),
-                          [_plan_int(c, "col_perm entry")
-                           for c in obj["col_perm"]])
+        lo, hi = np.array(ranges, dtype=float).reshape(
+            len(labels), n_features, 2).transpose(2, 0, 1).copy()
+        tmap = ThresholdMap.of_arrays(lo, hi, np.array(labels),
+                                      np.array(trees), n_features)
+        for key in ("tile_h", "tile_w"):
+            if not _integer(obj[key]):
+                raise ModelFormatError(f"plan {key} must be an integer")
+        if not all(map(_integer, obj["col_perm"])):
+            raise ModelFormatError("plan col_perm entry must be an integer")
+        plan = pack_tiles(tmap, obj["tile_h"], obj["tile_w"], obj["col_perm"])
     except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise ModelFormatError(f"malformed plan: {exc!r}") from None
     if [[list(t) for t in g] for g in plan.groups] != obj["groups"]:
@@ -374,7 +378,10 @@ def plan_from_json(text: str) -> tuple:
         bounds = tuple((float(a), float(b)) for a, b in fb)
     except (TypeError, ValueError) as exc:
         raise ModelFormatError(f"malformed feature_bounds: {exc!r}") from None
+    # ``float`` also reads numeric strings and booleans; the bounds must
+    # already be JSON numbers.
     if len(bounds) != n_features or not all(
+            _number(v) for pair in fb for v in pair) or not all(
             math.isfinite(a) and math.isfinite(b) and a < b for a, b in bounds):
         raise ModelFormatError("feature_bounds must hold one finite (min, max) "
                                "pair with min < max per feature")

@@ -1,5 +1,6 @@
 """Programming and end-to-end inference behavior."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -235,8 +236,13 @@ def test_evaluate_accuracy_validations():
         evaluate_accuracy(arch, np.empty((0, 4)), np.empty(0, dtype=int))
     with pytest.raises(DataError):
         infer_batch(arch, np.ones((3, 7)))
-    with pytest.raises(ConfigError):
-        infer_batch(arch, X[:2], t_clk=-1.0)
+    for t_clk in (-1.0, math.nan, math.inf):
+        with pytest.raises(ConfigError):
+            infer_batch(arch, X[:2], t_clk=t_clk)
+    for sigma_rel in (math.nan, math.inf):
+        with pytest.raises(ConfigError):
+            program(arch.plan, DeviceModel(), ArchConfig(), arch.feature_bounds,
+                    arch.n_classes, sigma_rel=sigma_rel)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -466,6 +472,12 @@ def test_sweep_validations():
         sweep(forest, X, y, "sigma", [], trials=1, seed=0)
     with pytest.raises(ConfigError):
         sweep(forest, X, y, "sigma", [0.0], trials=0, seed=0)
+    for variable, value in (("sigma", math.nan), ("sigma", math.inf),
+                            ("t_clk", math.nan), ("t_clk", math.inf),
+                            ("tile_h", math.nan), ("n_bits", 2.5),
+                            ("tile_w", math.inf)):
+        with pytest.raises(ConfigError):
+            sweep(forest, X, y, variable, [value], trials=1, seed=0)
     assert set(SWEEP_VARIABLES) == {"sigma", "n_bits", "t_clk", "tile_h",
                                     "tile_w"}
 
@@ -477,6 +489,10 @@ def test_arch_config_validation():
         ArchConfig(v_sa=0.9)
     with pytest.raises(ConfigError):
         ArchConfig(vote_sigma=-1.0)
+    for bad in (dict(t_clk=math.nan), dict(t_clk=math.inf),
+                dict(vote_sigma=math.nan), dict(vote_sigma=math.inf)):
+        with pytest.raises(ConfigError):
+            ArchConfig(**bad)
 
 
 def test_vote_noise_requires_rng_and_perturbs():

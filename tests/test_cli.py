@@ -225,6 +225,54 @@ def test_vote_noise_validates_and_sweeps_deterministically(ini, run, tmp_path):
         assert b1 == b4, name
 
 
+def test_json_and_csv_outputs_carry_the_same_values(ini, run, tmp_path):
+    cfg = ini()
+    run("train", "--config", cfg, "--out", str(tmp_path / "m"))
+    model = str(tmp_path / "m" / "model.json")
+    printed = {}
+    for fmt in ("csv", "json"):
+        for command, inputs in (("simulate", [model]), ("validate", [model]),
+                                ("perf", [model]), ("sweep", [])):
+            code, cap = run(command, *inputs, "--config", cfg, "--format", fmt,
+                            "--out", str(tmp_path / f"{command}_{fmt}"))
+            assert code == 0
+            printed.setdefault(command, []).append(
+                [line for line in cap.out.splitlines()
+                 if not line.startswith("wrote ")])
+    assert all(csv_out == json_out for csv_out, json_out in printed.values())
+
+    def load(command, name):
+        return json.loads((tmp_path / f"{command}_json" / name).read_text())
+
+    def table(command, name):
+        return read_csv(tmp_path / f"{command}_csv" / name)
+
+    def cells(values):  # as the CSV writer prints them
+        return [repr(v) if isinstance(v, float) else str(v) for v in values]
+
+    sim = load("simulate", "simulate.json")
+    assert table("simulate", "accuracy.csv") == [
+        ["accuracy", "n_samples"], cells([sim["accuracy"], sim["n_samples"]])]
+    k = len(sim["confusion"])
+    assert table("simulate", "confusion.csv") == (
+        [["true\\pred"] + [f"pred_{j}" for j in range(k)]]
+        + [[f"true_{i}"] + cells(row) for i, row in enumerate(sim["confusion"])])
+    val = load("validate", "validate.json")
+    assert table("validate", "validate.csv") == [
+        ["equivalent", "mismatches", "n_samples"],
+        [str(val["equivalent"]).lower()] + cells([val["mismatches"],
+                                                  val["n_samples"]])]
+    perf = load("perf", "perf.json")
+    header, *rows = table("perf", "perf.csv")
+    assert sorted(row[0] for row in rows) == sorted(perf)
+    for row in rows:
+        assert row[1:] == cells(perf[row[0]][key] for key in header[1:])
+    sw = load("sweep", "sweep.json")
+    for name, key in (("sweep.csv", "rows"), ("sweep_summary.csv", "summary")):
+        assert table("sweep", name)[1:] == [[sw["variable"]] + cells(row)
+                                            for row in sw[key]]
+
+
 def test_perf_from_geometry_matches_published_point(ini, run, tmp_path):
     text = ("[meta]\nversion = 1\n"
             "[perf]\nt_clk = 1e-9\nn_arrays = 16\ntile_h = 16\n"
@@ -355,7 +403,13 @@ def test_malformed_model_fields_exit_three(ini, run, tmp_path, field, edit,
     (("simulate",), "class", 1.9, "class must be an integer"),
     (("simulate",), "tree", False, "tree must be an integer"),
     (("simulate", "perf"), "tile_h", 16.7, "tile_h must be an integer"),
-    (("simulate",), "n_features", "4", "n_features must be an integer")])
+    (("simulate",), "n_features", "4", "n_features must be an integer"),
+    (("simulate",), "ranges", lambda r: [dict(r[0], lo="0.5")] + r[1:],
+     "range bounds must be finite numbers or null"),
+    (("simulate", "perf"), "ranges", lambda r: [dict(r[0], hi=True)] + r[1:],
+     "range bounds must be finite numbers or null"),
+    (("simulate",), "ranges", lambda r: [dict(r[0], lo=float("nan"))] + r[1:],
+     "range bounds must be finite numbers or null")])
 def test_bad_plan_rows_exit_three(ini, run, tmp_path, commands, field, value,
                                   message):
     cfg = ini()
@@ -448,7 +502,11 @@ def test_exit_codes(ini, run, tmp_path):
             ("simulate", "device", "g_hrs = 2e-4", "g_hrs"),
             ("perf", "perf", "ml_mode = foo", "ml_mode"),
             ("simulate", "arch", "n_bits = 0", "n_bits"),
-            ("compile", "arch", "n_bits = -1", "n_bits")]:
+            ("compile", "arch", "n_bits = -1", "n_bits"),
+            ("simulate", "arch", "sigma = nan", "sigma"),
+            ("simulate", "device", "g_lrs = inf", "g_lrs"),
+            ("simulate", "arch", "t_clk = inf", "t_clk"),
+            ("perf", "perf", "t_clk = inf", "t_clk")]:
         bad_value = ini(BASE + f"[{section}]\n{setting}\n", "f.ini")
         code, cap = run(command, model, "--config", bad_value,
                         "--out", str(tmp_path / "f"))

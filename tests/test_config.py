@@ -80,6 +80,11 @@ def test_bad_scalar_types_rejected():
         parse_config_text(MINIMAL + "[arch]\nsigma = many\n")
     with pytest.raises(ConfigError):
         parse_config_text(MINIMAL + "[perf]\npipelined = maybe\n")
+    for section, setting in (("arch", "sigma = nan"), ("device", "g_lrs = inf"),
+                             ("perf", "t_clk = -inf"),
+                             ("sweep", "grid = 0.1, nan")):
+        with pytest.raises(ConfigError, match=setting.split()[0]):
+            parse_config_text(MINIMAL + f"[{section}]\n{setting}\n")
 
 
 def test_percent_signs_are_literal():

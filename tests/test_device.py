@@ -252,3 +252,8 @@ def test_device_model_validation():
         DeviceModel(n_levels=1)
     with pytest.raises(ConfigError):
         DeviceModel(sigma_rel=-0.1)
+    for bad in (dict(g_lrs=math.inf), dict(g_hrs=math.nan),
+                dict(g_lrs=math.nan), dict(sigma_rel=math.nan),
+                dict(sigma_rel=math.inf)):
+        with pytest.raises(ConfigError):
+            DeviceModel(**bad)

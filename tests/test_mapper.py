@@ -495,7 +495,8 @@ def test_plan_json_rejects_bad_rows(field, value, message):
 
 
 @pytest.mark.parametrize("bound", [[1.0, 1.0], [2.0, 1.0], [0.0, math.inf],
-                                   [-math.inf, 1.0], [math.nan, 1.0], None])
+                                   [-math.inf, 1.0], [math.nan, 1.0], None,
+                                   ["0", "1"], [True, 2.0]])
 def test_plan_json_rejects_bad_feature_bounds(bound):
     X, y = load_iris()
     forest = train_forest(X, y, n_trees=3, max_depth=3, seed=0)
