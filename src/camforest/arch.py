@@ -22,14 +22,23 @@ is the every-cell evaluation's own expression, so every sensed bit equals
 it. Traces evaluate every line of their one sample that way.
 
 Sensed bits live in packed words, 64 samples to a uint64, at two levels.
-Compare blocks gather the terms' T1 currents and compare them within
-``CHUNK_BYTES``, and pack their bits at once. A chunk holds one word per
-(line, program, 64 samples), sized over that packed footprint. Its blocks
-hold their undecided (line, program, sample) triples, which run the cell
-law together, once per chunk, ORing the lines that stay above v_sa into
-the words. Inference then ANDs each original row's words across its
+Compare blocks gather the compare rows' T1 currents (below) and compare
+them within ``CHUNK_BYTES``, and pack their bits at once. A chunk holds one
+word per (line, program, 64 samples), sized over that packed footprint. Its
+blocks hold their undecided (line, program, sample) triples, which run the
+cell law together, once per chunk, ORing the lines that stay above v_sa
+into the words. Inference then ANDs each original row's words across its
 groups and reads the majority vote as per-class currents through the
 conductance matrix, unpacking only each class's rows to count them.
+
+A split threshold bounds every leaf below it, so one (data line,
+conductance) pair is stored in many rows: blobs16 holds 894 terms on 428
+distinct pairs, wide64 1,475 on 740 and the ideal Iris program 301 on 84.
+Programming builds a compare table of the distinct pairs; compare blocks
+run on its rows, each distinct (data line, threshold) compared once, and
+gather the packed words back to terms before reducing them per line.
+Under programming noise every cell draws its own conductance, so each
+term is its own compare row.
 
 The kernel evaluates programs on a leading axis. A single program is the
 one-row case; a sweep point runs all its trials as one batch over the union
@@ -76,6 +85,9 @@ BAND_MARGIN = 1e-9
 
 # Byte budget of one kernel chunk's per-term arrays (see ``_chunk_shape``).
 CHUNK_BYTES = 2 << 20
+
+# The mid-window voltage that drives padding columns.
+PAD_VOLTAGE = 0.5 * (V_DL_MIN + V_DL_MAX)
 
 
 @dataclass(frozen=True)
@@ -147,6 +159,9 @@ class _Programs:
     term_slots: np.ndarray    # (lines,) flat ids of the slots holding terms
     line_terms: np.ndarray    # (lines + 1,) first term of each such slot, then terms
     line_rows: tuple          # per group: (map row ids, their lines)
+    # Compare table: one row per distinct (DL source, term_g row).
+    compare_term: np.ndarray  # (rows,) a term holding each compare row
+    term_compare: np.ndarray  # (terms,) each term's compare row
 
     @property
     def n_active_arrays(self) -> int:
@@ -280,6 +295,24 @@ def _draw(enc: _Encoding, device: DeviceModel, seed) -> tuple:
     return m1, m2
 
 
+def _compare_table(source, term_g) -> tuple:
+    """(compare_term, term_compare) of terms with DL sources ``source`` and
+    conductances ``term_g`` (terms, programs). Terms with one source and
+    equal conductances in every program have bitwise-equal thresholds and
+    compare alike. Sorted on (source, first program's conductance), each
+    run of neighbours equal in source and in every program shares one
+    compare row, held by its first term. A distinct pair gets more than
+    one row only when a term equal to it in source and first conductance
+    but not in a later program sorts between its terms."""
+    order = np.lexsort((term_g[:, 0], source))
+    g, s = term_g[order], source[order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = (s[1:] != s[:-1]) | np.any(g[1:] != g[:-1], axis=1)
+    term_compare = np.empty_like(order)
+    term_compare[order] = np.cumsum(new) - 1
+    return order[new], term_compare
+
+
 def _program_trials(enc: _Encoding, device: DeviceModel, seeds) -> tuple:
     """(``_Programs`` fields, the last trial's flat (g_m1, g_m2)) of one
     program per seed, over one term layout: the branches that the kernel's
@@ -319,16 +352,21 @@ def _program_trials(enc: _Encoding, device: DeviceModel, seeds) -> tuple:
     for rows, slots in enc.slot_rows:
         lit = np.isin(slots, term_slots)
         line_rows.append((rows[lit], np.searchsorted(term_slots, slots[lit])))
+    active_input = enc.cell_input[active]
+    term_g = np.where(term_upper[:, None], g_m2.T[term_cell],
+                      g_m1.T[term_cell])
+    compare_term, term_compare = _compare_table(
+        2 * active_input[term_cell] + term_upper, term_g)
     fields = dict(
         plan=enc.plan, config=enc.config, device=enc.device,
         n_classes=enc.n_classes, feature_bounds=enc.feature_bounds,
         vote_matrix=enc.vote_matrix, n_bits=enc.n_bits,
-        sigma_rel=device.sigma_rel, active_input=enc.cell_input[active],
+        sigma_rel=device.sigma_rel, active_input=active_input,
         active_cell=active, term_cell=term_cell, term_upper=term_upper,
-        term_g=np.where(term_upper[:, None], g_m2.T[term_cell],
-                        g_m1.T[term_cell]),
-        term_slots=term_slots, line_terms=np.append(line_terms, term_cell.size),
-        line_rows=tuple(line_rows))
+        term_g=term_g, term_slots=term_slots,
+        line_terms=np.append(line_terms, term_cell.size),
+        line_rows=tuple(line_rows), compare_term=compare_term,
+        term_compare=term_compare)
     return fields, (m1, m2)
 
 
@@ -381,13 +419,10 @@ def _clock(config: ArchConfig, t_clk) -> float:
 
 
 def _input_voltages(arch, X) -> np.ndarray:
-    """(samples, F + 1) DL voltages in original feature order; the last
-    column is the mid-window voltage that drives padding columns. The map
-    writes straight into the result, with no input-sized temporary."""
-    v = np.empty((X.shape[0], X.shape[1] + 1))
-    feature_to_voltage(X, arch.feature_bounds, out=v[:, :-1])
-    v[:, -1] = 0.5 * (V_DL_MIN + V_DL_MAX)
-    return v
+    """(samples, F) DL voltages in original feature order, mapped in place
+    in one contiguous array. DL source F, the padding columns, is driven at
+    ``PAD_VOLTAGE``, which its readers supply."""
+    return feature_to_voltage(X, arch.feature_bounds, out=np.empty(X.shape))
 
 
 def _line_voltages(arch: _Programs, v_in, t: float, line, program,
@@ -401,6 +436,7 @@ def _line_voltages(arch: _Programs, v_in, t: float, line, program,
     cfg = arch.config
     w = arch.plan.tile_w
     c_ml = cfg.parasitics.ml_capacitance(w)
+    n_features = v_in.shape[1]
     _, batch = _undecided_shape(arch)
     v_ml = np.empty(line.size)
     for b in range(0, line.size, batch):
@@ -411,8 +447,12 @@ def _line_voltages(arch: _Programs, v_in, t: float, line, program,
         term = np.arange(row.size) + np.repeat(
             first - np.cumsum(count) + count, count)
         cell = arch.term_cell[term]
-        i = t1_current(np.take(v_in, sample[cut][row] * v_in.shape[1]
-                               + arch.active_input[cell]), None, cfg.params)
+        source = arch.active_input[cell]
+        pad = source == n_features
+        v = np.take(v_in, sample[cut][row] * n_features
+                    + np.where(pad, 0, source))
+        v[pad] = PAD_VOLTAGE
+        i = t1_current(v, None, cfg.params)
         g = np.take(arch.term_g, term * arch.term_g.shape[1]
                     + program[cut][row])
         at = row * w + arch.active_cell[cell] % w
@@ -487,9 +527,10 @@ def _or_undecided(arch: _Programs, v_in, t: float, words, first: tuple,
                      np.left_shift(1, sample % 8).astype(np.uint8))
 
 
-def _chunks(arch: _Programs, n_samples: int):
-    """Yield the (programs, samples) slices of each kernel chunk."""
-    _, _, chunk_programs, chunk_words = _chunk_shape(arch, n_samples)
+def _chunks(arch: _Programs, shape: tuple, n_samples: int):
+    """Yield the (programs, samples) slices of each kernel chunk of
+    ``_chunk_shape`` ``shape``."""
+    _, _, chunk_programs, chunk_words = shape
     n_programs = arch.term_g.shape[1]
     for p0 in range(0, n_programs, chunk_programs):
         for s0 in range(0, n_samples, 64 * chunk_words):
@@ -497,35 +538,48 @@ def _chunks(arch: _Programs, n_samples: int):
                    slice(s0, min(s0 + 64 * chunk_words, n_samples)))
 
 
-def _sensed_words(arch: _Programs, v_in, t: float, programs: slice,
-                  samples: slice) -> np.ndarray:
+def _term_words(bits, term_row) -> np.ndarray:
+    """Compare rows' ``bits`` packed along the last axis, 64 to a
+    little-endian uint64, then gathered to terms: term k gets the words of
+    row ``term_row[k]``."""
+    return np.take(np.packbits(bits, axis=-1, bitorder="little")
+                   .view(np.uint64), term_row, axis=0)
+
+
+def _sensed_words(arch: _Programs, v_in, t: float, shape: tuple,
+                  programs: slice, samples: slice) -> np.ndarray:
     """(lines, programs, words) sensed match bits of the slots holding
     terms, for one chunk of ``arch``'s programs on DL inputs ``v_in`` at
-    sense time ``t``: 64 samples to a uint64 word in little-endian bit
-    order (bits past the last sample are set). Every other slot draws
-    exactly 0.0 A and matches.
+    sense time ``t`` in compare blocks of ``_chunk_shape`` ``shape``: 64
+    samples to a uint64 word in little-endian bit order (bits past the last
+    sample are set). Every other slot draws exactly 0.0 A and matches.
 
-    Per compare block the kernel gathers each term's T1 current, negated
-    for upper branches so that both branch sides compare alike: a term
-    draws 0.0 A at or above its zero threshold and at least the sense
+    Per compare block the kernel gathers each compare row's T1 current,
+    negated for upper branches so that both branch sides compare alike: a
+    term draws 0.0 A at or above its zero threshold and at least the sense
     current at or below its full threshold. The compares are packed into
-    words and reduced per line: the AND of zero bits matches it, the OR of
-    full bits mismatches it. Lines with neither are held as (line,
-    program, sample) triples and sensed together on ``_line_voltages``
-    after the chunk's last block, or once ``_undecided_shape``'s count of
-    them is held."""
-    n_in = v_in.shape[1]
-    zero, full = _term_thresholds(arch, t)
-    source = arch.active_input[arch.term_cell] + n_in * arch.term_upper
+    words, gathered back to terms and reduced per line: the AND of zero
+    bits matches it, the OR of full bits mismatches it. Lines with neither
+    are held as (line, program, sample) triples and sensed together on
+    ``_line_voltages`` after the chunk's last block, or once
+    ``_undecided_shape``'s count of them is held."""
+    n_in = v_in.shape[1] + 1        # the features, then the padding source
+    rows, term_row = arch.compare_term, arch.term_compare
+    zero, full = (np.take(x, rows, axis=0)
+                  for x in _term_thresholds(arch, t))
+    source = (arch.active_input[arch.term_cell[rows]]
+              + n_in * arch.term_upper[rows])
     starts = arch.line_terms[:-1]
-    block_programs, block_words, _, _ = _chunk_shape(arch, len(v_in))
+    block_programs, block_words = shape[:2]
     width = 64 * block_words
     held, _ = _undecided_shape(arch)
     # Per block, each input's T1 current and its negation, padded to the
     # block's width with +inf, on which every term counts as drawing 0.0 A.
     signed = np.empty((2 * n_in, width))
-    t1 = np.empty((source.size, 1, width))
-    compare = np.empty((source.size, block_programs, width), dtype=bool)
+    pad = t1_current(np.array([PAD_VOLTAGE]), None, arch.config.params)
+    signed[n_in - 1], signed[-1] = pad, -pad
+    t1 = np.empty((rows.size, 1, width))
+    compare = np.empty((rows.size, block_programs, width), dtype=bool)
     first = (programs.start, samples.start)
     lines = np.empty((starts.size, programs.stop - programs.start,
                       -(-(samples.stop - samples.start) // 64)),
@@ -534,22 +588,20 @@ def _sensed_words(arch: _Programs, v_in, t: float, programs: slice,
     for b0 in range(samples.start, samples.stop, width):
         n = min(width, samples.stop - b0)
         at = slice((b0 - first[1]) // 64, (b0 - first[1] + n + 63) // 64)
-        signed[:n_in, :n] = t1_current(v_in[b0:b0 + n].T, None,
-                                       arch.config.params)
-        np.negative(signed[:n_in, :n], out=signed[n_in:, :n])
+        signed[:n_in - 1, :n] = t1_current(v_in[b0:b0 + n].T, None,
+                                           arch.config.params)
+        np.negative(signed[:n_in - 1, :n], out=signed[n_in:-1, :n])
         signed[:, n:] = np.inf
         np.take(signed, source, axis=0, out=t1[:, 0], mode="clip")
         for q0 in range(programs.start, programs.stop, block_programs):
             q = slice(q0, min(q0 + block_programs, programs.stop))
             bits = compare[:, :q.stop - q0]
             np.greater_equal(t1, zero[:, q, None], out=bits)
-            matched = np.bitwise_and.reduceat(np.packbits(
-                bits, axis=-1, bitorder="little").view(np.uint64),
-                starts)[..., :at.stop - at.start]
+            matched = np.bitwise_and.reduceat(_term_words(bits, term_row),
+                                              starts)[..., :at.stop - at.start]
             np.less_equal(t1, full[:, q, None], out=bits)
-            unsure = ~(matched | np.bitwise_or.reduceat(np.packbits(
-                bits, axis=-1, bitorder="little").view(np.uint64),
-                starts)[..., :at.stop - at.start])
+            unsure = ~(matched | np.bitwise_or.reduceat(_term_words(
+                bits, term_row), starts)[..., :at.stop - at.start])
             lines[:, q0 - first[0]:q.stop - first[0], at] = matched
             # Flat positions of the undecided bits (nonzero runs fastest on
             # flat arrays and on bools).
@@ -597,9 +649,10 @@ def _evaluate_programs(arch: _Programs, v_in, t: float,
     matches = (np.empty((n_programs, n_samples, n_rows), dtype=bool)
                if keep_matches else None)
     currents = np.empty((n_programs, n_samples, arch.n_classes))
-    for programs, samples in _chunks(arch, n_samples):
+    shape = _chunk_shape(arch, n_samples)
+    for programs, samples in _chunks(arch, shape, n_samples):
         n = samples.stop - samples.start
-        lines = _sensed_words(arch, v_in, t, programs, samples)
+        lines = _sensed_words(arch, v_in, t, shape, programs, samples)
         # Rows AND-combine on words; a row without terms matches.
         block = np.full((n_rows,) + lines.shape[1:], ~np.uint64(0))
         for rows, group_lines in arch.line_rows:

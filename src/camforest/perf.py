@@ -189,8 +189,11 @@ def perf_report(tile_h: int, tile_w: int, n_tiles: int, n_arrays: int,
     energy_per_decision identical in both modes by construction.
     final_ml_voltages defaults to fully discharged rows (worst case).
     """
-    if n_nodes < 1:
-        raise ConfigError("n_nodes must be >= 1")
+    for name, count in (("tile_h", tile_h), ("tile_w", tile_w),
+                        ("n_tiles", n_tiles), ("n_arrays", n_arrays),
+                        ("n_nodes", n_nodes)):
+        if count < 1:
+            raise ConfigError(f"{name} must be >= 1")
     if i_d0 is None:
         i_d0 = CellParams().i_d0
     s = config.scale

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from camforest.arch import (
+    PAD_VOLTAGE,
     ArchConfig,
     SWEEP_VARIABLES,
     _encode,
@@ -17,6 +18,7 @@ from camforest.arch import (
     _program_trials,
     _Programs,
     _draw,
+    _chunk_shape,
     _chunks,
     _sensed_words,
     _unpack,
@@ -68,8 +70,9 @@ def test_iris_tree_exactly_one_row_matches():
 
 
 def test_input_voltages_are_feature_to_voltage_bit_for_bit():
-    """The in-place map gives ``feature_to_voltage``'s bits, clipped inputs
-    and bounds included, and drives padding at mid-window."""
+    """The in-place map gives ``feature_to_voltage``'s bits in one
+    contiguous array, clipped inputs and bounds included; padding is driven
+    at mid-window."""
     model, arch, X, _ = _iris_tree_arch()
     rng = np.random.default_rng(8)
     bounds = np.array(model.feature_bounds)
@@ -78,9 +81,10 @@ def test_input_voltages_are_feature_to_voltage_bit_for_bit():
                                     (500, 4))])
     v = _input_voltages(arch, X)
     ref = feature_to_voltage(X, model.feature_bounds)
-    assert np.array_equal(v[:, :-1].view(np.int64), ref.view(np.int64))
-    assert np.all(v[:, -1] == 0.5 * (V_DL_MIN + V_DL_MAX))
-    assert v[:, :-1].min() == V_DL_MIN and v[:, :-1].max() == V_DL_MAX
+    assert v.shape == X.shape and v.flags.c_contiguous
+    assert np.array_equal(v.view(np.int64), ref.view(np.int64))
+    assert PAD_VOLTAGE == 0.5 * (V_DL_MIN + V_DL_MAX)
+    assert v.min() == V_DL_MIN and v.max() == V_DL_MAX
 
 
 def test_single_array_trace_runs_in_four_cycles():
@@ -368,10 +372,10 @@ def test_sweep_rows_equal_per_trial_replay(variable, vote_sigma, workers,
     config = ArchConfig(vote_sigma=vote_sigma)
     calls = []  # (programs, samples) per kernel chunk
 
-    def recorded(arch, v_in, t, programs, samples):
+    def recorded(arch, v_in, t, shape, programs, samples):
         calls.append((programs.stop - programs.start,
                       samples.stop - samples.start))
-        return _sensed_words(arch, v_in, t, programs, samples)
+        return _sensed_words(arch, v_in, t, shape, programs, samples)
 
     monkeypatch.setattr("camforest.arch._sensed_words", recorded)
     res = sweep(forest, X, y, variable, grid, trials=4, seed=seed,
@@ -395,8 +399,9 @@ def _lines(arch, v_in, t):
     """(programs, samples, slots with terms) sensed bits of the kernel."""
     out = np.empty((arch.term_g.shape[1], len(v_in), arch.term_slots.size),
                    dtype=bool)
-    for programs, samples in _chunks(arch, len(v_in)):
-        lines = _unpack(_sensed_words(arch, v_in, t, programs, samples),
+    shape = _chunk_shape(arch, len(v_in))
+    for programs, samples in _chunks(arch, shape, len(v_in)):
+        lines = _unpack(_sensed_words(arch, v_in, t, shape, programs, samples),
                         samples.stop - samples.start)
         out[programs, samples] = lines.transpose(1, 2, 0)
     return out

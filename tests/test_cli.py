@@ -316,6 +316,23 @@ def test_perf_derives_geometry_from_artifacts(ini, run, tmp_path):
     assert a == b
 
 
+@pytest.mark.parametrize("setting", ["n_arrays = 0", "tile_h = -4",
+                                     "n_tiles = 0", "tile_w = 0"])
+def test_perf_rejects_geometry_below_one(setting, ini, run, tmp_path):
+    """Each geometry count must be at least 1: a configuration error (exit
+    2) naming the key, not a crash or a report of zero energy."""
+    geometry = {"tile_h": 4, "tile_w": 4, "n_tiles": 1, "n_arrays": 1,
+                "n_nodes": 10}
+    key, value = setting.split(" = ")
+    geometry[key] = int(value)
+    text = "[meta]\nversion = 1\n[perf]\n" + "".join(
+        f"{k} = {v}\n" for k, v in geometry.items())
+    code, cap = run("perf", "--config", ini(text), "--out",
+                    str(tmp_path / "pf"))
+    assert code == 2 and f"{key} must be >= 1" in cap.err, (code, cap.err)
+    assert not (tmp_path / "pf").exists()
+
+
 def test_perf_without_geometry_fails(ini, run):
     code, cap = run("perf", "--config", ini("[meta]\nversion = 1\n"))
     assert code == 2

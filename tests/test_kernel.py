@@ -1,11 +1,12 @@
 """Band-decided match kernel against the dense every-cell oracle.
 
-The kernel decides a slot from two T1-current compares per term and runs
-the cell law only on the slots left undecided, every cell of the row in a
-zeroed row of W currents. These tests evaluate every cell of the full
-(tiles, H, W) grids with ``row_total_current`` and require the sensed bits,
-row matches and vote currents to be bit-identical, and traces to carry the
-every-cell ML voltages bit for bit. Probes sit on the classifier's
+The kernel decides a slot from two T1-current compares per term, made once
+per row of its compare table of distinct (data line, conductance) pairs,
+and runs the cell law only on the slots left undecided, every cell of the
+row in a zeroed row of W currents. These tests evaluate every cell of the
+full (tiles, H, W) grids with ``row_total_current`` and require the sensed
+bits, row matches and vote currents to be bit-identical, and traces to
+carry the every-cell ML voltages bit for bit. Probes sit on the classifier's
 thresholds and their nearest float neighbours, inside the bands and on
 stored bounds, under noise, quantisation and several clocks.
 """
@@ -20,16 +21,23 @@ import camforest.arch as arch_module
 from camforest.arch import (
     BAND_MARGIN,
     ArchConfig,
+    _encode,
     _evaluate,
     _input_voltages,
+    _chunk_shape,
     _chunks,
     _limits,
+    _noisy,
+    _program_trials,
+    _Programs,
     _sensed_words,
     _term_thresholds,
     _unpack,
+    evaluate_accuracy,
     infer,
     infer_batch,
     program,
+    sweep,
 )
 from camforest.cell import (
     cell_current,
@@ -49,7 +57,7 @@ from camforest.device import (
     reference_current,
 )
 from camforest.errors import CalibrationError
-from camforest.forest import to_json, train_forest
+from camforest.forest import to_json, train_forest, train_tree
 from camforest.mapper import MapRow, ThresholdMap, compile_forest, pack_tiles
 
 D = DeviceModel()
@@ -108,8 +116,9 @@ def _kernel_lines(arch, X, t):
     n_slots = arch.plan.n_tiles * arch.plan.tile_h
     out = np.ones((arch.term_g.shape[1], len(X), n_slots), dtype=bool)
     v_in = _input_voltages(arch, np.asarray(X, dtype=float))
-    for programs, samples in _chunks(arch, len(X)):
-        lines = _unpack(_sensed_words(arch, v_in, t, programs, samples),
+    shape = _chunk_shape(arch, len(X))
+    for programs, samples in _chunks(arch, shape, len(X)):
+        lines = _unpack(_sensed_words(arch, v_in, t, shape, programs, samples),
                         samples.stop - samples.start)
         out[programs, samples][..., arch.term_slots] = lines.transpose(1, 2, 0)
     return out
@@ -546,9 +555,9 @@ def test_chunks_split_mid_batch_stay_bit_identical(data, request, monkeypatch):
     chunks = []
     original = arch_module._sensed_words
 
-    def recorded(arch, v_in, t, programs, samples):
+    def recorded(arch, v_in, t, shape, programs, samples):
         chunks.append((samples.start, samples.stop))
-        return original(arch, v_in, t, programs, samples)
+        return original(arch, v_in, t, shape, programs, samples)
 
     _set_budget(monkeypatch, arch, len(X), (1, 1, 1, 2))
     monkeypatch.setattr(arch_module, "_sensed_words", recorded)
@@ -719,3 +728,115 @@ def test_padding_slots_trace_at_precharge(iris):
     assert padded > 0
     dense = _dense_ml_voltages(arch, X[:1], CFG.t_clk)[0]
     _assert_bit_identical(_trace_voltages(trace, arch), dense)
+
+
+def _compare_keys(arch):
+    """Per term, its (DL input, upper branch, conductance per program)."""
+    return [(int(f), bool(up), tuple(g)) for f, up, g in zip(
+        arch.active_input[arch.term_cell], arch.term_upper,
+        arch.term_g.tolist())]
+
+
+@pytest.mark.parametrize("data", ["iris", "blobs64"])
+@pytest.mark.parametrize("prog", sorted(PROGRAMS))
+def test_compare_table_holds_each_distinct_pair_once(data, prog, request):
+    """Every (source, conductance row) of the terms is one compare row, and
+    every term maps to the row holding its own pair."""
+    forest, _ = request.getfixturevalue(data)
+    arch = program(compile_forest(forest, 16, 16), D, CFG,
+                   forest.feature_bounds, forest.n_classes, seed=6,
+                   **PROGRAMS[prog])
+    keys = _compare_keys(arch)
+    rows = [keys[k] for k in arch.compare_term]
+    assert len(set(rows)) == len(rows) and set(rows) == set(keys)
+    assert np.array_equal(arch.term_compare[arch.compare_term],
+                          np.arange(len(rows)))
+    assert all(rows[r] == key for key, r in zip(keys, arch.term_compare))
+    # Noise gives every cell its own conductance; noise-free programs
+    # store each split bound in many rows.
+    assert (len(rows) == len(keys)) == (prog == "sigma0.1")
+
+
+def test_deep_tree_shares_compare_rows_bit_identical_to_dense():
+    """A deep tree repeats each split bound in every leaf below it: far
+    fewer compare rows than terms. It predicts as the tree on its training
+    set, and every sensed bit, row match and vote current is the
+    every-cell oracle's, on bounds and in bands too."""
+    X, y = gaussian_blobs(600, 6, 4, 9, spread=0.2)
+    forest = train_tree(X, y, max_depth=12)
+    arch = program(compile_forest(forest, 16, 8), D, CFG,
+                   forest.feature_bounds, forest.n_classes)
+    assert 2 * arch.compare_term.size < arch.term_cell.size
+    assert np.array_equal(infer_batch(arch, X), forest.predict(X))
+    X = np.vstack([X[:200], _threshold_inputs(forest, X[:100]),
+                   _single_threshold_inputs(forest, X),
+                   _edge_inputs(arch, X, CFG.t_clk, n_terms=30)])
+    dense = _dense_ml_voltages(arch, X, CFG.t_clk)
+    assert np.array_equal(_kernel_lines(arch, X, CFG.t_clk)[0],
+                          dense > CFG.v_sa)
+    matches, currents, _ = _evaluate(arch, X)
+    assert np.array_equal(matches, _dense_matches(arch, dense))
+    _assert_bit_identical(currents, _dense_currents(arch, matches))
+
+
+def test_noisy_trials_have_one_compare_row_per_term(iris):
+    """Each trial draws its own noise on every cell, so no two terms of a
+    noisy batch share a compare row."""
+    forest, _ = iris
+    enc = _encode(compile_forest(forest, 16, 16), D, CFG,
+                  forest.feature_bounds, forest.n_classes, None)
+    fields, _ = _program_trials(enc, _noisy(D, 0.05),
+                                [[3, 0, trial] for trial in range(5)])
+    batch = _Programs(**fields)
+    assert batch.term_g.shape[1] == 5
+    assert batch.compare_term.size == batch.term_cell.size
+    assert np.array_equal(np.sort(batch.compare_term),
+                          np.arange(batch.term_cell.size))
+
+
+def test_padding_terms_drive_mid_window_bit_identical_to_dense(iris):
+    """Under heavy noise some padding cells hold terms; their DL source is
+    the mid-window voltage in compares, undecided lines and traces."""
+    forest, X = iris
+    arch = program(compile_forest(forest, 16, 16), D, CFG,
+                   forest.feature_bounds, forest.n_classes, sigma_rel=0.8,
+                   seed=[4, 16])
+    n_features = len(arch.feature_bounds)
+    assert np.any(arch.active_input[arch.term_cell] == n_features)
+    X = np.vstack([X, _threshold_inputs(forest, X[:60])])
+    dense = _dense_ml_voltages(arch, X, CFG.t_clk)
+    assert np.array_equal(_kernel_lines(arch, X, CFG.t_clk)[0],
+                          dense > CFG.v_sa)
+    for k in (0, 77, len(X) - 1):
+        _assert_bit_identical(_trace_voltages(infer(arch, X[k]), arch),
+                              dense[k])
+
+
+def test_mixed_sigma_sweep_equals_per_trial_replay(iris, monkeypatch):
+    """A sweep over noise-free and noisy points, whose batches share compare
+    rows and do not, gives the rows of per-trial programs and
+    evaluations."""
+    forest, X = iris
+    _, y = load_iris()
+    batches = []
+    original = arch_module._sensed_words
+
+    def recorded(arch, v_in, t, shape, programs, samples):
+        batches.append(arch)
+        return original(arch, v_in, t, shape, programs, samples)
+
+    monkeypatch.setattr(arch_module, "_sensed_words", recorded)
+    grid, trials, seed = [0.0, 0.05, 0.0], 3, 11
+    res = sweep(forest, X, y, "sigma", grid, trials=trials, seed=seed,
+                workers=1)
+    monkeypatch.undo()
+    shared = [b.compare_term.size < b.term_cell.size for b in batches]
+    assert shared == [True, False, True]
+    rows = []
+    for i, sigma in enumerate(grid):
+        for trial in range(trials):
+            arch = program(compile_forest(forest, 16, 16), D, CFG,
+                           forest.feature_bounds, forest.n_classes,
+                           sigma_rel=sigma, seed=[seed, i, trial])
+            rows.append((sigma, trial, evaluate_accuracy(arch, X, y)[0]))
+    assert res.rows == tuple(rows)

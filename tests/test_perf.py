@@ -165,6 +165,17 @@ def test_report_additivity_and_energy_identity():
         pytest.approx(rep.energy_per_decision / 300, rel=1e-15)
 
 
+@pytest.mark.parametrize("at", range(5))
+def test_report_rejects_counts_below_one(at):
+    """tile_h, tile_w, n_tiles, n_arrays and n_nodes must each be >= 1."""
+    counts = [16, 16, 12, 16, 300]
+    names = ["tile_h", "tile_w", "n_tiles", "n_arrays", "n_nodes"]
+    for bad in (0, -4):
+        counts[at] = bad
+        with pytest.raises(ConfigError, match=f"{names[at]} must be >= 1"):
+            perf_report(*counts, PerfConfig())
+
+
 def test_energy_invariant_under_pipelining():
     base = PerfConfig(pipelined=False)
     piped = PerfConfig(pipelined=True)
