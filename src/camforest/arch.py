@@ -40,10 +40,11 @@ gather the packed words back to terms before reducing them per line.
 Under programming noise every cell draws its own conductance, so each
 term is its own compare row.
 
-The kernel evaluates programs on a leading axis. A single program is the
-one-row case; a sweep point runs all its trials as one batch over the union
-of their terms, each trial with its own thresholds, so a term that only
-another trial can draw on is found at 0.0 A on every input.
+The kernel reads one type, ``ProgrammedArchitecture``: the encoding and the
+term layout of its programs, which lie on a leading axis. A single program
+is the one-row case; a sweep point runs all its trials as one batch over the
+union of their terms, each trial with its own thresholds, so a term that
+only another trial can draw on is found at 0.0 A on every input.
 """
 
 import math
@@ -122,33 +123,25 @@ class _Encoding:
     config: ArchConfig
     device: DeviceModel
     n_classes: int
-    feature_bounds: tuple
+    feature_bounds: tuple     # original feature order
     n_bits: int | None
     m1: np.ndarray            # (cells,) encoded conductances before noise
     m2: np.ndarray
     groups: tuple             # per group: slice of its cells
     cell_input: np.ndarray    # (cells,) DL source: original feature, F = padding
     slot_rows: tuple          # per group: (map row ids, flat slot ids)
-    vote_matrix: np.ndarray
+    vote_matrix: np.ndarray   # (rows, n_classes)
 
 
 @dataclass(frozen=True)
-class _Programs:
-    """What inference reads: one or more programs (trials) of one encoding,
-    sharing one kernel term layout, with one row of conductances each.
+class ProgrammedArchitecture(_Encoding):
+    """Immutable programmed state, shared read-only by inference: one or more
+    programs (trials) of one encoding over one term layout (``program``
+    gives one). Tiles of all groups are stacked in group order; a slot is
+    one tile row, with flat id ``stacked tile * H + row``."""
 
-    Tiles of all groups are stacked in group order; a slot is one tile row
-    and its flat id is ``stacked tile * H + row``.
-    """
-
-    plan: TiledPlan
-    config: ArchConfig
-    device: DeviceModel
-    n_classes: int
-    feature_bounds: tuple     # original feature order
-    vote_matrix: np.ndarray   # (rows, n_classes)
-    n_bits: int | None
     sigma_rel: float
+    drawn: tuple              # the last program's flat (g_m1, g_m2)
     active_input: np.ndarray  # (cells,) DL source: original feature, F = padding
     active_cell: np.ndarray   # (cells,) flat slot * W + column, ascending
     # Kernel terms: the branches of active cells not at 0.0 A across the
@@ -163,6 +156,19 @@ class _Programs:
     compare_term: np.ndarray  # (rows,) a term holding each compare row
     term_compare: np.ndarray  # (terms,) each term's compare row
 
+    def _grids(self, flat) -> tuple:
+        return tuple(flat[cells].reshape(-1, self.plan.tile_h, self.plan.tile_w)
+                     for cells in self.groups)
+
+    @property
+    def cells_m1(self) -> tuple:
+        """Per group: the last program's (tiles, H, W) conductances."""
+        return self._grids(self.drawn[0])
+
+    @property
+    def cells_m2(self) -> tuple:
+        return self._grids(self.drawn[1])
+
     @property
     def n_active_arrays(self) -> int:
         return self.plan.n_active_groups
@@ -171,15 +177,6 @@ class _Programs:
     def cycles_per_decision(self) -> int:
         # Pre-charge, evaluate, latch per array, then one vote read.
         return CYCLES_PER_ARRAY * self.n_active_arrays + 1
-
-
-@dataclass(frozen=True)
-class ProgrammedArchitecture(_Programs):
-    """Immutable programmed state of one trial, shared read-only by
-    inference: the one-program case, which also keeps every cell."""
-
-    cells_m1: tuple           # per group: (tiles, H, W) conductances
-    cells_m2: tuple
 
 
 @dataclass(frozen=True)
@@ -313,12 +310,12 @@ def _compare_table(source, term_g) -> tuple:
     return order[new], term_compare
 
 
-def _program_trials(enc: _Encoding, device: DeviceModel, seeds) -> tuple:
-    """(``_Programs`` fields, the last trial's flat (g_m1, g_m2)) of one
-    program per seed, over one term layout: the branches that the kernel's
-    zero compare does not find at 0.0 A for every input in the window, in
-    any of them. Active cells are the cells holding terms; a trial keeps
-    its own conductance on a term it finds at 0.0 A.
+def _program_trials(enc: _Encoding, device: DeviceModel,
+                    seeds) -> ProgrammedArchitecture:
+    """One program per seed, over one term layout: the branches that the
+    kernel's zero compare does not find at 0.0 A for every input in the
+    window, in any of them. Active cells are the cells holding terms; a
+    trial keeps its own conductance on a term it finds at 0.0 A.
 
     Each trial keeps its conductances on the cells of the union found so
     far; one drawn before the union last grew is drawn again, so no
@@ -357,17 +354,13 @@ def _program_trials(enc: _Encoding, device: DeviceModel, seeds) -> tuple:
                       g_m1.T[term_cell])
     compare_term, term_compare = _compare_table(
         2 * active_input[term_cell] + term_upper, term_g)
-    fields = dict(
-        plan=enc.plan, config=enc.config, device=enc.device,
-        n_classes=enc.n_classes, feature_bounds=enc.feature_bounds,
-        vote_matrix=enc.vote_matrix, n_bits=enc.n_bits,
-        sigma_rel=device.sigma_rel, active_input=active_input,
-        active_cell=active, term_cell=term_cell, term_upper=term_upper,
-        term_g=term_g, term_slots=term_slots,
+    return ProgrammedArchitecture(
+        **vars(enc), sigma_rel=device.sigma_rel, drawn=(m1, m2),
+        active_input=active_input, active_cell=active, term_cell=term_cell,
+        term_upper=term_upper, term_g=term_g, term_slots=term_slots,
         line_terms=np.append(line_terms, term_cell.size),
         line_rows=tuple(line_rows), compare_term=compare_term,
         term_compare=term_compare)
-    return fields, (m1, m2)
 
 
 def program(plan: TiledPlan, device: DeviceModel, config: ArchConfig,
@@ -379,15 +372,9 @@ def program(plan: TiledPlan, device: DeviceModel, config: ArchConfig,
     applies to the CAM cells only (the vote array is treated as ideal).
     Deterministic for a fixed seed.
     """
-    enc = _encode(plan, device, config, feature_bounds, n_classes, n_bits)
-    fields, (m1, m2) = _program_trials(enc, _noisy(device, sigma_rel), [seed])
-
-    def grids(flat):
-        return tuple(flat[cells].reshape(-1, plan.tile_h, plan.tile_w)
-                     for cells in enc.groups)
-
-    return ProgrammedArchitecture(**fields, cells_m1=grids(m1),
-                                  cells_m2=grids(m2))
+    return _program_trials(
+        _encode(plan, device, config, feature_bounds, n_classes, n_bits),
+        _noisy(device, sigma_rel), [seed])
 
 
 def program_forest(forest: Forest, device: DeviceModel = DeviceModel(),
@@ -425,7 +412,7 @@ def _input_voltages(arch, X) -> np.ndarray:
     return feature_to_voltage(X, arch.feature_bounds, out=np.empty(X.shape))
 
 
-def _line_voltages(arch: _Programs, v_in, t: float, line, program,
+def _line_voltages(arch: ProgrammedArchitecture, v_in, t: float, line, program,
                    sample) -> np.ndarray:
     """ML voltages of (line, program, sample) triples from the every-cell
     expression: each cell's lower plus upper current in a zeroed row of W
@@ -465,7 +452,7 @@ def _line_voltages(arch: _Programs, v_in, t: float, line, program,
     return v_ml
 
 
-def _chunk_shape(arch: _Programs, n_samples: int) -> tuple:
+def _chunk_shape(arch: ProgrammedArchitecture, n_samples: int) -> tuple:
     """(programs, words) of a compare block, then of a chunk.
 
     A compare block gathers each term's T1 current for whole 64-sample
@@ -490,7 +477,7 @@ def _chunk_shape(arch: _Programs, n_samples: int) -> tuple:
     return programs, words, chunk_programs, chunk_words
 
 
-def _term_thresholds(arch: _Programs, t: float) -> tuple:
+def _term_thresholds(arch: ProgrammedArchitecture, t: float) -> tuple:
     """(zero, full) per (term, program): signed T1 currents, negated for
     upper branches, whose current rises with T1. A term draws exactly 0.0 A
     where its signed T1 current is at or above ``zero``, and at least the
@@ -501,7 +488,7 @@ def _term_thresholds(arch: _Programs, t: float) -> tuple:
             arch.term_g * np.where(up, -upper_full, lower_full))
 
 
-def _undecided_shape(arch: _Programs) -> tuple:
+def _undecided_shape(arch: ProgrammedArchitecture) -> tuple:
     """(undecided triples held per chunk, lines per ``_line_voltages``
     batch): held triples keep three ids each within a quarter of
     ``CHUNK_BYTES``, beside the compare block; a batch makes a zeroed row
@@ -511,8 +498,8 @@ def _undecided_shape(arch: _Programs) -> tuple:
             max(1, CHUNK_BYTES // (8 * (arch.plan.tile_w + 16 * per_line))))
 
 
-def _or_undecided(arch: _Programs, v_in, t: float, words, first: tuple,
-                  undecided) -> None:
+def _or_undecided(arch: ProgrammedArchitecture, v_in, t: float, words,
+                  first: tuple, undecided) -> None:
     """Sense undecided (line, program, sample) triples on ``_line_voltages``
     and OR the bits that pass v_sa into ``words``, the packed lines of the
     chunk whose first program and sample are ``first``."""
@@ -527,7 +514,7 @@ def _or_undecided(arch: _Programs, v_in, t: float, words, first: tuple,
                      np.left_shift(1, sample % 8).astype(np.uint8))
 
 
-def _chunks(arch: _Programs, shape: tuple, n_samples: int):
+def _chunks(arch: ProgrammedArchitecture, shape: tuple, n_samples: int):
     """Yield the (programs, samples) slices of each kernel chunk of
     ``_chunk_shape`` ``shape``."""
     _, _, chunk_programs, chunk_words = shape
@@ -546,7 +533,7 @@ def _term_words(bits, term_row) -> np.ndarray:
                    .view(np.uint64), term_row, axis=0)
 
 
-def _sensed_words(arch: _Programs, v_in, t: float, shape: tuple,
+def _sensed_words(arch: ProgrammedArchitecture, v_in, t: float, shape: tuple,
                   programs: slice, samples: slice) -> np.ndarray:
     """(lines, programs, words) sensed match bits of the slots holding
     terms, for one chunk of ``arch``'s programs on DL inputs ``v_in`` at
@@ -630,7 +617,7 @@ def _unpack(words, n: int) -> np.ndarray:
                          bitorder="little").view(bool)
 
 
-def _evaluate_programs(arch: _Programs, v_in, t: float,
+def _evaluate_programs(arch: ProgrammedArchitecture, v_in, t: float,
                        keep_matches: bool = False) -> tuple:
     """Every program of ``arch`` on DL inputs ``v_in`` at sense time ``t``:
     (row matches if ``keep_matches``, vote currents), each (programs,
@@ -726,27 +713,28 @@ def infer(arch: ProgrammedArchitecture, sample, t_clk=None) -> InferenceTrace:
     )
 
 
-def _evaluation_set(X, y) -> tuple:
+def _evaluation_set(X, y, n_classes: int) -> tuple:
+    """(X, y) as arrays, ``y`` one label in [0, n_classes) per sample."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     if X.size == 0 or y.size == 0:
         raise DataError("empty evaluation dataset")
+    if y.shape != (len(np.atleast_2d(X)),) or y.min() < 0:
+        raise DataError("labels must be one non-negative integer per sample")
+    if y.max() >= n_classes:
+        raise DataError("dataset labels exceed the model's class count")
     return X, y
-
-
-def _score(pred, y, n_classes: int) -> tuple:
-    """(fraction correct, confusion matrix[true, predicted])."""
-    confusion = np.zeros((n_classes, n_classes), dtype=int)
-    np.add.at(confusion, (y, pred), 1)
-    return float(np.mean(pred == y)), confusion
 
 
 def evaluate_accuracy(arch: ProgrammedArchitecture, X, y, t_clk=None,
                       rng=None) -> tuple:
     """(fraction correct, confusion matrix[true, predicted]); ``rng`` drives
     the vote noise as in ``infer_batch``."""
-    X, y = _evaluation_set(X, y)
-    return _score(infer_batch(arch, X, t_clk, rng), y, arch.n_classes)
+    X, y = _evaluation_set(X, y, arch.n_classes)
+    pred = infer_batch(arch, X, t_clk, rng)
+    confusion = np.zeros((arch.n_classes, arch.n_classes), dtype=int)
+    np.add.at(confusion, (y, pred), 1)
+    return float(np.mean(pred == y)), confusion
 
 
 @dataclass(frozen=True)
@@ -801,18 +789,18 @@ def sweep(forest: Forest, X, y, variable: str, grid, trials: int, seed: int,
                                           forest.n_classes, nb)
         points.append((i, encodings[h, w, nb], _noisy(device, sg),
                        _clock(config, t_eval)))
-    X, y = _evaluation_set(X, y)
+    X, y = _evaluation_set(X, y, forest.n_classes)
     v_in = _input_voltages(points[0][1], _check_samples(points[0][1], X))
 
     def run(point):
         i, enc, noisy, t = point
         n_programs = trials if noisy.sigma_rel > 0 else 1
-        fields, _ = _program_trials(
+        batch = _program_trials(
             enc, noisy, [[seed, i, trial] for trial in range(n_programs)])
-        _, currents = _evaluate_programs(_Programs(**fields), v_in, t)
+        _, currents = _evaluate_programs(batch, v_in, t)
         if config.vote_sigma == 0.0:
             # Every program scored at once: the row means are exact integer
-            # counts over len(y), as ``_score`` gives them trial by trial.
+            # counts over len(y), as ``evaluate_accuracy`` gives them.
             acc = np.mean(np.argmax(currents, axis=-1) == y, axis=1)
             return [float(acc[min(trial, n_programs - 1)])
                     for trial in range(trials)]
@@ -820,7 +808,7 @@ def sweep(forest: Forest, X, y, variable: str, grid, trials: int, seed: int,
         for trial in range(trials):
             pred = _vote(config, currents[min(trial, n_programs - 1)],
                          np.random.default_rng([seed, i, trial, 1]))
-            accs.append(_score(pred, y, enc.n_classes)[0])
+            accs.append(float(np.mean(pred == y)))
         return accs
 
     n_workers = workers if workers else min(32, os.cpu_count() or 1)

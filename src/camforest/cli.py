@@ -41,8 +41,8 @@ from .errors import (
     InvariantError,
     ModelFormatError,
 )
-from .forest import MODEL_FORMAT, MODEL_VERSION, from_json, to_json, train_forest
-from .mapper import PLAN_FORMAT, PLAN_VERSION, compile_forest, plan_from_json, plan_to_json
+from .forest import MODEL_FORMAT, MODEL_VERSION, _from_obj, from_json, to_json, train_forest
+from .mapper import PLAN_FORMAT, PLAN_VERSION, _plan_from_obj, compile_forest, plan_to_json
 from .perf import ML_MODES, PerfConfig, ScaleFactors, perf_report
 
 MANIFEST_FILE = "manifest.json"
@@ -243,9 +243,9 @@ def _plan_from_input(args, cfg, unseeded_noise: bool = False) -> tuple:
     if unseeded_noise:
         raise ConfigError("sigma or vote_sigma > 0 needs a seed")
     if tag == PLAN_FORMAT:
-        plan, bounds = plan_from_json(text)
+        plan, bounds = _plan_from_obj(obj)
         return plan, bounds, _plan_class_count(obj, plan)
-    forest = from_json(text)
+    forest = _from_obj(obj)
     return _compile(cfg, forest), forest.feature_bounds, forest.n_classes
 
 
@@ -277,8 +277,6 @@ def cmd_simulate(args, cfg, seed):
         raise ModelFormatError("plan lacks feature_bounds; re-export it "
                                "with bounds to simulate")
     arch = _program(cfg, plan, bounds, n_classes, noise_seed=seed or 0)
-    if int(np.max(y_ev)) >= arch.n_classes:
-        raise DataError("dataset labels exceed the model's class count")
     rng = (np.random.default_rng([seed, 1])
            if arch.config.vote_sigma > 0.0 else None)
     accuracy, confusion = evaluate_accuracy(arch, X_ev, y_ev, rng=rng)

@@ -548,13 +548,22 @@ def to_json(forest: Forest) -> str:
     return json.dumps(obj, sort_keys=True, indent=1)
 
 
-def from_json(text: str) -> Forest:
+def _loads(text: str):
+    """The JSON value of an artifact's ``text``."""
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"not valid JSON: {exc}") from None
     except RecursionError:
         raise ModelFormatError("JSON nested too deeply") from None
+
+
+def from_json(text: str) -> Forest:
+    return _from_obj(_loads(text))
+
+
+def _from_obj(obj) -> Forest:
+    """The forest of a parsed model artifact."""
     if not isinstance(obj, dict) or obj.get("format") != MODEL_FORMAT:
         raise ModelFormatError("missing model format tag")
     if obj.get("version") != MODEL_VERSION:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .device import ThresholdRange
 from .errors import ConfigError, InvariantError, ModelFormatError
-from .forest import Forest, _integer, _number
+from .forest import Forest, _integer, _loads, _number
 
 PLAN_FORMAT = "camforest-plan"
 PLAN_VERSION = 1
@@ -328,12 +328,11 @@ def _range_bounds(obj) -> tuple:
 
 def plan_from_json(text: str) -> tuple:
     """Returns (TiledPlan, feature_bounds or None)."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"not valid JSON: {exc}") from None
-    except RecursionError:
-        raise ModelFormatError("JSON nested too deeply") from None
+    return _plan_from_obj(_loads(text))
+
+
+def _plan_from_obj(obj) -> tuple:
+    """``plan_from_json`` of a parsed plan artifact."""
     if not isinstance(obj, dict) or obj.get("format") != PLAN_FORMAT:
         raise ModelFormatError("missing plan format tag")
     if obj.get("version") != PLAN_VERSION:

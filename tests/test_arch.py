@@ -1,7 +1,7 @@
 """Programming and end-to-end inference behavior."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ import pytest
 from camforest.arch import (
     PAD_VOLTAGE,
     ArchConfig,
+    ProgrammedArchitecture,
     SWEEP_VARIABLES,
     _encode,
     _evaluate,
@@ -16,7 +17,6 @@ from camforest.arch import (
     _input_voltages,
     _noisy,
     _program_trials,
-    _Programs,
     _draw,
     _chunk_shape,
     _chunks,
@@ -249,6 +249,27 @@ def test_evaluate_accuracy_validations():
                     arch.n_classes, sigma_rel=sigma_rel)
 
 
+@pytest.mark.parametrize("labels, message", [
+    (lambda y: y[:1], "per sample"),
+    (lambda y: y.reshape(-1, 1), "per sample"),
+    (lambda y: y - 1, "non-negative"),
+    (lambda y: np.where(y == 2, 7, y), "class count"),
+], ids=["one_label", "column", "negative", "beyond_classes"])
+def test_labels_must_be_one_class_per_sample(iris_forest, labels, message):
+    """Labels that broadcast against the predictions or fall outside [0,
+    n_classes) are rejected by ``evaluate_accuracy`` and ``sweep`` alike,
+    with and without vote noise, instead of scoring or failing on an
+    index."""
+    forest, X, y = iris_forest
+    bad = labels(y)
+    with pytest.raises(DataError, match=message):
+        evaluate_accuracy(program_forest(forest), X, bad)
+    for vote_sigma in (0.0, 0.3):
+        with pytest.raises(DataError, match=message):
+            sweep(forest, X, bad, "sigma", [0.0], trials=2, seed=0,
+                  config=ArchConfig(vote_sigma=vote_sigma), workers=1)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_features_rejected(bad):
     # A NaN row matches no row and would silently vote for class 0.
@@ -438,8 +459,7 @@ def test_batched_lines_bit_identical_to_replay(iris_forest, t_scale):
     t = cfg.t_clk * t_scale
     enc = _encode(plan, D, cfg, forest.feature_bounds, forest.n_classes, None)
     seeds = [[5, 1, trial] for trial in range(6)]
-    fields, _ = _program_trials(enc, _noisy(D, 0.8), seeds)
-    batch = _Programs(**fields)
+    batch = _program_trials(enc, _noisy(D, 0.8), seeds)
     v_in = _input_voltages(batch, X)
     batched = _lines(batch, v_in, t)
     matches, currents = _evaluate_programs(batch, v_in, t, keep_matches=True)
@@ -458,6 +478,73 @@ def test_batched_lines_bit_identical_to_replay(iris_forest, t_scale):
                               own_currents.view(np.int64))
         skipped += batch.term_cell.size - arch.term_cell.size
     assert skipped > 0
+
+
+def _assert_same(a, b):
+    """``a`` and ``b`` hold the same values: arrays bit for bit, tuples
+    element by element."""
+    if isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    elif isinstance(a, tuple):
+        assert isinstance(b, tuple) and len(a) == len(b)
+        for x, y in zip(a, b):
+            _assert_same(x, y)
+    else:
+        assert a is b or a == b
+
+
+def test_program_is_the_one_seed_program_trials(iris_forest):
+    """``program`` is ``_program_trials`` of its encoding on its one seed,
+    field for field."""
+    forest, _, _ = iris_forest
+    plan = compile_forest(forest, 8, 2)
+    cfg = ArchConfig()
+    arch = program(plan, D, cfg, forest.feature_bounds, forest.n_classes,
+                   n_bits=5, sigma_rel=0.3, seed=[2, 5])
+    enc = _encode(plan, D, cfg, forest.feature_bounds, forest.n_classes, 5)
+    trials = _program_trials(enc, _noisy(D, 0.3), [[2, 5]])
+    assert type(arch) is type(trials) is ProgrammedArchitecture
+    assert arch.sigma_rel == 0.3 and arch.term_g.shape[1] == 1
+    for field in fields(ProgrammedArchitecture):
+        _assert_same(getattr(arch, field.name), getattr(trials, field.name))
+
+
+def test_noisy_cells_are_the_draw_regrouped(iris_forest):
+    """A noisy program's per-group cell grids are its trial's flat draw,
+    cut at the group slices and laid out (tiles, H, W)."""
+    forest, _, _ = iris_forest
+    plan = compile_forest(forest, 8, 2)
+    assert plan.n_groups > 1
+    cfg = ArchConfig()
+    arch = program(plan, D, cfg, forest.feature_bounds, forest.n_classes,
+                   sigma_rel=0.3, seed=[2, 5])
+    enc = _encode(plan, D, cfg, forest.feature_bounds, forest.n_classes, None)
+    m1, m2 = _draw(enc, _noisy(D, 0.3), [2, 5])
+    assert not np.array_equal(m1, enc.m1)
+    for cells_m, flat in ((arch.cells_m1, m1), (arch.cells_m2, m2)):
+        assert len(cells_m) == plan.n_groups
+        for tiles, cells, grid in zip(plan.groups, enc.groups, cells_m):
+            assert grid.shape == (len(tiles), 8, 2)
+            _assert_same(grid, flat[cells].reshape(-1, 8, 2))
+
+
+def test_sweep_point_batch_is_a_programmed_architecture(iris_forest,
+                                                         monkeypatch):
+    """A sweep point evaluates one ``ProgrammedArchitecture`` holding a
+    term_g column per trial; a noise-free point is one program."""
+    forest, X, y = iris_forest
+    batches = []
+
+    def recorded(arch, v_in, t, keep_matches=False):
+        batches.append(arch)
+        return _evaluate_programs(arch, v_in, t, keep_matches)
+
+    monkeypatch.setattr("camforest.arch._evaluate_programs", recorded)
+    sweep(forest, X, y, "sigma", [0.0, 0.2], trials=3, seed=1, workers=1)
+    assert all(type(b) is ProgrammedArchitecture for b in batches)
+    assert [b.term_g.shape[1] for b in batches] == [1, 3]
+    assert [b.sigma_rel for b in batches] == [0.0, 0.2]
 
 
 def test_sweep_noise_trials_vary():

@@ -12,7 +12,7 @@ import pytest
 
 from camforest.cli import main
 from camforest.forest import MAX_DEPTH
-from camforest.datasets import load_iris, save_csv
+from camforest.datasets import load_iris, save_csv, train_test_split
 
 BASE = """\
 [meta]
@@ -178,6 +178,32 @@ def test_simulate_plan_counts_a_class_that_wins_no_leaf(ini, run, tmp_path):
                     "--out", str(tmp_path / "s3"))
     assert code == 3 and "vote_matrix" in cap.err
     assert not (tmp_path / "s3" / "manifest.json").exists()
+
+
+def test_class_unseen_in_training_exits_three(ini, run, tmp_path):
+    """An evaluation half holding a class the training half lacks is a data
+    error for simulate and for sweep, with and without vote noise."""
+    X, y = load_iris()
+    y = np.minimum(y, 1)
+    _, _, held, _ = train_test_split(np.arange(len(y))[:, None], y,
+                                     test_fraction=0.25, seed=7)
+    y[held[0, 0]] = 2
+    data = tmp_path / "unseen.csv"
+    save_csv(str(data), X, y)
+    text = BASE.replace("builtin = iris", f"path = {data}")
+    cfg = ini(text, "unseen.ini")
+    assert run("train", "--config", cfg, "--out", str(tmp_path / "m"))[0] == 0
+    model = tmp_path / "m" / "model.json"
+    assert json.loads(model.read_text())["n_classes"] == 2
+    runs = [("simulate", str(model), "--config", cfg)] + [
+        ("sweep", "--config", ini(text + f"[arch]\nvote_sigma = {v}\n",
+                                  f"v{v}.ini")) for v in ("0", "0.3")]
+    for k, argv in enumerate(runs):
+        out = tmp_path / f"o{k}"
+        code, cap = run(*argv, "--out", str(out))
+        assert code == 3, (argv, cap.err)
+        assert "labels exceed the model's class count" in cap.err
+        assert not (out / "manifest.json").exists()
 
 
 def test_sweep_csv_shape_and_byte_identical_reruns(ini, run, tmp_path):
