@@ -1,11 +1,11 @@
 # What the analog substrate costs: programming noise and threshold
 # quantization, measured as accuracy on Iris.
 #
-# Real memristors cannot be written exactly. The device model applies
-# lognormal multiplicative noise (sigma relative to the target
-# conductance) at programming time, and optionally snaps thresholds to
-# an n-bit grid before encoding, widened by half an LSB so boundary
-# inputs still match.
+# Real memristors cannot be written exactly. Programming applies
+# Gaussian multiplicative noise (sigma relative to the target
+# conductance), clipped to the device's [g_hrs, g_lrs] range, and
+# optionally snaps thresholds to an n-bit grid before encoding, widened
+# by half an LSB so boundary inputs still match.
 
 import numpy as np
 

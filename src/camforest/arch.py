@@ -48,9 +48,10 @@ only another trial can draw on is found at 0.0 A on every input.
 """
 
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,7 +74,7 @@ from .device import (
     V_DL_MIN,
 )
 from .errors import ConfigError, DataError
-from .forest import Forest
+from .forest import Forest, _integer_labels
 from .mapper import TiledPlan, compile_forest
 from .perf import CYCLES_PER_ARRAY
 
@@ -232,8 +233,8 @@ def _encode(plan: TiledPlan, device: DeviceModel, config: ArchConfig,
     # wildcard columns; padding columns take any valid feature bounds.
     lo = np.full((n_rows + 1, padded), -np.inf)
     hi = np.full((n_rows + 1, padded), np.inf)
-    lo[:n_rows, :n_features], hi[:n_rows, :n_features] = \
-        plan.tmap.bound_arrays()
+    lo[:n_rows, :n_features] = plan.tmap.lo
+    hi[:n_rows, :n_features] = plan.tmap.hi
     col_feature = np.full(padded, n_features, dtype=np.intp)
     col_feature[:n_features] = plan.col_perm
     col_bounds = np.tile([0.0, 1.0], (padded, 1))
@@ -267,13 +268,14 @@ def _encode(plan: TiledPlan, device: DeviceModel, config: ArchConfig,
         vote_matrix=vote)
 
 
-def _noisy(device: DeviceModel, sigma_rel: float | None) -> DeviceModel:
-    """``device`` with ``sigma_rel`` (when given) as its programming noise."""
-    return replace(device, sigma_rel=(device.sigma_rel if sigma_rel is None
-                                      else float(sigma_rel)))
+def _sigma(value) -> float:
+    """``value`` as a programming-noise level: a finite number >= 0."""
+    if not (isinstance(value, numbers.Real) and 0 <= value < math.inf):
+        raise ConfigError("sigma_rel must be non-negative")
+    return float(value)
 
 
-def _draw(enc: _Encoding, device: DeviceModel, seed) -> tuple:
+def _draw(enc: _Encoding, sigma_rel: float, seed) -> tuple:
     """Flat (g_m1, g_m2) of one trial: the encoding with programming noise
     from the trial's own stream, group by group, m1 before m2. A
     Generator's stream split across calls is that of one call of the
@@ -281,7 +283,7 @@ def _draw(enc: _Encoding, device: DeviceModel, seed) -> tuple:
     out in that order."""
     parts = [part for cells in enc.groups
              for part in (enc.m1[cells], enc.m2[cells])]
-    noisy = inject_noise(np.concatenate(parts), device,
+    noisy = inject_noise(np.concatenate(parts), sigma_rel, enc.device,
                          np.random.default_rng(seed))
     m1, m2 = np.empty_like(enc.m1), np.empty_like(enc.m2)
     at = 0
@@ -310,11 +312,11 @@ def _compare_table(source, term_g) -> tuple:
     return order[new], term_compare
 
 
-def _program_trials(enc: _Encoding, device: DeviceModel,
+def _program_trials(enc: _Encoding, sigma_rel: float,
                     seeds) -> ProgrammedArchitecture:
-    """One program per seed, over one term layout: the branches that the
-    kernel's zero compare does not find at 0.0 A for every input in the
-    window, in any of them. Active cells are the cells holding terms; a
+    """One program per seed at noise ``sigma_rel``, over one term layout:
+    the branches that the kernel's zero compare does not find at 0.0 A for
+    every input in the window, in any of them. Active cells hold terms; a
     trial keeps its own conductance on a term it finds at 0.0 A.
 
     Each trial keeps its conductances on the cells of the union found so
@@ -328,7 +330,7 @@ def _program_trials(enc: _Encoding, device: DeviceModel,
     can_lower = can_upper = False
     kept = []
     for seed in seeds:
-        m1, m2 = _draw(enc, device, seed)
+        m1, m2 = _draw(enc, sigma_rel, seed)
         can_lower = can_lower | (t1_min < m1 * lower_zero)
         can_upper = can_upper | (t1_max > m2 * upper_zero)
         held = np.flatnonzero(can_lower | can_upper)
@@ -337,7 +339,7 @@ def _program_trials(enc: _Encoding, device: DeviceModel,
     g_m1, g_m2 = np.empty((2, len(seeds), active.size))
     for trial, (seed, (a_m1, a_m2)) in enumerate(zip(seeds, kept)):
         if a_m1.size < active.size:
-            a_m1, a_m2 = (g[active] for g in _draw(enc, device, seed))
+            a_m1, a_m2 = (g[active] for g in _draw(enc, sigma_rel, seed))
         g_m1[trial], g_m2[trial] = a_m1, a_m2
     lower, upper = can_lower[active], can_upper[active]
     term_cell = np.concatenate([np.flatnonzero(lower), np.flatnonzero(upper)])
@@ -355,7 +357,7 @@ def _program_trials(enc: _Encoding, device: DeviceModel,
     compare_term, term_compare = _compare_table(
         2 * active_input[term_cell] + term_upper, term_g)
     return ProgrammedArchitecture(
-        **vars(enc), sigma_rel=device.sigma_rel, drawn=(m1, m2),
+        **vars(enc), sigma_rel=sigma_rel, drawn=(m1, m2),
         active_input=active_input, active_cell=active, term_cell=term_cell,
         term_upper=term_upper, term_g=term_g, term_slots=term_slots,
         line_terms=np.append(line_terms, term_cell.size),
@@ -365,22 +367,22 @@ def _program_trials(enc: _Encoding, device: DeviceModel,
 
 def program(plan: TiledPlan, device: DeviceModel, config: ArchConfig,
             feature_bounds, n_classes: int, n_bits: int | None = None,
-            sigma_rel: float | None = None, seed=0) -> ProgrammedArchitecture:
+            sigma_rel: float = 0.0, seed=0) -> ProgrammedArchitecture:
     """Encode the plan's ranges into conductances and build the vote matrix.
 
-    ``sigma_rel`` overrides the device's programming-noise setting; noise
-    applies to the CAM cells only (the vote array is treated as ideal).
-    Deterministic for a fixed seed.
+    ``sigma_rel`` is the relative std of the programming noise, recorded as
+    the result's ``sigma_rel``; it applies to the CAM cells only (the vote
+    array is treated as ideal). Deterministic for a fixed seed.
     """
     return _program_trials(
         _encode(plan, device, config, feature_bounds, n_classes, n_bits),
-        _noisy(device, sigma_rel), [seed])
+        _sigma(sigma_rel), [seed])
 
 
 def program_forest(forest: Forest, device: DeviceModel = DeviceModel(),
                    config: ArchConfig = ArchConfig(), tile_h: int = 16,
                    tile_w: int = 16, reorder_map: bool = True,
-                   n_bits: int | None = None, sigma_rel: float | None = None,
+                   n_bits: int | None = None, sigma_rel: float = 0.0,
                    seed=0) -> ProgrammedArchitecture:
     """Compile and program a trained forest in one step."""
     plan = compile_forest(forest, tile_h, tile_w, reorder_map)
@@ -714,9 +716,9 @@ def infer(arch: ProgrammedArchitecture, sample, t_clk=None) -> InferenceTrace:
 
 
 def _evaluation_set(X, y, n_classes: int) -> tuple:
-    """(X, y) as arrays, ``y`` one label in [0, n_classes) per sample."""
+    """(X, y) as arrays, ``y`` one integer in [0, n_classes) per sample."""
     X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=int)
+    y = _integer_labels(y)
     if X.size == 0 or y.size == 0:
         raise DataError("empty evaluation dataset")
     if y.shape != (len(np.atleast_2d(X)),) or y.min() < 0:
@@ -747,7 +749,7 @@ class SweepResult:
 def sweep(forest: Forest, X, y, variable: str, grid, trials: int, seed: int,
           device: DeviceModel = DeviceModel(), config: ArchConfig = ArchConfig(),
           tile_h: int = 16, tile_w: int = 16, n_bits: int | None = None,
-          sigma_rel: float | None = None, reorder_map: bool = True,
+          sigma_rel: float = 0.0, reorder_map: bool = True,
           workers: int | None = None) -> SweepResult:
     """Monte-Carlo accuracy sweep over one variable.
 
@@ -787,16 +789,16 @@ def sweep(forest: Forest, X, y, variable: str, grid, trials: int, seed: int,
             encodings[h, w, nb] = _encode(plans[h, w], device, config,
                                           forest.feature_bounds,
                                           forest.n_classes, nb)
-        points.append((i, encodings[h, w, nb], _noisy(device, sg),
+        points.append((i, encodings[h, w, nb], _sigma(sg),
                        _clock(config, t_eval)))
     X, y = _evaluation_set(X, y, forest.n_classes)
     v_in = _input_voltages(points[0][1], _check_samples(points[0][1], X))
 
     def run(point):
-        i, enc, noisy, t = point
-        n_programs = trials if noisy.sigma_rel > 0 else 1
+        i, enc, sg, t = point
+        n_programs = trials if sg > 0 else 1
         batch = _program_trials(
-            enc, noisy, [[seed, i, trial] for trial in range(n_programs)])
+            enc, sg, [[seed, i, trial] for trial in range(n_programs)])
         _, currents = _evaluate_programs(batch, v_in, t)
         if config.vote_sigma == 0.0:
             # Every program scored at once: the row means are exact integer

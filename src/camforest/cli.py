@@ -43,7 +43,7 @@ from .errors import (
 )
 from .forest import MODEL_FORMAT, MODEL_VERSION, _from_obj, from_json, to_json, train_forest
 from .mapper import PLAN_FORMAT, PLAN_VERSION, _plan_from_obj, compile_forest, plan_to_json
-from .perf import ML_MODES, PerfConfig, ScaleFactors, perf_report
+from .perf import ML_MODES, PerfConfig, perf_report
 
 MANIFEST_FILE = "manifest.json"
 
@@ -377,14 +377,8 @@ def cmd_sweep(args, cfg, seed):
 
 def cmd_perf(args, cfg, seed):
     p = cfg["perf"]
-    pcfg = PerfConfig(
-        v_dd=p["v_dd"], v_sl_hi=p["v_sl_hi"], t_clk=p["t_clk"],
-        r_out=p["r_out"], r_w=p["r_w"], c_dl=p["c_dl"], c_ml=p["c_ml"],
-        scale=ScaleFactors(power_scale=p["power_scale"],
-                           cap_scale=p["cap_scale"],
-                           volt_scale=p["volt_scale"]),
-        pipelined=p["pipelined"],
-    )
+    pcfg = PerfConfig(**{f.name: p[f.name]
+                         for f in dataclasses.fields(PerfConfig)})
     ml_mode = p["ml_mode"] or "dimensional"
     if ml_mode not in ML_MODES:
         raise ConfigError("[perf] ml_mode must be one of "

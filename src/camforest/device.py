@@ -41,7 +41,8 @@ EDGE_MARGIN = 1e-9
 
 @dataclass(frozen=True)
 class DeviceModel:
-    """Programmable-conductance device limits and programming noise."""
+    """Programmable-conductance device limits; programming noise is not a
+    device setting but ``program``'s ``sigma_rel``."""
 
     g_hrs: float = 0.5e-6     # high-resistance (off/wildcard) conductance, S
     g_lrs: float = 200e-6     # low-resistance conductance, S
@@ -50,15 +51,12 @@ class DeviceModel:
     # takes (V_DL_MAX - V_DL_MIN) / n_levels as its round-trip step, and
     # stored bounds must measure back within half of it.
     n_levels: int = 16
-    sigma_rel: float = 0.0    # relative std of programming noise
 
     def __post_init__(self):
         if not (0 < self.g_hrs < self.g_lrs and math.isfinite(self.g_lrs)):
             raise ConfigError("need 0 < g_hrs < g_lrs")
         if self.n_levels < 2:
             raise ConfigError("n_levels must be at least 2")
-        if not (math.isfinite(self.sigma_rel) and self.sigma_rel >= 0):
-            raise ConfigError("sigma_rel must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -85,28 +83,26 @@ class ConductancePair:
     g_m2: float
 
 
-def feature_to_voltage(x, feature_bounds, v_dl_min: float = V_DL_MIN,
-                       v_dl_max: float = V_DL_MAX, clip: bool = True,
-                       out=None):
+def feature_to_voltage(x, feature_bounds, clip: bool = True, out=None):
     """Affine map of [min, max] feature values onto the DL window.
 
     Input samples are clipped into the window; stored thresholds are mapped
     with clip=False so widened bounds may extend into the calibration slack.
     ``feature_bounds`` is one (min, max) pair or an (F, 2) array of them,
     one per feature along the last axis of ``x``. The map runs in place in
-    ``out`` (a new array when None) as v_dl_min + (x - min) *
-    (v_dl_max - v_dl_min) / (max - min), in that operation order.
+    ``out`` (a new array when None) as V_DL_MIN + (x - min) *
+    (V_DL_MAX - V_DL_MIN) / (max - min), in that operation order.
     """
     bounds = np.asarray(feature_bounds, dtype=float)
     lo, hi = bounds[..., 0], bounds[..., 1]
     if not np.all(lo < hi):
         raise ValueError("degenerate feature bounds")
     v = np.subtract(np.asarray(x, dtype=float), lo, out=out)
-    v *= v_dl_max - v_dl_min
+    v *= V_DL_MAX - V_DL_MIN
     v /= hi - lo
-    v += v_dl_min
+    v += V_DL_MIN
     if clip:
-        v = np.clip(v, v_dl_min, v_dl_max, out=out)
+        v = np.clip(v, V_DL_MIN, V_DL_MAX, out=out)
     return v
 
 
@@ -292,10 +288,10 @@ def snap_to_levels(x, n_bits: int, lo: float, hi: float):
     return np.where(np.isinf(x), x, snapped)
 
 
-def inject_noise(g, device: DeviceModel, rng: np.random.Generator):
-    """Multiplicative Gaussian programming noise, clipped to the device range."""
+def inject_noise(g, sigma_rel, device: DeviceModel, rng: np.random.Generator):
+    """g * (1 + N(0, sigma_rel)), clipped to the device's [g_hrs, g_lrs]."""
     g = np.asarray(g, dtype=float)
-    if device.sigma_rel == 0:
+    if sigma_rel == 0:
         return g.copy()
-    noisy = g * (1.0 + rng.normal(0.0, device.sigma_rel, size=g.shape))
+    noisy = g * (1.0 + rng.normal(0.0, sigma_rel, size=g.shape))
     return np.clip(noisy, device.g_hrs, device.g_lrs)

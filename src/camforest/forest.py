@@ -470,15 +470,22 @@ def _check_data(X, y):
         raise DataError("X must be a non-empty 2-D array")
     if y.shape != (X.shape[0],):
         raise DataError("y must be 1-D with one label per row of X")
-    if not np.issubdtype(y.dtype, np.integer):
-        if not np.all(y == y.astype(int)):
-            raise DataError("labels must be integers")
-        y = y.astype(int)
+    y = _integer_labels(y)
     if np.any(y < 0):
         raise DataError("labels must be non-negative")
     if not np.all(np.isfinite(X)):
         raise DataError("X contains non-finite values")
-    return X, y.astype(int)
+    return X, y
+
+
+def _integer_labels(y) -> np.ndarray:
+    """``y`` as ints; DataError unless it holds bools, integers or floats
+    equal to their integer cast (numeric strings are not labels)."""
+    y = np.asarray(y)
+    with np.errstate(invalid="ignore"):     # NaN and inf fail the compare
+        if y.dtype.kind not in "biuf" or not np.all(y == y.astype(int)):
+            raise DataError("labels must be integers")
+    return y.astype(int)
 
 
 def _bounds(X) -> tuple:

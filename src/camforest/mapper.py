@@ -119,10 +119,6 @@ class ThresholdMap:
         """Count of non-wildcard cells per column."""
         return self.occupied.sum(axis=0)
 
-    def bound_arrays(self) -> tuple:
-        """(lo, hi) arrays of shape (rows, F) with infinities at wildcards."""
-        return self.lo, self.hi
-
 
 def extract_paths(forest: Forest) -> ThresholdMap:
     """One map row per leaf, tree by tree and in preorder (left to right)
@@ -173,7 +169,7 @@ def map_matches(tmap: ThresholdMap, X) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.ndim != 2 or X.shape[1] != tmap.n_features:
         raise ValueError(f"samples must have {tmap.n_features} features")
-    lo, hi = tmap.bound_arrays()
+    lo, hi = tmap.lo, tmap.hi
     matched = np.ones((len(X), tmap.n_rows), dtype=bool)
     for f in range(tmap.n_features):   # no (samples, rows, F) temporary
         matched &= (X[:, f, None] > lo[:, f]) & (X[:, f, None] <= hi[:, f])

@@ -11,9 +11,10 @@ The match-line dynamic power is computed in two modes. The default
 "dimensional" mode uses C.V^2/(2t) per row; the "as_printed" mode uses
 (C.V)^2/(2t), which is not dimensionally a power but is retained for
 fidelity with the source formula. The mode is recorded in the report.
+``PerfConfig`` holds every setting, one field per ``[perf]`` value key.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,24 +23,7 @@ from .errors import ConfigError
 
 ML_MODES = ("dimensional", "as_printed")
 CYCLES_PER_ARRAY = 3
-
-
-@dataclass(frozen=True)
-class ScaleFactors:
-    """Multiplicative technology-scaling knobs.
-
-    cap_scale multiplies every capacitance, volt_scale every voltage, and
-    power_scale the final power terms (stands in for current scaling).
-    """
-
-    power_scale: float = 1.0
-    cap_scale: float = 1.0
-    volt_scale: float = 1.0
-
-    def __post_init__(self):
-        for name in ("power_scale", "cap_scale", "volt_scale"):
-            if not getattr(self, name) > 0.0:
-                raise ConfigError(f"{name} must be > 0")
+V_ML0 = 0.8  # match-line pre-charge, V
 
 
 @dataclass(frozen=True)
@@ -48,7 +32,9 @@ class PerfConfig:
 
     c_dl and c_ml are per-cell loadings; row/line totals are formed by the
     report assembly. r_out is the DAC output resistance driving one data
-    line and r_w the per-cell wire resistance along it.
+    line and r_w the per-cell wire resistance along it. cap_scale scales
+    every capacitance, volt_scale every voltage and power_scale the power
+    terms (standing in for current scaling).
     """
 
     v_dd: float = 0.8
@@ -58,16 +44,16 @@ class PerfConfig:
     r_w: float = 1.4
     c_dl: float = 1.9e-15
     c_ml: float = 1.9e-15
-    scale: ScaleFactors = field(default_factory=ScaleFactors)
     pipelined: bool = False
+    power_scale: float = 1.0
+    cap_scale: float = 1.0
+    volt_scale: float = 1.0
 
     def __post_init__(self):
-        for name in ("v_dd", "v_sl_hi", "t_clk", "r_out", "r_w",
-                     "c_dl", "c_ml"):
+        for name in ("power_scale", "cap_scale", "volt_scale", "v_dd",
+                     "v_sl_hi", "t_clk", "r_out", "r_w", "c_dl", "c_ml"):
             if not getattr(self, name) > 0.0:
                 raise ConfigError(f"{name} must be > 0")
-        if not isinstance(self.scale, ScaleFactors):
-            raise ConfigError("scale must be a ScaleFactors instance")
 
 
 @dataclass(frozen=True)
@@ -179,36 +165,32 @@ def throughput(n_arrays: int, t_clk: float, pipelined: bool) -> float:
 
 def perf_report(tile_h: int, tile_w: int, n_tiles: int, n_arrays: int,
                 n_nodes: int, config: PerfConfig,
-                final_ml_voltages=None, v_ml0: float = 0.8,
-                i_d0: float = None, ml_mode: str = "dimensional") -> PerfReport:
+                ml_mode: str = "dimensional") -> PerfReport:
     """Assemble the full power/delay/throughput/energy report.
 
     Powers are computed with every array concurrently active; in
     non-pipelined operation only one array works at a time, so every
     component is scaled by 1/n_arrays. That uniform scaling makes
-    energy_per_decision identical in both modes by construction.
-    final_ml_voltages defaults to fully discharged rows (worst case).
+    energy_per_decision identical in both modes by construction. Match
+    lines pre-charge to V_ML0 and end fully discharged (worst case); the
+    dividers draw the cell's ``CellParams().i_d0``.
     """
     for name, count in (("tile_h", tile_h), ("tile_w", tile_w),
                         ("n_tiles", n_tiles), ("n_arrays", n_arrays),
                         ("n_nodes", n_nodes)):
         if count < 1:
             raise ConfigError(f"{name} must be >= 1")
-    if i_d0 is None:
-        i_d0 = CellParams().i_d0
-    s = config.scale
-    v_dd = config.v_dd * s.volt_scale
-    v_sl_hi = config.v_sl_hi * s.volt_scale
-    v_ml0 = v_ml0 * s.volt_scale
-    c_dl = config.c_dl * s.cap_scale
-    c_ml_row = config.c_ml * s.cap_scale * tile_w
-    if final_ml_voltages is None:
-        final_ml_voltages = np.zeros(tile_h * n_tiles)
+    v_dd = config.v_dd * config.volt_scale
+    v_sl_hi = config.v_sl_hi * config.volt_scale
+    v_ml0 = V_ML0 * config.volt_scale
+    c_dl = config.c_dl * config.cap_scale
+    c_ml_row = config.c_ml * config.cap_scale * tile_w
 
-    p_stat = p_static(tile_h, tile_w, n_tiles, v_sl_hi, i_d0) * s.power_scale
-    p_line = p_dl(v_dd, tile_w, n_tiles, config.r_out) * s.power_scale
+    p_stat = p_static(tile_h, tile_w, n_tiles, v_sl_hi,
+                      CellParams().i_d0) * config.power_scale
+    p_line = p_dl(v_dd, tile_w, n_tiles, config.r_out) * config.power_scale
     p_match = p_ml(config.t_clk, c_ml_row, v_ml0, tile_h, n_tiles,
-                   final_ml_voltages, ml_mode) * s.power_scale
+                   np.zeros(tile_h * n_tiles), ml_mode) * config.power_scale
     if not config.pipelined:
         p_stat /= n_arrays
         p_line /= n_arrays

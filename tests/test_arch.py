@@ -15,7 +15,6 @@ from camforest.arch import (
     _evaluate,
     _evaluate_programs,
     _input_voltages,
-    _noisy,
     _program_trials,
     _draw,
     _chunk_shape,
@@ -254,12 +253,17 @@ def test_evaluate_accuracy_validations():
     (lambda y: y.reshape(-1, 1), "per sample"),
     (lambda y: y - 1, "non-negative"),
     (lambda y: np.where(y == 2, 7, y), "class count"),
-], ids=["one_label", "column", "negative", "beyond_classes"])
+    (lambda y: y + 0.7, "integers"),
+    (lambda y: y * 0.5, "integers"),
+    (lambda y: np.array(["0"] * len(y)), "integers"),
+    (lambda y: np.where(y == 2, np.nan, y), "integers"),
+], ids=["one_label", "column", "negative", "beyond_classes", "fractional",
+        "halved", "numeric_strings", "nan"])
 def test_labels_must_be_one_class_per_sample(iris_forest, labels, message):
-    """Labels that broadcast against the predictions or fall outside [0,
-    n_classes) are rejected by ``evaluate_accuracy`` and ``sweep`` alike,
-    with and without vote noise, instead of scoring or failing on an
-    index."""
+    """Labels that broadcast against the predictions, are not integers or
+    fall outside [0, n_classes) are rejected by ``evaluate_accuracy`` and
+    ``sweep`` alike, with and without vote noise, instead of scoring
+    (after truncation) or failing on an index."""
     forest, X, y = iris_forest
     bad = labels(y)
     with pytest.raises(DataError, match=message):
@@ -268,6 +272,36 @@ def test_labels_must_be_one_class_per_sample(iris_forest, labels, message):
         with pytest.raises(DataError, match=message):
             sweep(forest, X, bad, "sigma", [0.0], trials=2, seed=0,
                   config=ArchConfig(vote_sigma=vote_sigma), workers=1)
+
+
+@pytest.mark.parametrize("sigma", [-0.1, math.nan, math.inf, None])
+def test_sigma_must_be_finite_non_negative(iris_forest, sigma):
+    """Programming noise is a finite number >= 0 wherever it is given:
+    ``program``'s ``sigma_rel``, a sigma sweep's grid point and the fixed
+    ``sigma_rel`` of another variable's sweep."""
+    forest, X, y = iris_forest
+    plan = compile_forest(forest, 16, 16)
+    with pytest.raises(ConfigError, match="sigma_rel must be non-negative"):
+        program(plan, D, ArchConfig(), forest.feature_bounds,
+                forest.n_classes, sigma_rel=sigma)
+    runs = [dict(variable="n_bits", grid=[4], sigma_rel=sigma)]
+    if sigma is not None:
+        runs.append(dict(variable="sigma", grid=[0.0, sigma]))
+    for run in runs:
+        with pytest.raises(ConfigError, match="sigma_rel must be non-negative"):
+            sweep(forest, X, y, trials=2, seed=0, workers=1, **run)
+
+
+def test_noise_is_recorded_on_the_program_only(iris_forest):
+    """A noisy program leaves the device it was given unchanged: the noise
+    level lives in ``sigma_rel`` of the programmed architecture alone."""
+    forest, _, _ = iris_forest
+    device = DeviceModel()
+    arch = program_forest(forest, device, sigma_rel=0.3, seed=1)
+    assert arch.device is device and device == DeviceModel()
+    assert "sigma_rel" not in {f.name for f in fields(DeviceModel)}
+    assert arch.sigma_rel == 0.3
+    assert program_forest(forest, device).sigma_rel == 0.0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -437,14 +471,13 @@ def test_draw_is_group_by_group_inject_noise(iris_forest):
                   forest.n_classes, None)
     assert len(enc.groups) == 2
     for sigma in (0.0, 0.05, 0.8):
-        device = _noisy(D, sigma)
-        m1, m2 = _draw(enc, device, [7, 2, 1])
+        m1, m2 = _draw(enc, sigma, [7, 2, 1])
         rng = np.random.default_rng([7, 2, 1])
         for cells in enc.groups:
             assert np.array_equal(m1[cells],
-                                  inject_noise(enc.m1[cells], device, rng))
+                                  inject_noise(enc.m1[cells], sigma, D, rng))
             assert np.array_equal(m2[cells],
-                                  inject_noise(enc.m2[cells], device, rng))
+                                  inject_noise(enc.m2[cells], sigma, D, rng))
         assert sigma == 0.0 or not np.array_equal(m1, enc.m1)
 
 
@@ -459,7 +492,7 @@ def test_batched_lines_bit_identical_to_replay(iris_forest, t_scale):
     t = cfg.t_clk * t_scale
     enc = _encode(plan, D, cfg, forest.feature_bounds, forest.n_classes, None)
     seeds = [[5, 1, trial] for trial in range(6)]
-    batch = _program_trials(enc, _noisy(D, 0.8), seeds)
+    batch = _program_trials(enc, 0.8, seeds)
     v_in = _input_voltages(batch, X)
     batched = _lines(batch, v_in, t)
     matches, currents = _evaluate_programs(batch, v_in, t, keep_matches=True)
@@ -503,7 +536,7 @@ def test_program_is_the_one_seed_program_trials(iris_forest):
     arch = program(plan, D, cfg, forest.feature_bounds, forest.n_classes,
                    n_bits=5, sigma_rel=0.3, seed=[2, 5])
     enc = _encode(plan, D, cfg, forest.feature_bounds, forest.n_classes, 5)
-    trials = _program_trials(enc, _noisy(D, 0.3), [[2, 5]])
+    trials = _program_trials(enc, 0.3, [[2, 5]])
     assert type(arch) is type(trials) is ProgrammedArchitecture
     assert arch.sigma_rel == 0.3 and arch.term_g.shape[1] == 1
     for field in fields(ProgrammedArchitecture):
@@ -520,7 +553,7 @@ def test_noisy_cells_are_the_draw_regrouped(iris_forest):
     arch = program(plan, D, cfg, forest.feature_bounds, forest.n_classes,
                    sigma_rel=0.3, seed=[2, 5])
     enc = _encode(plan, D, cfg, forest.feature_bounds, forest.n_classes, None)
-    m1, m2 = _draw(enc, _noisy(D, 0.3), [2, 5])
+    m1, m2 = _draw(enc, 0.3, [2, 5])
     assert not np.array_equal(m1, enc.m1)
     for cells_m, flat in ((arch.cells_m1, m1), (arch.cells_m2, m2)):
         assert len(cells_m) == plan.n_groups

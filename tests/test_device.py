@@ -225,22 +225,21 @@ def test_quantize_thresholds_grid():
 def test_inject_noise_statistics():
     rng = np.random.default_rng(11)
     g = np.full(100_000, 10e-6)
-    noisy = inject_noise(g, DeviceModel(sigma_rel=0.05), rng)
+    noisy = inject_noise(g, 0.05, D, rng)
     assert abs(np.std(noisy) / np.mean(noisy) - 0.05) < 0.002
     assert np.all(noisy >= D.g_hrs) and np.all(noisy <= D.g_lrs)
 
 
 def test_inject_noise_zero_sigma_copies():
     g = np.array([1e-6, 2e-6])
-    out = inject_noise(g, D, np.random.default_rng(0))
+    out = inject_noise(g, 0.0, D, np.random.default_rng(0))
     assert np.array_equal(out, g)
     assert out is not g
 
 
 def test_inject_noise_clips_at_rails():
     rng = np.random.default_rng(5)
-    noisy = inject_noise(np.full(10_000, D.g_lrs),
-                         DeviceModel(sigma_rel=0.15), rng)
+    noisy = inject_noise(np.full(10_000, D.g_lrs), 0.15, D, rng)
     assert np.all(noisy <= D.g_lrs)
     assert np.any(noisy < D.g_lrs)
 
@@ -250,10 +249,7 @@ def test_device_model_validation():
         DeviceModel(g_hrs=5e-4)
     with pytest.raises(ConfigError):
         DeviceModel(n_levels=1)
-    with pytest.raises(ConfigError):
-        DeviceModel(sigma_rel=-0.1)
     for bad in (dict(g_lrs=math.inf), dict(g_hrs=math.nan),
-                dict(g_lrs=math.nan), dict(sigma_rel=math.nan),
-                dict(sigma_rel=math.inf)):
+                dict(g_lrs=math.nan)):
         with pytest.raises(ConfigError):
             DeviceModel(**bad)

@@ -27,7 +27,6 @@ from camforest.arch import (
     _chunk_shape,
     _chunks,
     _limits,
-    _noisy,
     _program_trials,
     _sensed_words,
     _term_thresholds,
@@ -784,8 +783,7 @@ def test_noisy_trials_have_one_compare_row_per_term(iris):
     forest, _ = iris
     enc = _encode(compile_forest(forest, 16, 16), D, CFG,
                   forest.feature_bounds, forest.n_classes, None)
-    batch = _program_trials(enc, _noisy(D, 0.05),
-                            [[3, 0, trial] for trial in range(5)])
+    batch = _program_trials(enc, 0.05, [[3, 0, trial] for trial in range(5)])
     assert batch.term_g.shape[1] == 5
     assert batch.compare_term.size == batch.term_cell.size
     assert np.array_equal(np.sort(batch.compare_term),

@@ -428,7 +428,7 @@ def test_schedule_and_evaluation_matches_untiled_oracle():
 
     # Ideal per-slot evaluation: a tile slot matches iff every cell of that
     # row accepts the (permuted) input restricted to the group's columns.
-    lo, hi = plan.tmap.bound_arrays()
+    lo, hi = plan.tmap.lo, plan.tmap.hi
     perm_x = samples[:, list(plan.col_perm)]
     cell_ok = (perm_x[:, None, :] > lo) & (perm_x[:, None, :] <= hi)
 

@@ -5,16 +5,18 @@ checks compare the implementations against independently written
 plain-Python expressions.
 """
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+from camforest.config import SCHEMA
 from camforest.datasets import load_iris
 from camforest.errors import ConfigError
 from camforest.forest import train_forest
 from camforest.mapper import compile_forest
 from camforest.perf import (
     PerfConfig,
-    ScaleFactors,
     choose_r_out,
     elmore_delay,
     elmore_delay_sum,
@@ -219,7 +221,7 @@ def test_formula_fidelity_random_points():
 
 
 def test_scale_factors_apply():
-    cfg = PerfConfig(scale=ScaleFactors(volt_scale=0.5))
+    cfg = PerfConfig(volt_scale=0.5)
     base = PerfConfig()
     rep = perf_report(8, 8, 4, 4, 100, cfg)
     ref = perf_report(8, 8, 4, 4, 100, base)
@@ -228,13 +230,22 @@ def test_scale_factors_apply():
     assert rep.p_static == pytest.approx(0.5 * ref.p_static, rel=1e-12)
     assert rep.p_ml == pytest.approx(0.25 * ref.p_ml, rel=1e-12)
 
-    doubled_c = PerfConfig(scale=ScaleFactors(cap_scale=2.0))
+    doubled_c = PerfConfig(cap_scale=2.0)
     assert perf_report(8, 8, 4, 4, 100, doubled_c).tau_dl == \
         pytest.approx(2 * ref.tau_dl, rel=1e-12)
 
-    powered = PerfConfig(scale=ScaleFactors(power_scale=0.1))
+    powered = PerfConfig(power_scale=0.1)
     assert perf_report(8, 8, 4, 4, 100, powered).p_total == \
         pytest.approx(0.1 * ref.p_total, rel=1e-12)
+
+
+def test_perf_config_fields_are_the_perf_value_keys():
+    """``cmd_perf`` builds ``PerfConfig`` from ``[perf]`` by field name, so
+    its fields are the section's keys bar the mode and the geometry."""
+    geometry = {"ml_mode", "tile_h", "tile_w", "n_tiles", "n_arrays",
+                "n_nodes"}
+    assert {f.name for f in fields(PerfConfig)} == \
+        set(SCHEMA["perf"]) - geometry
 
 
 def test_config_validation():
@@ -243,7 +254,7 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         PerfConfig(r_out=-1.0)
     with pytest.raises(ConfigError):
-        ScaleFactors(cap_scale=0.0)
+        PerfConfig(cap_scale=0.0)
     with pytest.raises(ConfigError):
         perf_report(8, 8, 4, 4, 0, PerfConfig())
 
