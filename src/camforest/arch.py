@@ -22,23 +22,25 @@ is the every-cell evaluation's own expression, so every sensed bit equals
 it. Traces evaluate every line of their one sample that way.
 
 Sensed bits live in packed words, 64 samples to a uint64, at two levels.
-Compare blocks gather the compare rows' T1 currents (below) and compare
-them within ``CHUNK_BYTES``, and pack their bits at once. A chunk holds one
-word per (line, program, 64 samples), sized over that packed footprint. Its
-blocks hold their undecided (line, program, sample) triples, which run the
-cell law together, once per chunk, ORing the lines that stay above v_sa
-into the words. Inference then ANDs each original row's words across its
-groups and reads the majority vote as per-class currents through the
-conductance matrix, unpacking only each class's rows to count them.
+Compare blocks compare each data line's T1 current with its compare rows
+(below) along as many samples as their packed words allow within
+``CHUNK_BYTES``, and pack their bits at once. A chunk holds one word per
+(line, program, 64 samples), sized over that packed footprint. Its blocks
+hold their undecided (line, program, sample) triples, which run the cell
+law together, once per chunk, ORing the lines that stay above v_sa into
+the words. Inference then ANDs each original row's words across its groups
+and reads the majority vote as per-class currents through the conductance
+matrix, unpacking only each class's rows to count them.
 
 A split threshold bounds every leaf below it, so one (data line,
 conductance) pair is stored in many rows: blobs16 holds 894 terms on 428
 distinct pairs, wide64 1,475 on 740 and the ideal Iris program 301 on 84.
-Programming builds a compare table of the distinct pairs; compare blocks
-run on its rows, each distinct (data line, threshold) compared once, and
-gather the packed words back to terms before reducing them per line.
-Under programming noise every cell draws its own conductance, so each
-term is its own compare row.
+Programming builds a compare table of the distinct pairs, sorted on data
+line; compare blocks compute each data line's T1 current once and compare
+it in one broadcast with the thresholds of its rows, each distinct (data
+line, threshold) compared once, and gather the packed words back to terms
+before reducing them per line. Under programming noise every cell draws
+its own conductance, so each term is its own compare row.
 
 The kernel reads one type, ``ProgrammedArchitecture``: the encoding and the
 term layout of its programs, which lie on a leading axis. A single program
@@ -421,13 +423,14 @@ def _line_voltages(arch: ProgrammedArchitecture, v_in, t: float, line, program,
     cells, summed along the row. A branch without a term draws exactly
     0.0 A, so only terms run the cell law, on the T1 current of their
     sample's DL input, and an upper term adds onto its cell's lower one.
-    Runs in batches of ``_undecided_shape`` lines."""
+    Runs in batches of ``_undecided_shape`` lines on one zeroed buffer."""
     cfg = arch.config
     w = arch.plan.tile_w
     c_ml = cfg.parasitics.ml_capacitance(w)
     n_features = v_in.shape[1]
     _, batch = _undecided_shape(arch)
     v_ml = np.empty(line.size)
+    zeroed = np.empty(min(batch, line.size) * w)
     for b in range(0, line.size, batch):
         cut = slice(b, b + batch)
         first = arch.line_terms[line[cut]]
@@ -446,7 +449,8 @@ def _line_voltages(arch: ProgrammedArchitecture, v_in, t: float, line, program,
                     + program[cut][row])
         at = row * w + arch.active_cell[cell] % w
         up = arch.term_upper[term]
-        current = np.zeros(count.size * w)
+        current = zeroed[:count.size * w]
+        current.fill(0.0)
         current[at[~up]] = lower_branch_t1(i[~up], g[~up], cfg.params)
         current[at[up]] += upper_branch_t1(i[up], g[up], cfg.params)
         v_ml[cut] = np.maximum(
@@ -457,37 +461,62 @@ def _line_voltages(arch: ProgrammedArchitecture, v_in, t: float, line, program,
 def _chunk_shape(arch: ProgrammedArchitecture, n_samples: int) -> tuple:
     """(programs, words) of a compare block, then of a chunk.
 
-    A compare block gathers each term's T1 current for whole 64-sample
-    words within ``CHUNK_BYTES`` and holds one compare bool per (term,
-    program, sample) within a quarter of it, beside the bits it packs and
-    the chunk's words. A chunk spans whole blocks of words and holds, per
-    (program, word), a packed word per line and per map row and the
-    largest class's rows unpacked within ``CHUNK_BYTES``."""
+    A compare block holds both compares' packed words of every compare row
+    per (program, word) within half of ``CHUNK_BYTES``, beside the buffers
+    of ``_block_plan``. A chunk spans whole blocks of words and holds, per
+    (program, word), a packed word per line and per map row and the largest
+    class's rows unpacked within ``CHUNK_BYTES``."""
     n_programs = arch.term_g.shape[1]
-    n_terms = max(1, arch.term_cell.size)
     n_words = max(1, -(-n_samples // 64))
-    words = max(1, min(CHUNK_BYTES // (8 * 64 * n_terms), n_words))
+    per_word = 32 * max(1, arch.compare_term.size)
+    words = max(1, min(CHUNK_BYTES // per_word, n_words))
     class_rows = np.bincount(arch.plan.tmap.labels).max(initial=1)
-    per_word = (8 * (arch.term_slots.size + arch.plan.tmap.n_rows)
-                + 64 * int(class_rows))
+    per_chunk = (8 * (arch.term_slots.size + arch.plan.tmap.n_rows)
+                 + 64 * int(class_rows))
     chunk_words = min(n_words,
-                      max(1, CHUNK_BYTES // (per_word * words)) * words)
-    chunk_programs = max(1, min(CHUNK_BYTES // (per_word * chunk_words),
+                      max(1, CHUNK_BYTES // (per_chunk * words)) * words)
+    chunk_programs = max(1, min(CHUNK_BYTES // (per_chunk * chunk_words),
                                 n_programs))
-    programs = max(1, min(CHUNK_BYTES // (4 * 64 * words * n_terms),
-                          chunk_programs))
+    programs = max(1, min(CHUNK_BYTES // (per_word * words), chunk_programs))
     return programs, words, chunk_programs, chunk_words
 
 
-def _term_thresholds(arch: ProgrammedArchitecture, t: float) -> tuple:
-    """(zero, full) per (term, program): signed T1 currents, negated for
-    upper branches, whose current rises with T1. A term draws exactly 0.0 A
-    where its signed T1 current is at or above ``zero``, and at least the
-    sense current of clock ``t`` where it is at or below ``full``."""
+def _block_plan(arch: ProgrammedArchitecture, programs: int,
+                words: int) -> tuple:
+    """(runs, rows per piece, sources per window, lines per piece) of a
+    compare block of ``programs`` × ``words`` words. A piece of compare
+    rows, from a multiple of its size, holds the bools of both their
+    compares within a sixteenth of ``CHUNK_BYTES`` (or one row), a window
+    the T1 currents of that many DL sources (of F + 1), from a multiple of
+    it, within an eighth, and a piece of lines their terms' gathered words
+    within about a sixteenth. A run (first row, stop row, source) is the
+    rows of one source in one piece."""
+    source = arch.active_input[arch.term_cell[arch.compare_term]]
+    rows = max(1, CHUNK_BYTES // (32 * programs * 64 * words))
+    cuts = sorted({source.size, *range(0, source.size, rows), *(
+        np.flatnonzero(source[1:] != source[:-1]) + 1).tolist()})
+    return ([(a, b, int(source[a])) for a, b in zip(cuts[:-1], cuts[1:])],
+            rows, max(1, min(len(arch.feature_bounds) + 1,
+                             CHUNK_BYTES // (8 * 8 * 64 * words))),
+            max(1, CHUNK_BYTES * arch.term_slots.size // (
+                128 * programs * words * max(1, arch.term_cell.size))))
+
+
+def _row_thresholds(arch: ProgrammedArchitecture, t: float) -> np.ndarray:
+    """(2, compare rows, programs, 1) T1 currents that the kernel compares
+    with ``>=``. A lower row's branch draws exactly 0.0 A at or above
+    ``[0]`` and at least the sense current of clock ``t`` below ``[1]``; an
+    upper row's branch, whose current rises with T1, draws at least the
+    sense current at or above ``[0]`` and 0.0 A below ``[1]``. ``[1]`` is
+    the float just above its band edge, so that a T1 current is at most the
+    edge exactly where it is not at or above ``[1]``."""
     lower_zero, lower_full, upper_zero, upper_full = _limits(arch, t)
-    up = arch.term_upper[:, None]
-    return (arch.term_g * np.where(up, -upper_zero, lower_zero),
-            arch.term_g * np.where(up, -upper_full, lower_full))
+    g = arch.term_g[arch.compare_term]
+    up = arch.term_upper[arch.compare_term, None]
+    at = np.empty((2,) + g.shape)
+    np.multiply(g, np.where(up, upper_full, lower_zero), out=at[0])
+    np.nextafter(g * np.where(up, upper_zero, lower_full), np.inf, out=at[1])
+    return at[..., None]
 
 
 def _undecided_shape(arch: ProgrammedArchitecture) -> tuple:
@@ -527,87 +556,105 @@ def _chunks(arch: ProgrammedArchitecture, shape: tuple, n_samples: int):
                    slice(s0, min(s0 + 64 * chunk_words, n_samples)))
 
 
-def _term_words(bits, term_row) -> np.ndarray:
-    """Compare rows' ``bits`` packed along the last axis, 64 to a
-    little-endian uint64, then gathered to terms: term k gets the words of
-    row ``term_row[k]``."""
-    return np.take(np.packbits(bits, axis=-1, bitorder="little")
-                   .view(np.uint64), term_row, axis=0)
-
-
 def _sensed_words(arch: ProgrammedArchitecture, v_in, t: float, shape: tuple,
                   programs: slice, samples: slice) -> np.ndarray:
     """(lines, programs, words) sensed match bits of the slots holding
     terms, for one chunk of ``arch``'s programs on DL inputs ``v_in`` at
     sense time ``t`` in compare blocks of ``_chunk_shape`` ``shape``: 64
     samples to a uint64 word in little-endian bit order (bits past the last
-    sample are set). Every other slot draws exactly 0.0 A and matches.
+    sample are undefined). Every other slot draws exactly 0.0 A and matches.
 
-    Per compare block the kernel gathers each compare row's T1 current,
-    negated for upper branches so that both branch sides compare alike: a
-    term draws 0.0 A at or above its zero threshold and at least the sense
-    current at or below its full threshold. The compares are packed into
-    words, gathered back to terms and reduced per line: the AND of zero
-    bits matches it, the OR of full bits mismatches it. Lines with neither
-    are held as (line, program, sample) triples and sensed together on
-    ``_line_voltages`` after the chunk's last block, or once
+    Per compare block the kernel computes the T1 current of each DL source
+    once, a window of sources at a time, and compares it with ``>=`` in one
+    broadcast per run of ``_block_plan`` against both ``_row_thresholds``
+    of the run's rows. The bits are packed into words and the second side
+    inverted, so that a lower term's zero bits are its first words and an
+    upper term's its second (full bits the other way round). Gathered back
+    to terms a piece of lines at a time, they are reduced per line: the AND
+    of zero bits matches it, the OR of full bits mismatches it. Lines with
+    neither are held as (line, program, sample) triples and sensed together
+    on ``_line_voltages`` after the chunk's last block, or once
     ``_undecided_shape``'s count of them is held."""
-    n_in = v_in.shape[1] + 1        # the features, then the padding source
-    rows, term_row = arch.compare_term, arch.term_compare
-    zero, full = (np.take(x, rows, axis=0)
-                  for x in _term_thresholds(arch, t))
-    source = (arch.active_input[arch.term_cell[rows]]
-              + n_in * arch.term_upper[rows])
-    starts = arch.line_terms[:-1]
+    n_features, n_rows = v_in.shape[1], arch.compare_term.size
+    thresholds = _row_thresholds(arch, t)
+    zero_row = arch.term_compare + n_rows * arch.term_upper
+    full_row = arch.term_compare + n_rows * ~arch.term_upper
     block_programs, block_words = shape[:2]
     width = 64 * block_words
+    runs, piece, n_sources, per_piece = _block_plan(arch, *shape[:2])
+    line_terms, n_lines = arch.line_terms, arch.term_slots.size
+    pad = (t1_current(PAD_VOLTAGE, None, arch.config.params)
+           if runs and runs[-1][2] == n_features else np.nan)
     held, _ = _undecided_shape(arch)
-    # Per block, each input's T1 current and its negation, padded to the
-    # block's width with +inf, on which every term counts as drawing 0.0 A.
-    signed = np.empty((2 * n_in, width))
-    pad = t1_current(np.array([PAD_VOLTAGE]), None, arch.config.params)
-    signed[n_in - 1], signed[-1] = pad, -pad
-    t1 = np.empty((rows.size, 1, width))
-    compare = np.empty((rows.size, block_programs, width), dtype=bool)
+    # The T1 law runs on CHUNK_BYTES / 256 values at a time, so that its
+    # temporaries stay small.
+    step = max(64, CHUNK_BYTES // (256 * n_sources))
+    t1 = np.empty((n_sources, width))
+    compare = np.empty(2 * min(piece, n_rows) * block_programs * width,
+                       dtype=bool)
     first = (programs.start, samples.start)
-    lines = np.empty((starts.size, programs.stop - programs.start,
+    lines = np.empty((n_lines, programs.stop - programs.start,
                       -(-(samples.stop - samples.start) // 64)),
                      dtype=np.uint64)
     undecided, n_undecided = [], 0
     for b0 in range(samples.start, samples.stop, width):
         n = min(width, samples.stop - b0)
         at = slice((b0 - first[1]) // 64, (b0 - first[1] + n + 63) // 64)
-        signed[:n_in - 1, :n] = t1_current(v_in[b0:b0 + n].T, None,
-                                           arch.config.params)
-        np.negative(signed[:n_in - 1, :n], out=signed[n_in:-1, :n])
-        signed[:, n:] = np.inf
-        np.take(signed, source, axis=0, out=t1[:, 0], mode="clip")
+        n_words = at.stop - at.start
         for q0 in range(programs.start, programs.stop, block_programs):
             q = slice(q0, min(q0 + block_programs, programs.stop))
-            bits = compare[:, :q.stop - q0]
-            np.greater_equal(t1, zero[:, q, None], out=bits)
-            matched = np.bitwise_and.reduceat(_term_words(bits, term_row),
-                                              starts)[..., :at.stop - at.start]
-            np.less_equal(t1, full[:, q, None], out=bits)
-            unsure = ~(matched | np.bitwise_or.reduceat(_term_words(
-                bits, term_row), starts)[..., :at.stop - at.start])
-            lines[:, q0 - first[0]:q.stop - first[0], at] = matched
-            # Flat positions of the undecided bits (nonzero runs fastest on
-            # flat arrays and on bools).
-            held_words = np.flatnonzero(unsure)
-            if not held_words.size:
-                continue
-            bit = np.flatnonzero(np.unpackbits(
-                unsure.reshape(-1)[held_words].view(np.uint8),
-                bitorder="little").view(bool))
-            line, trial, word = np.unravel_index(held_words[bit >> 6],
-                                                 unsure.shape)
-            undecided.append((line, q0 + trial, b0 + 64 * word + (bit & 63)))
-            n_undecided += line.size
-            if n_undecided >= held:
-                _or_undecided(arch, v_in, t, lines, first, undecided)
-                undecided, n_undecided = [], 0
-    del signed, t1, compare     # not held through the last batch
+            n_q = q.stop - q0
+            packed = np.empty((2, n_rows, n_q, n_words), dtype=np.uint64)
+            bits = compare[:compare.size // block_programs * n_q].reshape(
+                2, -1, n_q, width)[..., :64 * n_words]
+            # Past the last sample every lower term draws 0.0 A and every
+            # upper term the sense current: decided, never held.
+            bits[..., n:] = True
+            window = None
+            for a, b, s in runs:
+                if s // n_sources != window:
+                    window = s // n_sources
+                    v = v_in[b0:b0 + n, window * n_sources:][:, :n_sources]
+                    t1[v.shape[1]:, :n] = pad
+                    for c0 in range(0, n if v.size else 0, step):
+                        t1[:v.shape[1], c0:min(c0 + step, n)] = t1_current(
+                            v[c0:c0 + step].T, None, arch.config.params)
+                p0 = a - a % piece
+                np.greater_equal(t1[s % n_sources, :n], thresholds[:, a:b, q],
+                                 out=bits[:, a - p0:b - p0, :, :n])
+                if b % piece == 0 or b == n_rows:
+                    packed[:, p0:b] = np.packbits(
+                        bits[:, :b - p0], axis=-1,
+                        bitorder="little").view(np.uint64)
+            np.invert(packed[1], out=packed[1])
+            words = packed.reshape(2 * n_rows, n_q, n_words)
+            for l0 in range(0, n_lines, per_piece):
+                l1 = min(l0 + per_piece, n_lines)
+                span = slice(line_terms[l0], line_terms[l1])
+                starts = line_terms[l0:l1] - span.start
+                matched = lines[l0:l1, q0 - first[0]:q.stop - first[0], at]
+                np.bitwise_and.reduceat(words[zero_row[span]], starts,
+                                        out=matched)
+                unsure = ~(matched | np.bitwise_or.reduceat(
+                    words[full_row[span]], starts))
+                # Flat positions of the undecided bits (nonzero runs fastest
+                # on flat arrays and on bools).
+                held_words = np.flatnonzero(unsure)
+                if not held_words.size:
+                    continue
+                bit = np.flatnonzero(np.unpackbits(
+                    unsure.reshape(-1)[held_words].view(np.uint8),
+                    bitorder="little").view(bool))
+                line, trial, word = np.unravel_index(held_words[bit >> 6],
+                                                     unsure.shape)
+                undecided.append((l0 + line, q0 + trial,
+                                  b0 + 64 * word + (bit & 63)))
+                n_undecided += line.size
+                if n_undecided >= held:
+                    _or_undecided(arch, v_in, t, lines, first, undecided)
+                    undecided, n_undecided = [], 0
+    # Not held through the last batch.
+    t1 = compare = packed = words = bits = None
     if undecided:
         _or_undecided(arch, v_in, t, lines, first, undecided)
     return lines

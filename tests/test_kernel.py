@@ -25,11 +25,13 @@ from camforest.arch import (
     _evaluate,
     _input_voltages,
     _chunk_shape,
+    _block_plan,
     _chunks,
+    _evaluate_programs,
     _limits,
     _program_trials,
+    _row_thresholds,
     _sensed_words,
-    _term_thresholds,
     _unpack,
     evaluate_accuracy,
     infer,
@@ -261,8 +263,10 @@ def test_thresholds_decide_branch_currents_at_float_neighbours(
         data, prog, t_scale, request):
     """From each term's zero threshold outward its branch law gives exactly
     0.0 A, and from its full threshold outward at least the sense current,
-    which alone senses a mismatch: probed at the kernel's thresholds and
-    their next float neighbours in signed T1 current."""
+    which alone senses a mismatch: probed at the kernel's thresholds of the
+    term's compare row and their next float neighbours in T1 current. A
+    lower branch draws 0.0 A from ``at_least`` upward and the sense current
+    below ``above_most``; an upper branch the other way round."""
     forest, _ = request.getfixturevalue(data)
     arch = program(compile_forest(forest, 16, 16), D, CFG,
                    forest.feature_bounds, forest.n_classes, seed=5,
@@ -270,29 +274,31 @@ def test_thresholds_decide_branch_currents_at_float_neighbours(
     p, t = CFG.params, CFG.t_clk * t_scale
     i_sense = reference_current(C_ML(16), CFG.v_ml0, CFG.v_sa, t)
     assert np.isinf(_limits(arch, t)[3]) == (t_scale == 1e-5)
-    zero, full = (x[:, 0] for x in _term_thresholds(arch, t))
+    at_least, above_most = (x[arch.term_compare, 0, 0]
+                            for x in _row_thresholds(arch, t))
+    at_most = np.nextafter(above_most, -np.inf)
     up = arch.term_upper
-    sign = np.where(up, -1.0, 1.0)
+    zero, full = np.where(up, at_most, at_least), np.where(up, at_least, at_most)
+    rising = np.where(up, -np.inf, np.inf)      # away from a zero threshold
     g = arch.term_g[:, 0]
 
-    def law(signed):
-        i = sign * signed
+    def law(i):
         return np.where(up, upper_branch_t1(i, g, p), lower_branch_t1(i, g, p))
 
     def outward(start, direction):
-        signed = start
+        i = start
         for _ in range(4):
-            yield signed
-            signed = np.nextafter(signed, direction)
+            yield i
+            i = np.nextafter(i, direction)
 
-    for signed in outward(zero, np.inf):
-        assert np.all(law(signed) == 0.0)
+    for i in outward(zero, rising):
+        assert np.all(law(i) == 0.0)
     # Full thresholds beyond the reach of a T1 current (> 0) never apply:
     # at the shortest clock no branch can reach the sense current.
-    reach = (sign * full > 0) & np.isfinite(full)
+    reach = (full > 0) & np.isfinite(full)
     assert reach.any() == (t_scale != 1e-5)
-    for signed in outward(np.where(reach, full, 1.0), -np.inf):
-        current = law(signed)[reach]
+    for i in outward(np.where(reach, full, 1.0), -rising):
+        current = law(i)[reach]
         assert np.all(current >= i_sense)
         assert np.all(np.maximum(CFG.v_ml0 - current * t / C_ML(16), 0.0)
                       <= CFG.v_sa)
@@ -836,3 +842,162 @@ def test_mixed_sigma_sweep_equals_per_trial_replay(iris, monkeypatch):
                            sigma_rel=sigma, seed=[seed, i, trial])
             rows.append((sigma, trial, evaluate_accuracy(arch, X, y)[0]))
     assert res.rows == tuple(rows)
+
+
+def _assert_kernel_is_dense(arch, X, t):
+    """Sensed lines, row matches and vote currents of the one-program
+    ``arch`` are the every-cell oracle's, bit for bit."""
+    dense = _dense_ml_voltages(arch, X, t)
+    assert np.array_equal(_kernel_lines(arch, X, t)[0], dense > CFG.v_sa)
+    matches, currents, _ = _evaluate(arch, X, t_clk=t)
+    assert np.array_equal(matches, _dense_matches(arch, dense))
+    _assert_bit_identical(currents, _dense_currents(arch, matches))
+
+
+def _run_sides(arch):
+    """Per run of the compare table: (DL source, sides of its rows)."""
+    runs = _block_plan(arch, 1, 1)[0]
+    upper = arch.term_upper[arch.compare_term]
+    return [(s, frozenset(upper[a:b].tolist())) for a, b, s in runs]
+
+
+def test_one_sided_and_padding_runs_bit_identical_to_dense():
+    """Runs of only lower rows (feature 0 bounded from below), only upper
+    rows (feature 1 from above), both (feature 2) and, under heavy noise,
+    the padding source F of the fourth column: each is one broadcast
+    compare, and every bit is the oracle's."""
+    wild, rng = ThresholdRange(), np.random.default_rng(3)
+    rows = []
+    for r in range(12):
+        a, b = np.sort(rng.uniform(0.1, 0.9, 2))
+        rows.append(MapRow((ThresholdRange(lo=a), ThresholdRange(hi=b),
+                            ThresholdRange(a, b) if r % 2 else wild),
+                           r % 2, r))
+    tmap = ThresholdMap(tuple(rows), 3)
+    plan = pack_tiles(tmap, 4, 4)
+    ideal = program(plan, D, CFG, [(0.0, 1.0)] * 3, 2)
+    assert _run_sides(ideal) == [(0, {False}), (1, {True}),
+                                 (2, {False, True})]
+    noisy = program(plan, D, CFG, [(0.0, 1.0)] * 3, 2, sigma_rel=0.8, seed=1)
+    assert 3 in [s for s, _ in _run_sides(noisy)]
+    for arch in (ideal, noisy):
+        X = np.vstack([_in_band_inputs(arch, tmap, rng, 60),
+                       rng.uniform(0.0, 1.0, (40, 3))])
+        for t_scale in (1.0, 1e-5):
+            _assert_kernel_is_dense(arch, X, CFG.t_clk * t_scale)
+
+
+@pytest.mark.parametrize("data", ["iris", "blobs64"])
+def test_infinite_thresholds_compare_exactly(data, request):
+    """Past the inverter rail an upper row's full threshold is +inf and a
+    lower row's lies below every T1 current. ``x <= h`` is ``not x >=
+    nextafter(h, inf)`` for every finite x and any h, infinities included,
+    so the one compare per side is exact there too."""
+    h = np.array([-np.inf, -1.5, -0.0, 0.0, 5e-324, 2e-6, np.inf])
+    x = np.array([-1e300, -1.5, -0.0, 0.0, 5e-324, 1e-323, 2e-6, 1e300])
+    assert np.array_equal(x[:, None] <= h,
+                          ~(x[:, None] >= np.nextafter(h, np.inf)))
+    forest, X = request.getfixturevalue(data)
+    arch = program(compile_forest(forest, 16, 16), D, CFG,
+                   forest.feature_bounds, forest.n_classes)
+    t = CFG.t_clk * 1e-5
+    at_least, above_most = _row_thresholds(arch, t)[..., 0]
+    upper = arch.term_upper[arch.compare_term]
+    assert np.all(np.isinf(at_least[upper])) and np.all(above_most[~upper] < 0)
+    _, lower_full, upper_zero, _ = _limits(arch, t)
+    edge = arch.term_g[arch.compare_term] * np.where(upper, upper_zero,
+                                                     lower_full)[:, None]
+    assert np.array_equal(above_most, np.nextafter(edge, np.inf))
+    _assert_kernel_is_dense(arch, np.vstack([X[:100], _threshold_inputs(
+        forest, X[:40])]), t)
+
+
+@pytest.mark.parametrize("n", [1, 63, 65, 127, 129, 200])
+def test_sample_counts_off_the_word_bit_identical_to_dense(iris, n):
+    """A last word only partly filled with samples decides its spare bits
+    and holds none of them, whatever the count."""
+    forest, X = iris
+    arch = program(compile_forest(forest, 16, 16), D, CFG,
+                   forest.feature_bounds, forest.n_classes, sigma_rel=0.1,
+                   seed=n)
+    X = np.resize(np.vstack([_threshold_inputs(forest, X[:50]), X]),
+                  (n, X.shape[1]))
+    _assert_kernel_is_dense(arch, X, CFG.t_clk)
+
+
+def test_leaf_only_forest_has_an_empty_compare_table():
+    X = np.random.default_rng(0).random((70, 3))
+    forest = train_forest(X, np.zeros(70, dtype=int), n_trees=2, max_depth=3)
+    arch = program(compile_forest(forest, 16, 16), D, CFG,
+                   forest.feature_bounds, forest.n_classes)
+    assert arch.compare_term.size == 0
+    assert _block_plan(arch, 1, 2)[0] == []
+    v_in = _input_voltages(arch, X)
+    shape = _chunk_shape(arch, len(X))
+    assert _sensed_words(arch, v_in, CFG.t_clk, shape, slice(0, 1),
+                         slice(0, 70)).shape == (0, 1, 2)
+    matches, currents = _evaluate_programs(arch, v_in, CFG.t_clk, True)
+    assert matches.all()
+    _assert_bit_identical(currents[0], _dense_currents(arch, matches[0]))
+
+
+def test_multi_program_runs_split_into_pieces_bit_identical(iris,
+                                                             monkeypatch):
+    """With a small budget a batch of noisy trials compares each source's
+    rows in several runs, over T1 windows of fewer than all sources, in
+    blocks of fewer than all programs and several blocks to a chunk; each
+    trial's matches and vote currents stay its own program's, and so the
+    oracle's."""
+    forest, X = iris
+    enc = _encode(compile_forest(forest, 16, 16), D, CFG,
+                  forest.feature_bounds, forest.n_classes, None)
+    seeds = [[9, 0, trial] for trial in range(5)]
+    batch = _program_trials(enc, 0.05, seeds)
+    X = np.vstack([X, _threshold_inputs(forest, X[:60])])
+    monkeypatch.setattr(arch_module, "CHUNK_BYTES", 1 << 14)
+    shape = _chunk_shape(batch, len(X))
+    runs, _, n_sources, _ = _block_plan(batch, *shape[:2])
+    sources = [s for _, _, s in runs]
+    assert len(sources) > len(set(sources)) and n_sources <= len(X[0])
+    assert shape[0] < 5 and shape[1] < shape[3]
+    v_in = _input_voltages(batch, X)
+    matches, currents = _evaluate_programs(batch, v_in, CFG.t_clk, True)
+    for trial, seed in enumerate(seeds):
+        arch = program(enc.plan, D, CFG, forest.feature_bounds,
+                       forest.n_classes, sigma_rel=0.05, seed=seed)
+        dense = _dense_ml_voltages(arch, X, CFG.t_clk)
+        assert np.array_equal(matches[trial], _dense_matches(arch, dense))
+        _assert_bit_identical(currents[trial],
+                              _dense_currents(arch, matches[trial]))
+
+
+def _block_bytes(arch, n_samples):
+    """(bytes a compare block holds at once: compare bools, packed words,
+    T1 currents; words per block; words per chunk)."""
+    programs, words, _, chunk_words = _chunk_shape(arch, n_samples)
+    _, rows, n_sources, _ = _block_plan(arch, programs, words)
+    n_rows = arch.compare_term.size
+    bools = 2 * min(rows, n_rows) * programs * 64 * words
+    packed = 2 * n_rows * programs * words * 8
+    return bools + packed + n_sources * 64 * words * 8, words, chunk_words
+
+
+def test_block_bytes_within_budget_on_benchmark_shapes():
+    """The Iris sweep's 50-trial batch on 150 samples and one program of
+    the blobs16 and wide64 validate forests on 5,000 samples: a block's
+    bools, words and T1 currents stay within ``CHUNK_BYTES``, and the
+    validate blocks span the whole chunk."""
+    X, y = load_iris()
+    forest = train_forest(X, y, n_trees=15, max_depth=4)
+    enc = _encode(compile_forest(forest, 16, 16), D, CFG,
+                  forest.feature_bounds, forest.n_classes, None)
+    batch = _program_trials(enc, 0.05, [[1, 0, k] for k in range(50)])
+    used, _, _ = _block_bytes(batch, 150)
+    assert used <= arch_module.CHUNK_BYTES
+    for n_features, n_trees, depth in ((16, 32, 6), (64, 64, 8)):
+        X, y = gaussian_blobs(2000, n_features, 4, 0)
+        forest = train_forest(X, y, n_trees=n_trees, max_depth=depth)
+        arch = program(compile_forest(forest, 16, 16), D, CFG,
+                       forest.feature_bounds, forest.n_classes)
+        used, words, chunk_words = _block_bytes(arch, 5000)
+        assert used <= arch_module.CHUNK_BYTES and words == chunk_words == 79
