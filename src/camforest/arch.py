@@ -21,26 +21,25 @@ plus upper current in a zeroed row of W cells, summed along the row, which
 is the every-cell evaluation's own expression, so every sensed bit equals
 it. Traces evaluate every line of their one sample that way.
 
-Sensed bits live in packed words, 64 samples to a uint64, at two levels.
-Compare blocks compare each data line's T1 current with its compare rows
-(below) along as many samples as their packed words allow within
-``CHUNK_BYTES``, and pack their bits at once. A chunk holds one word per
-(line, program, 64 samples), sized over that packed footprint. Its blocks
-hold their undecided (line, program, sample) triples, which run the cell
-law together, once per chunk, ORing the lines that stay above v_sa into
-the words. Inference then ANDs each original row's words across its groups
-and reads the majority vote as per-class currents through the conductance
-matrix, unpacking only each class's rows to count them.
+Sensed bits live in packed words, 64 samples to a uint64. A kernel chunk
+compares each data line's T1 current with its compare rows (below) along
+as many (program, 64 samples) words as its packed footprint allows within
+``CHUNK_BYTES``, and packs their bits at once. Its undecided (line,
+program, sample) triples run the cell law together, ORing the lines that
+stay above v_sa into the words. Inference then ANDs each original row's
+words across its groups and reads the majority vote as per-class currents
+through the conductance matrix, unpacking only each class's rows to count
+them.
 
 A split threshold bounds every leaf below it, so one (data line,
 conductance) pair is stored in many rows: blobs16 holds 894 terms on 428
 distinct pairs, wide64 1,475 on 740 and the ideal Iris program 301 on 84.
 Programming builds a compare table of the distinct pairs, sorted on data
-line; compare blocks compute each data line's T1 current once and compare
-it in one broadcast with the thresholds of its rows, each distinct (data
-line, threshold) compared once, and gather the packed words back to terms
-before reducing them per line. Under programming noise every cell draws
-its own conductance, so each term is its own compare row.
+line; chunks compute each data line's T1 current once and compare it in
+one broadcast with the thresholds of its rows, each distinct (data line,
+threshold) compared once, and gather the packed words back to terms before
+reducing them per line. Under programming noise every cell draws its own
+conductance, so each term is its own compare row.
 
 The kernel reads one type, ``ProgrammedArchitecture``: the encoding and the
 term layout of its programs, which lie on a leading axis. A single program
@@ -459,26 +458,21 @@ def _line_voltages(arch: ProgrammedArchitecture, v_in, t: float, line, program,
 
 
 def _chunk_shape(arch: ProgrammedArchitecture, n_samples: int) -> tuple:
-    """(programs, words) of a compare block, then of a chunk.
+    """(programs, words) of a kernel chunk, which is one compare block.
 
-    A compare block holds both compares' packed words of every compare row
-    per (program, word) within half of ``CHUNK_BYTES``, beside the buffers
-    of ``_block_plan``. A chunk spans whole blocks of words and holds, per
-    (program, word), a packed word per line and per map row and the largest
-    class's rows unpacked within ``CHUNK_BYTES``."""
+    Per (program, word) a chunk holds both compares' packed words of every
+    compare row, beside the buffers of ``_block_plan``, and a packed word
+    per line and per map row and the largest class's rows unpacked; the
+    larger of the two footprints stays within ``CHUNK_BYTES``."""
     n_programs = arch.term_g.shape[1]
     n_words = max(1, -(-n_samples // 64))
-    per_word = 32 * max(1, arch.compare_term.size)
-    words = max(1, min(CHUNK_BYTES // per_word, n_words))
     class_rows = np.bincount(arch.plan.tmap.labels).max(initial=1)
-    per_chunk = (8 * (arch.term_slots.size + arch.plan.tmap.n_rows)
-                 + 64 * int(class_rows))
-    chunk_words = min(n_words,
-                      max(1, CHUNK_BYTES // (per_chunk * words)) * words)
-    chunk_programs = max(1, min(CHUNK_BYTES // (per_chunk * chunk_words),
-                                n_programs))
-    programs = max(1, min(CHUNK_BYTES // (per_word * words), chunk_programs))
-    return programs, words, chunk_programs, chunk_words
+    per_word = max(32 * max(1, arch.compare_term.size),
+                   8 * (arch.term_slots.size + arch.plan.tmap.n_rows)
+                   + 64 * int(class_rows))
+    cells = max(1, CHUNK_BYTES // per_word)
+    words = min(cells, n_words)
+    return max(1, min(cells // words, n_programs)), words
 
 
 def _block_plan(arch: ProgrammedArchitecture, programs: int,
@@ -545,10 +539,10 @@ def _or_undecided(arch: ProgrammedArchitecture, v_in, t: float, words,
                      np.left_shift(1, sample % 8).astype(np.uint8))
 
 
-def _chunks(arch: ProgrammedArchitecture, shape: tuple, n_samples: int):
+def _chunks(arch: ProgrammedArchitecture, n_samples: int):
     """Yield the (programs, samples) slices of each kernel chunk of
-    ``_chunk_shape`` ``shape``."""
-    _, _, chunk_programs, chunk_words = shape
+    ``_chunk_shape``."""
+    chunk_programs, chunk_words = _chunk_shape(arch, n_samples)
     n_programs = arch.term_g.shape[1]
     for p0 in range(0, n_programs, chunk_programs):
         for s0 in range(0, n_samples, 64 * chunk_words):
@@ -556,32 +550,32 @@ def _chunks(arch: ProgrammedArchitecture, shape: tuple, n_samples: int):
                    slice(s0, min(s0 + 64 * chunk_words, n_samples)))
 
 
-def _sensed_words(arch: ProgrammedArchitecture, v_in, t: float, shape: tuple,
+def _sensed_words(arch: ProgrammedArchitecture, v_in, t: float,
                   programs: slice, samples: slice) -> np.ndarray:
     """(lines, programs, words) sensed match bits of the slots holding
     terms, for one chunk of ``arch``'s programs on DL inputs ``v_in`` at
-    sense time ``t`` in compare blocks of ``_chunk_shape`` ``shape``: 64
-    samples to a uint64 word in little-endian bit order (bits past the last
-    sample are undefined). Every other slot draws exactly 0.0 A and matches.
+    sense time ``t``: 64 samples to a uint64 word in little-endian bit
+    order (bits past the last sample are undefined). Every other slot draws
+    exactly 0.0 A and matches.
 
-    Per compare block the kernel computes the T1 current of each DL source
-    once, a window of sources at a time, and compares it with ``>=`` in one
-    broadcast per run of ``_block_plan`` against both ``_row_thresholds``
-    of the run's rows. The bits are packed into words and the second side
-    inverted, so that a lower term's zero bits are its first words and an
-    upper term's its second (full bits the other way round). Gathered back
-    to terms a piece of lines at a time, they are reduced per line: the AND
-    of zero bits matches it, the OR of full bits mismatches it. Lines with
-    neither are held as (line, program, sample) triples and sensed together
-    on ``_line_voltages`` after the chunk's last block, or once
-    ``_undecided_shape``'s count of them is held."""
+    The kernel computes the T1 current of each DL source once, a window of
+    sources at a time, and compares it with ``>=`` in one broadcast per run
+    of ``_block_plan`` against both ``_row_thresholds`` of the run's rows.
+    The bits are packed into words and the second side inverted, so that a
+    lower term's zero bits are its first words and an upper term's its
+    second (full bits the other way round). Gathered back to terms a piece
+    of lines at a time, they are reduced per line: the AND of zero bits
+    matches it, the OR of full bits mismatches it. Lines with neither are
+    held as (line, program, sample) triples and sensed together on
+    ``_line_voltages`` after the last piece, or once ``_undecided_shape``'s
+    count of them is held."""
     n_features, n_rows = v_in.shape[1], arch.compare_term.size
-    thresholds = _row_thresholds(arch, t)
+    thresholds = _row_thresholds(arch, t)[:, :, programs]
     zero_row = arch.term_compare + n_rows * arch.term_upper
     full_row = arch.term_compare + n_rows * ~arch.term_upper
-    block_programs, block_words = shape[:2]
-    width = 64 * block_words
-    runs, piece, n_sources, per_piece = _block_plan(arch, *shape[:2])
+    n = samples.stop - samples.start
+    n_programs, n_words = programs.stop - programs.start, -(-n // 64)
+    runs, piece, n_sources, per_piece = _block_plan(arch, n_programs, n_words)
     line_terms, n_lines = arch.line_terms, arch.term_slots.size
     pad = (t1_current(PAD_VOLTAGE, None, arch.config.params)
            if runs and runs[-1][2] == n_features else np.nan)
@@ -589,72 +583,59 @@ def _sensed_words(arch: ProgrammedArchitecture, v_in, t: float, shape: tuple,
     # The T1 law runs on CHUNK_BYTES / 256 values at a time, so that its
     # temporaries stay small.
     step = max(64, CHUNK_BYTES // (256 * n_sources))
-    t1 = np.empty((n_sources, width))
-    compare = np.empty(2 * min(piece, n_rows) * block_programs * width,
-                       dtype=bool)
+    t1 = np.empty((n_sources, n))
+    bits = np.empty((2, min(piece, n_rows), n_programs, 64 * n_words),
+                    dtype=bool)
+    # Past the last sample every lower term draws 0.0 A and every upper
+    # term the sense current: decided, never held.
+    bits[..., n:] = True
+    packed = np.empty((2, n_rows, n_programs, n_words), dtype=np.uint64)
+    lines = np.empty((n_lines, n_programs, n_words), dtype=np.uint64)
+    window = None
+    for a, b, s in runs:
+        if s // n_sources != window:
+            window = s // n_sources
+            v = v_in[samples, window * n_sources:][:, :n_sources]
+            t1[v.shape[1]:] = pad
+            for c0 in range(0, n if v.size else 0, step):
+                t1[:v.shape[1], c0:c0 + step] = t1_current(
+                    v[c0:c0 + step].T, None, arch.config.params)
+        p0 = a - a % piece
+        np.greater_equal(t1[s % n_sources], thresholds[:, a:b],
+                         out=bits[:, a - p0:b - p0, :, :n])
+        if b % piece == 0 or b == n_rows:
+            packed[:, p0:b] = np.packbits(
+                bits[:, :b - p0], axis=-1, bitorder="little").view(np.uint64)
+    np.invert(packed[1], out=packed[1])
+    words = packed.reshape(2 * n_rows, n_programs, n_words)
     first = (programs.start, samples.start)
-    lines = np.empty((n_lines, programs.stop - programs.start,
-                      -(-(samples.stop - samples.start) // 64)),
-                     dtype=np.uint64)
     undecided, n_undecided = [], 0
-    for b0 in range(samples.start, samples.stop, width):
-        n = min(width, samples.stop - b0)
-        at = slice((b0 - first[1]) // 64, (b0 - first[1] + n + 63) // 64)
-        n_words = at.stop - at.start
-        for q0 in range(programs.start, programs.stop, block_programs):
-            q = slice(q0, min(q0 + block_programs, programs.stop))
-            n_q = q.stop - q0
-            packed = np.empty((2, n_rows, n_q, n_words), dtype=np.uint64)
-            bits = compare[:compare.size // block_programs * n_q].reshape(
-                2, -1, n_q, width)[..., :64 * n_words]
-            # Past the last sample every lower term draws 0.0 A and every
-            # upper term the sense current: decided, never held.
-            bits[..., n:] = True
-            window = None
-            for a, b, s in runs:
-                if s // n_sources != window:
-                    window = s // n_sources
-                    v = v_in[b0:b0 + n, window * n_sources:][:, :n_sources]
-                    t1[v.shape[1]:, :n] = pad
-                    for c0 in range(0, n if v.size else 0, step):
-                        t1[:v.shape[1], c0:min(c0 + step, n)] = t1_current(
-                            v[c0:c0 + step].T, None, arch.config.params)
-                p0 = a - a % piece
-                np.greater_equal(t1[s % n_sources, :n], thresholds[:, a:b, q],
-                                 out=bits[:, a - p0:b - p0, :, :n])
-                if b % piece == 0 or b == n_rows:
-                    packed[:, p0:b] = np.packbits(
-                        bits[:, :b - p0], axis=-1,
-                        bitorder="little").view(np.uint64)
-            np.invert(packed[1], out=packed[1])
-            words = packed.reshape(2 * n_rows, n_q, n_words)
-            for l0 in range(0, n_lines, per_piece):
-                l1 = min(l0 + per_piece, n_lines)
-                span = slice(line_terms[l0], line_terms[l1])
-                starts = line_terms[l0:l1] - span.start
-                matched = lines[l0:l1, q0 - first[0]:q.stop - first[0], at]
-                np.bitwise_and.reduceat(words[zero_row[span]], starts,
-                                        out=matched)
-                unsure = ~(matched | np.bitwise_or.reduceat(
-                    words[full_row[span]], starts))
-                # Flat positions of the undecided bits (nonzero runs fastest
-                # on flat arrays and on bools).
-                held_words = np.flatnonzero(unsure)
-                if not held_words.size:
-                    continue
-                bit = np.flatnonzero(np.unpackbits(
-                    unsure.reshape(-1)[held_words].view(np.uint8),
-                    bitorder="little").view(bool))
-                line, trial, word = np.unravel_index(held_words[bit >> 6],
-                                                     unsure.shape)
-                undecided.append((l0 + line, q0 + trial,
-                                  b0 + 64 * word + (bit & 63)))
-                n_undecided += line.size
-                if n_undecided >= held:
-                    _or_undecided(arch, v_in, t, lines, first, undecided)
-                    undecided, n_undecided = [], 0
+    for l0 in range(0, n_lines, per_piece):
+        l1 = min(l0 + per_piece, n_lines)
+        span = slice(line_terms[l0], line_terms[l1])
+        starts = line_terms[l0:l1] - span.start
+        matched = lines[l0:l1]
+        np.bitwise_and.reduceat(words[zero_row[span]], starts, out=matched)
+        unsure = ~(matched | np.bitwise_or.reduceat(words[full_row[span]],
+                                                    starts))
+        # Flat positions of the undecided bits (nonzero runs fastest on
+        # flat arrays and on bools).
+        held_words = np.flatnonzero(unsure)
+        if not held_words.size:
+            continue
+        bit = np.flatnonzero(np.unpackbits(
+            unsure.reshape(-1)[held_words].view(np.uint8),
+            bitorder="little").view(bool))
+        line, trial, word = np.unravel_index(held_words[bit >> 6],
+                                             unsure.shape)
+        undecided.append((l0 + line, first[0] + trial,
+                          first[1] + 64 * word + (bit & 63)))
+        n_undecided += line.size
+        if n_undecided >= held:
+            _or_undecided(arch, v_in, t, lines, first, undecided)
+            undecided, n_undecided = [], 0
     # Not held through the last batch.
-    t1 = compare = packed = words = bits = None
+    t1 = packed = words = bits = None
     if undecided:
         _or_undecided(arch, v_in, t, lines, first, undecided)
     return lines
@@ -685,10 +666,9 @@ def _evaluate_programs(arch: ProgrammedArchitecture, v_in, t: float,
     matches = (np.empty((n_programs, n_samples, n_rows), dtype=bool)
                if keep_matches else None)
     currents = np.empty((n_programs, n_samples, arch.n_classes))
-    shape = _chunk_shape(arch, n_samples)
-    for programs, samples in _chunks(arch, shape, n_samples):
+    for programs, samples in _chunks(arch, n_samples):
         n = samples.stop - samples.start
-        lines = _sensed_words(arch, v_in, t, shape, programs, samples)
+        lines = _sensed_words(arch, v_in, t, programs, samples)
         # Rows AND-combine on words; a row without terms matches.
         block = np.full((n_rows,) + lines.shape[1:], ~np.uint64(0))
         for rows, group_lines in arch.line_rows:
@@ -703,30 +683,13 @@ def _evaluate_programs(arch: ProgrammedArchitecture, v_in, t: float,
     return matches, currents
 
 
-def _evaluate(arch: ProgrammedArchitecture, X, t_clk=None, collect=False):
-    """Core kernel: returns (row match matrix, vote currents, tile record);
-    the record, with ``collect``, holds the first sample's sensed lines and
-    ML voltages per tile, every line on the every-cell expression (a slot
-    without terms draws 0.0 A and stays at v_ml0)."""
-    X = _check_samples(arch, X)
-    t = _clock(arch.config, t_clk)
-    v_in = _input_voltages(arch, X)
-    matches, currents = _evaluate_programs(arch, v_in, t, keep_matches=True)
-    tile_record = volt_record = None
-    if collect:
-        h = arch.plan.tile_h
-        v_ml = np.full(arch.plan.n_tiles * h, arch.config.v_ml0)
-        first = np.zeros(arch.term_slots.size, dtype=np.intp)
-        v_ml[arch.term_slots] = _line_voltages(
-            arch, v_in, t, np.arange(first.size), first, first)
-        tile_record, volt_record = {}, {}
-        slot = 0
-        for g, tiles in enumerate(arch.plan.groups):
-            for ti in range(len(tiles)):
-                volt_record[(g, ti)] = v_ml[slot:slot + h]
-                tile_record[(g, ti)] = volt_record[(g, ti)] > arch.config.v_sa
-                slot += h
-    return matches[0], currents[0], (tile_record, volt_record)
+def _evaluate(arch: ProgrammedArchitecture, X, t_clk=None) -> tuple:
+    """Core kernel on ``arch``'s one program: (row match matrix, vote
+    currents, predicted classes, argmax with ties lowest) per sample."""
+    v_in = _input_voltages(arch, _check_samples(arch, X))
+    matches, currents = _evaluate_programs(
+        arch, v_in, _clock(arch.config, t_clk), keep_matches=True)
+    return matches[0], currents[0], np.argmax(currents[0], axis=1)
 
 
 def _vote(config: ArchConfig, currents, rng) -> np.ndarray:
@@ -749,15 +712,25 @@ def infer_batch(arch: ProgrammedArchitecture, X, t_clk=None,
 
 
 def infer(arch: ProgrammedArchitecture, sample, t_clk=None) -> InferenceTrace:
-    """Single-sample inference keeping every intermediate signal."""
+    """Single-sample inference keeping every intermediate signal. Every ML
+    voltage comes from the every-cell expression; a slot without terms
+    draws 0.0 A and stays at v_ml0."""
     sample = np.asarray(sample, dtype=float).reshape(1, -1)
-    matches, currents, records = _evaluate(arch, sample, t_clk, collect=True)
+    matches, currents, predicted = _evaluate(arch, sample, t_clk)
+    h = arch.plan.tile_h
+    v_ml = np.full(arch.plan.n_tiles * h, arch.config.v_ml0)
+    first = np.zeros(arch.term_slots.size, dtype=np.intp)
+    v_ml[arch.term_slots] = _line_voltages(
+        arch, _input_voltages(arch, sample), _clock(arch.config, t_clk),
+        np.arange(first.size), first, first)
+    ml_voltages = dict(zip([(g, ti) for g, tiles in enumerate(arch.plan.groups)
+                            for ti in range(len(tiles))], v_ml.reshape(-1, h)))
     return InferenceTrace(
-        ml_outputs=records[0],
-        ml_voltages=records[1],
+        ml_outputs={k: v > arch.config.v_sa for k, v in ml_voltages.items()},
+        ml_voltages=ml_voltages,
         row_matches=matches[0],
         vote_currents=currents[0],
-        predicted=int(np.argmax(currents[0])),
+        predicted=int(predicted[0]),
         cycles=arch.cycles_per_decision,
     )
 
@@ -806,7 +779,8 @@ def sweep(forest: Forest, X, y, variable: str, grid, trials: int, seed: int,
     ``evaluate_accuracy(..., rng=default_rng([seed, i, trial, 1]))``. A
     point's trials share one encoding and run as one batch; when its
     programming noise is zero they are one program, evaluated once. Points
-    are the unit of work of the ``workers`` threads.
+    are the unit of work of the ``workers`` threads (``None``: one per CPU,
+    at most 32).
     Sweeping t_clk keeps the programming calibrated at the configured clock
     and only changes the evaluation window, mimicking a fixed part driven
     at a different speed.
@@ -817,8 +791,11 @@ def sweep(forest: Forest, X, y, variable: str, grid, trials: int, seed: int,
     grid = list(grid)
     if not grid:
         raise ConfigError("sweep grid is empty")
-    if trials < 1:
-        raise ConfigError("trials must be at least 1")
+    for name, count in (("trials", trials),
+                        ("workers", 1 if workers is None else workers)):
+        if (isinstance(count, bool) or not isinstance(count, numbers.Integral)
+                or count < 1):
+            raise ConfigError(f"{name} must be an integer >= 1")
     if variable in ("n_bits", "tile_h", "tile_w") and not all(
             float(value).is_integer() for value in grid):
         raise ConfigError(f"sweep {variable} values must be integers")
@@ -860,7 +837,7 @@ def sweep(forest: Forest, X, y, variable: str, grid, trials: int, seed: int,
             accs.append(float(np.mean(pred == y)))
         return accs
 
-    n_workers = workers if workers else min(32, os.cpu_count() or 1)
+    n_workers = workers or min(32, os.cpu_count() or 1)
     if n_workers > 1 and len(points) > 1:
         with ThreadPoolExecutor(max_workers=min(n_workers, len(points))) as pool:
             results = list(pool.map(run, points))

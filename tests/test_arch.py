@@ -17,7 +17,6 @@ from camforest.arch import (
     _input_voltages,
     _program_trials,
     _draw,
-    _chunk_shape,
     _chunks,
     _sensed_words,
     _unpack,
@@ -133,9 +132,11 @@ def test_vote_currents_match_direct_dot_product():
     forest = train_forest(Xg, yg, n_trees=7, max_depth=5, seed=3)
     arch = program_forest(forest)
     Xe = off_grid_inputs(60, 8, seed=6)
-    matches, currents, _ = _evaluate(arch, Xe)
+    matches, currents, predicted = _evaluate(arch, Xe)
     direct = arch.config.v_read * (matches @ arch.vote_matrix)
     assert np.allclose(currents, direct, rtol=1e-12)
+    assert np.array_equal(predicted, infer_batch(arch, Xe))
+    assert [infer(arch, x).predicted for x in Xe] == predicted.tolist()
 
 
 def test_identical_trees_concentrate_votes():
@@ -427,10 +428,10 @@ def test_sweep_rows_equal_per_trial_replay(variable, vote_sigma, workers,
     config = ArchConfig(vote_sigma=vote_sigma)
     calls = []  # (programs, samples) per kernel chunk
 
-    def recorded(arch, v_in, t, shape, programs, samples):
+    def recorded(arch, v_in, t, programs, samples):
         calls.append((programs.stop - programs.start,
                       samples.stop - samples.start))
-        return _sensed_words(arch, v_in, t, shape, programs, samples)
+        return _sensed_words(arch, v_in, t, programs, samples)
 
     monkeypatch.setattr("camforest.arch._sensed_words", recorded)
     res = sweep(forest, X, y, variable, grid, trials=4, seed=seed,
@@ -454,9 +455,8 @@ def _lines(arch, v_in, t):
     """(programs, samples, slots with terms) sensed bits of the kernel."""
     out = np.empty((arch.term_g.shape[1], len(v_in), arch.term_slots.size),
                    dtype=bool)
-    shape = _chunk_shape(arch, len(v_in))
-    for programs, samples in _chunks(arch, shape, len(v_in)):
-        lines = _unpack(_sensed_words(arch, v_in, t, shape, programs, samples),
+    for programs, samples in _chunks(arch, len(v_in)):
+        lines = _unpack(_sensed_words(arch, v_in, t, programs, samples),
                         samples.stop - samples.start)
         out[programs, samples] = lines.transpose(1, 2, 0)
     return out
@@ -605,6 +605,24 @@ def test_sweep_validations():
             sweep(forest, X, y, variable, [value], trials=1, seed=0)
     assert set(SWEEP_VARIABLES) == {"sigma", "n_bits", "t_clk", "tile_h",
                                     "tile_w"}
+
+
+@pytest.mark.parametrize("name, value", [
+    ("workers", -2), ("workers", 0), ("workers", 2.5), ("workers", True),
+    ("trials", 2.5), ("trials", True), ("trials", np.float64(3.0))])
+def test_sweep_rejects_counts_it_cannot_honour(name, value):
+    """Workers and trials are integers >= 1 (workers None: one per CPU); a
+    negative, zero, fractional or bool count is a configuration error, not
+    a serial run, a run on every CPU or a bare TypeError."""
+    X, y = load_iris()
+    forest = train_forest(X, y, n_trees=3, max_depth=3, seed=0)
+    kw = dict(trials=2, workers=1) | {name: value}
+    with pytest.raises(ConfigError, match="must be an integer >= 1"):
+        sweep(forest, X, y, "sigma", [0.0, 0.1], seed=0, **kw)
+    assert sweep(forest, X, y, "sigma", [0.0, 0.1], trials=np.int64(2),
+                 seed=0, workers=None).rows == sweep(
+        forest, X, y, "sigma", [0.0, 0.1], trials=2, seed=0,
+        workers=np.int64(2)).rows
 
 
 def test_arch_config_validation():

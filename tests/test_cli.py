@@ -359,6 +359,18 @@ def test_perf_rejects_geometry_below_one(setting, ini, run, tmp_path):
     assert not (tmp_path / "pf").exists()
 
 
+@pytest.mark.parametrize("threads", ["-3", "0"])
+def test_sweep_rejects_threads_below_one(threads, ini, run, tmp_path):
+    """``--threads`` below 1 is a configuration error (exit 2) naming it,
+    not a serial run or a run on every CPU."""
+    out = tmp_path / "w"
+    code, cap = run("sweep", "--config", ini(), "--out", str(out),
+                    "--threads", threads)
+    assert code == 2 and "workers must be an integer >= 1" in cap.err, (
+        code, cap.err)
+    assert not out.exists()
+
+
 def test_perf_without_geometry_fails(ini, run):
     code, cap = run("perf", "--config", ini("[meta]\nversion = 1\n"))
     assert code == 2

@@ -116,9 +116,8 @@ def _kernel_lines(arch, X, t):
     n_slots = arch.plan.n_tiles * arch.plan.tile_h
     out = np.ones((arch.term_g.shape[1], len(X), n_slots), dtype=bool)
     v_in = _input_voltages(arch, np.asarray(X, dtype=float))
-    shape = _chunk_shape(arch, len(X))
-    for programs, samples in _chunks(arch, shape, len(X)):
-        lines = _unpack(_sensed_words(arch, v_in, t, shape, programs, samples),
+    for programs, samples in _chunks(arch, len(X)):
+        lines = _unpack(_sensed_words(arch, v_in, t, programs, samples),
                         samples.stop - samples.start)
         out[programs, samples][..., arch.term_slots] = lines.transpose(1, 2, 0)
     return out
@@ -535,21 +534,26 @@ def test_wide_rows_bit_identical_to_dense(monkeypatch):
 
 
 def _set_budget(monkeypatch, arch, n_samples, shape):
-    """Set ``CHUNK_BYTES`` to the smallest budget at which ``_chunk_shape``
-    gives ``shape`` for ``n_samples`` samples."""
+    """Set ``CHUNK_BYTES`` to the largest budget of the first run of
+    budgets at which ``_chunk_shape`` gives ``shape`` for ``n_samples``
+    samples."""
+    found = None
     for budget in range(64, 1 << 21, 64):
         monkeypatch.setattr(arch_module, "CHUNK_BYTES", budget)
         if arch_module._chunk_shape(arch, n_samples) == shape:
-            return
-    raise AssertionError(f"no budget gives {shape}")
+            found = budget
+        elif found:
+            break
+    assert found, f"no budget gives {shape}"
+    monkeypatch.setattr(arch_module, "CHUNK_BYTES", found)
 
 
 @pytest.mark.parametrize("data", ["iris", "blobs64"])
 def test_chunks_split_mid_batch_stay_bit_identical(data, request, monkeypatch):
-    """Compare blocks of one word inside chunks of two: the 130 samples end
-    mid-word in the last block and the last chunk. Undecided lines are
-    sensed per chunk, across its blocks, and every bit stays that of the
-    dense oracle."""
+    """Chunks of one word: the 130 samples end mid-word in the last chunk.
+    Undecided lines are held across a chunk's pieces of lines and sensed
+    per chunk, never across two, and every bit stays that of the dense
+    oracle."""
     forest, X = request.getfixturevalue(data)
     arch = program(compile_forest(forest, 16, 16), D, CFG,
                    forest.feature_bounds, forest.n_classes, sigma_rel=0.1,
@@ -559,25 +563,24 @@ def test_chunks_split_mid_batch_stay_bit_identical(data, request, monkeypatch):
     chunks = []
     original = arch_module._sensed_words
 
-    def recorded(arch, v_in, t, shape, programs, samples):
+    def recorded(arch, v_in, t, programs, samples):
         chunks.append((samples.start, samples.stop))
-        return original(arch, v_in, t, shape, programs, samples)
+        return original(arch, v_in, t, programs, samples)
 
-    _set_budget(monkeypatch, arch, len(X), (1, 1, 1, 2))
+    _set_budget(monkeypatch, arch, len(X), (1, 1))
     monkeypatch.setattr(arch_module, "_sensed_words", recorded)
     calls = _undecided_recorder(monkeypatch)
     matches, currents, _ = _evaluate(arch, X)
     calls = list(calls)             # the kernel's own, not the checks'
-    assert chunks == [(0, 128), (128, 130)]
-    # Undecided lines are sensed per chunk: a call never spans two chunks,
-    # and holds both blocks of the first unless the first alone fills the
-    # count ``_undecided_shape`` holds.
-    blocks = [set((sample // 64).tolist()) for _, _, sample, _ in calls]
-    assert set.union(*blocks) == {0, 1, 2}
-    assert all(b <= {0, 1} or b == {2} for b in blocks)
-    in_first = sum(int(np.sum(sample < 64)) for _, _, sample, _ in calls)
-    held = arch_module._undecided_shape(arch)[0]
-    assert ({0, 1} in blocks) == (in_first < held)
+    assert chunks == [(0, 64), (64, 128), (128, 130)]
+    # Each chunk reduces its lines in several pieces and holds their
+    # undecided lines, fewer than ``_undecided_shape`` holds, to sense them
+    # in one call: one call per chunk, never spanning two.
+    assert _block_plan(arch, 1, 1)[3] < arch.term_slots.size
+    assert [sorted(set((sample // 64).tolist()))
+            for _, _, sample, _ in calls] == [[0], [1], [2]]
+    assert max(sample.size for _, _, sample, _ in calls) < \
+        arch_module._undecided_shape(arch)[0]
     dense = _dense_ml_voltages(arch, X, CFG.t_clk)
     assert _assert_undecided_voltages(calls, arch, dense) > 0
     assert np.array_equal(_kernel_lines(arch, X, CFG.t_clk)[0],
@@ -823,9 +826,9 @@ def test_mixed_sigma_sweep_equals_per_trial_replay(iris, monkeypatch):
     batches = []
     original = arch_module._sensed_words
 
-    def recorded(arch, v_in, t, shape, programs, samples):
+    def recorded(arch, v_in, t, programs, samples):
         batches.append(arch)
-        return original(arch, v_in, t, shape, programs, samples)
+        return original(arch, v_in, t, programs, samples)
 
     monkeypatch.setattr(arch_module, "_sensed_words", recorded)
     grid, trials, seed = [0.0, 0.05, 0.0], 3, 11
@@ -933,8 +936,7 @@ def test_leaf_only_forest_has_an_empty_compare_table():
     assert arch.compare_term.size == 0
     assert _block_plan(arch, 1, 2)[0] == []
     v_in = _input_voltages(arch, X)
-    shape = _chunk_shape(arch, len(X))
-    assert _sensed_words(arch, v_in, CFG.t_clk, shape, slice(0, 1),
+    assert _sensed_words(arch, v_in, CFG.t_clk, slice(0, 1),
                          slice(0, 70)).shape == (0, 1, 2)
     matches, currents = _evaluate_programs(arch, v_in, CFG.t_clk, True)
     assert matches.all()
@@ -945,9 +947,8 @@ def test_multi_program_runs_split_into_pieces_bit_identical(iris,
                                                              monkeypatch):
     """With a small budget a batch of noisy trials compares each source's
     rows in several runs, over T1 windows of fewer than all sources, in
-    blocks of fewer than all programs and several blocks to a chunk; each
-    trial's matches and vote currents stay its own program's, and so the
-    oracle's."""
+    chunks of fewer than all programs and samples; each trial's matches and
+    vote currents stay its own program's, and so the oracle's."""
     forest, X = iris
     enc = _encode(compile_forest(forest, 16, 16), D, CFG,
                   forest.feature_bounds, forest.n_classes, None)
@@ -956,10 +957,10 @@ def test_multi_program_runs_split_into_pieces_bit_identical(iris,
     X = np.vstack([X, _threshold_inputs(forest, X[:60])])
     monkeypatch.setattr(arch_module, "CHUNK_BYTES", 1 << 14)
     shape = _chunk_shape(batch, len(X))
-    runs, _, n_sources, _ = _block_plan(batch, *shape[:2])
+    runs, _, n_sources, _ = _block_plan(batch, *shape)
     sources = [s for _, _, s in runs]
     assert len(sources) > len(set(sources)) and n_sources <= len(X[0])
-    assert shape[0] < 5 and shape[1] < shape[3]
+    assert shape[0] < 5 and 64 * shape[1] < len(X)
     v_in = _input_voltages(batch, X)
     matches, currents = _evaluate_programs(batch, v_in, CFG.t_clk, True)
     for trial, seed in enumerate(seeds):
@@ -971,33 +972,51 @@ def test_multi_program_runs_split_into_pieces_bit_identical(iris,
                               _dense_currents(arch, matches[trial]))
 
 
-def _block_bytes(arch, n_samples):
-    """(bytes a compare block holds at once: compare bools, packed words,
-    T1 currents; words per block; words per chunk)."""
-    programs, words, _, chunk_words = _chunk_shape(arch, n_samples)
+def _chunk_bytes(arch, n_samples):
+    """(bytes a chunk's compares hold at once: compare bools, packed words,
+    T1 currents; bytes its lines and rows hold: a packed word per line and
+    per map row, the largest class's rows unpacked; chunks per call)."""
+    programs, words = _chunk_shape(arch, n_samples)
     _, rows, n_sources, _ = _block_plan(arch, programs, words)
     n_rows = arch.compare_term.size
     bools = 2 * min(rows, n_rows) * programs * 64 * words
     packed = 2 * n_rows * programs * words * 8
-    return bools + packed + n_sources * 64 * words * 8, words, chunk_words
+    class_rows = np.bincount(arch.plan.tmap.labels).max()
+    lines = programs * words * (
+        8 * (arch.term_slots.size + arch.plan.tmap.n_rows) + 64 * class_rows)
+    return (bools + packed + n_sources * 64 * words * 8, lines,
+            len(list(_chunks(arch, n_samples))))
 
 
-def test_block_bytes_within_budget_on_benchmark_shapes():
+def test_block_bytes_within_budget_on_benchmark_shapes(monkeypatch):
     """The Iris sweep's 50-trial batch on 150 samples and one program of
-    the blobs16 and wide64 validate forests on 5,000 samples: a block's
-    bools, words and T1 currents stay within ``CHUNK_BYTES``, and the
-    validate blocks span the whole chunk."""
+    the blobs16 and wide64 validate forests on 5,000 samples are each one
+    chunk. A chunk's bools, words and T1 currents, and its lines and rows,
+    each stay within ``CHUNK_BYTES``, there and at smaller budgets, also
+    for the ideal Iris program on 5,000 samples, whose lines and rows
+    outweigh its compare words."""
     X, y = load_iris()
     forest = train_forest(X, y, n_trees=15, max_depth=4)
     enc = _encode(compile_forest(forest, 16, 16), D, CFG,
                   forest.feature_bounds, forest.n_classes, None)
-    batch = _program_trials(enc, 0.05, [[1, 0, k] for k in range(50)])
-    used, _, _ = _block_bytes(batch, 150)
-    assert used <= arch_module.CHUNK_BYTES
+    cases = [(_program_trials(enc, 0.05, [[1, 0, k] for k in range(50)]),
+              150)]
     for n_features, n_trees, depth in ((16, 32, 6), (64, 64, 8)):
         X, y = gaussian_blobs(2000, n_features, 4, 0)
         forest = train_forest(X, y, n_trees=n_trees, max_depth=depth)
-        arch = program(compile_forest(forest, 16, 16), D, CFG,
-                       forest.feature_bounds, forest.n_classes)
-        used, words, chunk_words = _block_bytes(arch, 5000)
-        assert used <= arch_module.CHUNK_BYTES and words == chunk_words == 79
+        cases.append((program(compile_forest(forest, 16, 16), D, CFG,
+                              forest.feature_bounds, forest.n_classes), 5000))
+    budget = arch_module.CHUNK_BYTES
+    for arch, n_samples in cases:
+        assert _chunk_bytes(arch, n_samples)[2] == 1
+    ideal = _program_trials(enc, 0.0, [0])
+    cases.append((ideal, 5000))
+    # One chunk of 79 words, whose lines and rows outweigh both compares'
+    # packed words.
+    assert _chunk_shape(ideal, 5000) == (1, 79)
+    assert _chunk_bytes(ideal, 5000)[1] > 79 * 32 * ideal.compare_term.size
+    for shift in (0, 2, 4):
+        monkeypatch.setattr(arch_module, "CHUNK_BYTES", budget >> shift)
+        for arch, n_samples in cases:
+            compares, lines, _ = _chunk_bytes(arch, n_samples)
+            assert compares <= budget >> shift and lines <= budget >> shift
