@@ -19,7 +19,7 @@ currents are never negative and rounded adds are monotone. Only the slots
 left, with a term inside its band, run the cell law: every cell's lower
 plus upper current in a zeroed row of W cells, summed along the row, which
 is the every-cell evaluation's own expression, so every sensed bit equals
-it. Traces evaluate every line of their one sample that way.
+it. A trace senses every line of its one sample that way and votes on them.
 
 Sensed bits live in packed words, 64 samples to a uint64. A kernel chunk
 compares each data line's T1 current with its compare rows (below) along
@@ -133,6 +133,7 @@ class _Encoding:
     cell_input: np.ndarray    # (cells,) DL source: original feature, F = padding
     slot_rows: tuple          # per group: (map row ids, flat slot ids)
     vote_matrix: np.ndarray   # (rows, n_classes)
+    class_rows: tuple         # per class: the rows holding g_lrs on it
 
 
 @dataclass(frozen=True)
@@ -266,7 +267,8 @@ def _encode(plan: TiledPlan, device: DeviceModel, config: ArchConfig,
         feature_bounds=tuple(map(tuple, bounds.tolist())), n_bits=n_bits,
         m1=np.concatenate(m1), m2=np.concatenate(m2), groups=tuple(groups),
         cell_input=np.concatenate(inputs), slot_rows=tuple(slot_rows),
-        vote_matrix=vote)
+        vote_matrix=vote,
+        class_rows=tuple(map(np.flatnonzero, vote.T == device.g_lrs)))
 
 
 def _sigma(value) -> float:
@@ -391,16 +393,6 @@ def program_forest(forest: Forest, device: DeviceModel = DeviceModel(),
                    forest.n_classes, n_bits, sigma_rel, seed)
 
 
-def _check_samples(arch, X) -> np.ndarray:
-    """``X`` as a finite (samples, features) float array for ``arch``'s plan."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.ndim != 2 or X.shape[1] != arch.plan.tmap.n_features:
-        raise DataError(f"samples must have {arch.plan.tmap.n_features} features")
-    if not np.all(np.isfinite(X)):
-        raise DataError("samples contain NaN or infinite features")
-    return X
-
-
 def _clock(config: ArchConfig, t_clk) -> float:
     t = config.t_clk if t_clk is None else float(t_clk)
     if not (math.isfinite(t) and t > 0):
@@ -409,9 +401,14 @@ def _clock(config: ArchConfig, t_clk) -> float:
 
 
 def _input_voltages(arch, X) -> np.ndarray:
-    """(samples, F) DL voltages in original feature order, mapped in place
-    in one contiguous array. DL source F, the padding columns, is driven at
-    ``PAD_VOLTAGE``, which its readers supply."""
+    """(samples, F) DL voltages of finite (samples, F) ``X`` in original
+    feature order, mapped in place in one contiguous array. DL source F,
+    the padding columns, is driven at ``PAD_VOLTAGE`` by its readers."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.ndim != 2 or X.shape[1] != arch.plan.tmap.n_features:
+        raise DataError(f"samples must have {arch.plan.tmap.n_features} features")
+    if not np.all(np.isfinite(X)):
+        raise DataError("samples contain NaN or infinite features")
     return feature_to_voltage(X, arch.feature_bounds, out=np.empty(X.shape))
 
 
@@ -647,14 +644,15 @@ def _unpack(words, n: int) -> np.ndarray:
                          bitorder="little").view(bool)
 
 
-def _evaluate_programs(arch: ProgrammedArchitecture, v_in, t: float,
-                       keep_matches: bool = False) -> tuple:
-    """Every program of ``arch`` on DL inputs ``v_in`` at sense time ``t``:
-    (row matches if ``keep_matches``, vote currents), each (programs,
-    samples, ...)."""
-    cfg = arch.config
-    n_programs, n_samples = arch.term_g.shape[1], len(v_in)
-    n_rows = arch.plan.tmap.n_rows
+def _vote_step(arch: ProgrammedArchitecture, lines, n: int) -> tuple:
+    """(row words, vote currents) of ``lines``, the (lines, programs, words)
+    sensed words of the slots holding terms over ``n`` samples: each map row
+    ANDs its lines' words across its groups (a row without terms matches),
+    and the currents are (programs, n, classes)."""
+    block = np.full((arch.plan.tmap.n_rows,) + lines.shape[1:], ~np.uint64(0))
+    for rows, group_lines in arch.line_rows:
+        block[rows] &= lines[group_lines]
+    del lines                       # not held through the counts
     # Exact-count evaluation of v_read * (matches @ vote_matrix): each vote
     # row holds g_lrs on its class and g_hrs elsewhere, so per-class
     # currents follow from counts of matched rows. Those are sums of 0.0
@@ -662,22 +660,25 @@ def _evaluate_programs(arch: ProgrammedArchitecture, v_in, t: float,
     # classes with equal counts get bitwise-equal currents and argmax ties
     # resolve to the lowest index, not to float summation-order noise.
     g_hrs, g_lrs = arch.device.g_hrs, arch.device.g_lrs
-    class_rows = [np.flatnonzero(held) for held in (arch.vote_matrix == g_lrs).T]
-    matches = (np.empty((n_programs, n_samples, n_rows), dtype=bool)
-               if keep_matches else None)
+    counts = np.array([_unpack(block[rows], n).sum(axis=0, dtype=np.intp)
+                       for rows in arch.class_rows])
+    return block, np.moveaxis(arch.config.v_read * (
+        g_hrs * counts.sum(axis=0) + (g_lrs - g_hrs) * counts), 0, -1)
+
+
+def _evaluate_programs(arch: ProgrammedArchitecture, v_in, t: float,
+                       keep_matches: bool = False) -> tuple:
+    """Every program of ``arch`` on DL inputs ``v_in`` at sense time ``t``:
+    (row matches if ``keep_matches``, vote currents), each (programs,
+    samples, ...)."""
+    n_programs, n_samples = arch.term_g.shape[1], len(v_in)
+    matches = (np.empty((n_programs, n_samples, arch.plan.tmap.n_rows),
+                        dtype=bool) if keep_matches else None)
     currents = np.empty((n_programs, n_samples, arch.n_classes))
     for programs, samples in _chunks(arch, n_samples):
         n = samples.stop - samples.start
-        lines = _sensed_words(arch, v_in, t, programs, samples)
-        # Rows AND-combine on words; a row without terms matches.
-        block = np.full((n_rows,) + lines.shape[1:], ~np.uint64(0))
-        for rows, group_lines in arch.line_rows:
-            block[rows] &= lines[group_lines]
-        del lines                   # not held through the counts
-        counts = np.array([_unpack(block[rows], n).sum(axis=0, dtype=np.intp)
-                           for rows in class_rows])
-        currents[programs, samples] = np.moveaxis(cfg.v_read * (
-            g_hrs * counts.sum(axis=0) + (g_lrs - g_hrs) * counts), 0, -1)
+        block, currents[programs, samples] = _vote_step(
+            arch, _sensed_words(arch, v_in, t, programs, samples), n)
         if matches is not None:
             matches[programs, samples] = _unpack(block, n).transpose(1, 2, 0)
     return matches, currents
@@ -686,7 +687,7 @@ def _evaluate_programs(arch: ProgrammedArchitecture, v_in, t: float,
 def _evaluate(arch: ProgrammedArchitecture, X, t_clk=None) -> tuple:
     """Core kernel on ``arch``'s one program: (row match matrix, vote
     currents, predicted classes, argmax with ties lowest) per sample."""
-    v_in = _input_voltages(arch, _check_samples(arch, X))
+    v_in = _input_voltages(arch, X)
     matches, currents = _evaluate_programs(
         arch, v_in, _clock(arch.config, t_clk), keep_matches=True)
     return matches[0], currents[0], np.argmax(currents[0], axis=1)
@@ -706,31 +707,32 @@ def _vote(config: ArchConfig, currents, rng) -> np.ndarray:
 def infer_batch(arch: ProgrammedArchitecture, X, t_clk=None,
                 rng=None) -> np.ndarray:
     """Predicted class per sample (argmax of vote currents, ties lowest)."""
-    v_in = _input_voltages(arch, _check_samples(arch, X))
+    v_in = _input_voltages(arch, X)
     _, currents = _evaluate_programs(arch, v_in, _clock(arch.config, t_clk))
     return _vote(arch.config, currents[0], rng)
 
 
 def infer(arch: ProgrammedArchitecture, sample, t_clk=None) -> InferenceTrace:
-    """Single-sample inference keeping every intermediate signal. Every ML
-    voltage comes from the every-cell expression; a slot without terms
-    draws 0.0 A and stays at v_ml0."""
-    sample = np.asarray(sample, dtype=float).reshape(1, -1)
-    matches, currents, predicted = _evaluate(arch, sample, t_clk)
-    h = arch.plan.tile_h
-    v_ml = np.full(arch.plan.n_tiles * h, arch.config.v_ml0)
+    """Single-sample inference keeping every intermediate signal: every ML
+    voltage comes from the every-cell expression (a slot without terms
+    stays at v_ml0), and ``_vote_step`` votes on the lines sensed."""
+    v_in = _input_voltages(arch, np.asarray(sample, dtype=float).reshape(1, -1))
+    h, cfg = arch.plan.tile_h, arch.config
+    v_ml = np.full(arch.plan.n_tiles * h, cfg.v_ml0)
     first = np.zeros(arch.term_slots.size, dtype=np.intp)
     v_ml[arch.term_slots] = _line_voltages(
-        arch, _input_voltages(arch, sample), _clock(arch.config, t_clk),
-        np.arange(first.size), first, first)
-    ml_voltages = dict(zip([(g, ti) for g, tiles in enumerate(arch.plan.groups)
-                            for ti in range(len(tiles))], v_ml.reshape(-1, h)))
+        arch, v_in, _clock(cfg, t_clk), np.arange(first.size), first, first)
+    sensed = v_ml > cfg.v_sa
+    block, currents = _vote_step(
+        arch, sensed[arch.term_slots].astype(np.uint64)[:, None, None], 1)
+    keys = [(g, ti) for g, tiles in enumerate(arch.plan.groups)
+            for ti in range(len(tiles))]
     return InferenceTrace(
-        ml_outputs={k: v > arch.config.v_sa for k, v in ml_voltages.items()},
-        ml_voltages=ml_voltages,
-        row_matches=matches[0],
-        vote_currents=currents[0],
-        predicted=int(predicted[0]),
+        ml_outputs=dict(zip(keys, sensed.reshape(-1, h))),
+        ml_voltages=dict(zip(keys, v_ml.reshape(-1, h))),
+        row_matches=_unpack(block, 1)[:, 0, 0],
+        vote_currents=currents[0, 0],
+        predicted=int(np.argmax(currents[0, 0])),
         cycles=arch.cycles_per_decision,
     )
 
@@ -816,7 +818,7 @@ def sweep(forest: Forest, X, y, variable: str, grid, trials: int, seed: int,
         points.append((i, encodings[h, w, nb], _sigma(sg),
                        _clock(config, t_eval)))
     X, y = _evaluation_set(X, y, forest.n_classes)
-    v_in = _input_voltages(points[0][1], _check_samples(points[0][1], X))
+    v_in = _input_voltages(points[0][1], X)
 
     def run(point):
         i, enc, sg, t = point

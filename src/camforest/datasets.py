@@ -44,7 +44,7 @@ def _parse_csv(fh, name):
             lab = float(row[-1])
         except ValueError as exc:
             raise DataError(f"{name}: line {i}: {exc}") from None
-        if lab != int(lab) or lab < 0:
+        if not (0 <= lab < np.inf and lab == int(lab)):
             raise DataError(f"{name}: line {i}: label must be a "
                             "non-negative integer")
         labels.append(int(lab))

@@ -254,9 +254,9 @@ def encode_bounds(lo, hi, feature_bounds, device: DeviceModel,
     if n_bits is not None:
         b = np.asarray(feature_bounds, dtype=float)
         b_lo, b_hi = b[..., 0], b[..., 1]
+        lo, hi = (snap_to_levels(x, n_bits, b_lo, b_hi) for x in (lo, hi))
         widen = (b_hi - b_lo) / 2 ** (n_bits + 1)
-        lo = snap_to_levels(lo, n_bits, b_lo, b_hi) - widen
-        hi = snap_to_levels(hi, n_bits, b_lo, b_hi) + widen
+        lo, hi = lo - widen, hi + widen
     v_lo = feature_to_voltage(lo, feature_bounds, clip=False)
     v_hi = feature_to_voltage(hi, feature_bounds, clip=False)
     g_m1 = np.where(np.isinf(lo), device.g_hrs, calibration.g_for_lower(v_lo))
@@ -279,8 +279,8 @@ def encode_range(r: ThresholdRange, feature_bounds, device: DeviceModel,
 def snap_to_levels(x, n_bits: int, lo: float, hi: float):
     """Nearest of 2**n_bits uniform levels on [lo, hi]; ties take the lower
     level. Infinities pass through. Accepts scalars or arrays."""
-    if n_bits < 1:
-        raise ConfigError("n_bits must be at least 1")
+    if not 1 <= n_bits <= 1022:     # so 2**(n_bits + 1) is a finite float
+        raise ConfigError("n_bits must be in [1, 1022]")
     n = 2 ** n_bits
     step = (hi - lo) / (n - 1)
     idx = np.ceil((np.asarray(x, dtype=float) - lo) / step - 0.5)

@@ -176,15 +176,12 @@ def map_matches(tmap: ThresholdMap, X) -> np.ndarray:
     return matched
 
 
-def map_votes(tmap: ThresholdMap, matched: np.ndarray, n_classes: int) -> np.ndarray:
-    onehot = np.zeros((tmap.n_rows, n_classes), dtype=int)
-    onehot[np.arange(tmap.n_rows), tmap.labels] = 1
-    return matched.astype(int) @ onehot
-
-
 def map_predict(tmap: ThresholdMap, X, n_classes: int) -> np.ndarray:
     """Software evaluation of the map itself (used as the semantic oracle)."""
-    return np.argmax(map_votes(tmap, map_matches(tmap, X), n_classes), axis=1)
+    matched = map_matches(tmap, X)
+    onehot = np.zeros((tmap.n_rows, n_classes), dtype=int)
+    onehot[np.arange(tmap.n_rows), tmap.labels] = 1
+    return np.argmax(matched.astype(int) @ onehot, axis=1)
 
 
 def reorder(tmap: ThresholdMap, group_width: int | None = None) -> tuple:

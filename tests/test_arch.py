@@ -625,6 +625,23 @@ def test_sweep_rejects_counts_it_cannot_honour(name, value):
         workers=np.int64(2)).rows
 
 
+def test_n_bits_runs_to_the_last_float_half_lsb(iris_forest):
+    """Half an LSB is the range over 2**(n_bits + 1), a float up to n_bits
+    1022; above it programming is a configuration error, not an
+    OverflowError, in ``program`` and in an n_bits sweep grid."""
+    forest, X, y = iris_forest
+    plan = compile_forest(forest, 16, 16)
+    fine = program(plan, D, ArchConfig(), forest.feature_bounds,
+                   forest.n_classes, n_bits=1022)
+    assert np.array_equal(infer_batch(fine, X), forest.predict(X))
+    for n_bits in (1023, 1100, 10**30):
+        with pytest.raises(ConfigError, match=r"n_bits must be in \[1, 1022\]"):
+            program(plan, D, ArchConfig(), forest.feature_bounds,
+                    forest.n_classes, n_bits=n_bits)
+    with pytest.raises(ConfigError, match="n_bits"):
+        sweep(forest, X, y, "n_bits", [4, 1100], trials=1, seed=0)
+
+
 def test_arch_config_validation():
     with pytest.raises(ConfigError):
         ArchConfig(t_clk=0.0)

@@ -568,6 +568,31 @@ def test_exit_codes(ini, run, tmp_path):
         assert code == 2 and word in cap.err, (setting, code, cap.err)
 
 
+def test_non_finite_csv_label_exits_three(ini, run, tmp_path):
+    data = tmp_path / "nan_label.csv"
+    data.write_text("f0,f1,label\n0.1,0.2,0\n0.3,0.4,nan\n")
+    cfg = ini(BASE.replace("builtin = iris", f"path = {data}"), "nan.ini")
+    code, cap = run("train", "--config", cfg, "--out", str(tmp_path / "m"))
+    assert code == 3 and "line 3" in cap.err, (code, cap.err)
+
+
+def test_n_bits_past_float_range_exits_two(ini, run, tmp_path):
+    """2**(n_bits + 1) must be a float: from 1023 up, n_bits is a
+    configuration error in simulate and sweep, set in [arch] or swept."""
+    run("train", "--config", ini(), "--out", str(tmp_path / "m"))
+    model = str(tmp_path / "m" / "model.json")
+    for command, text in [
+            (["simulate", model], BASE + "[arch]\nn_bits = 1100\n"),
+            (["sweep"], BASE + "[arch]\nn_bits = 1023\n"),
+            (["sweep"], BASE.replace("variable = sigma", "variable = n_bits")
+             .replace("grid = 0.0, 0.05, 0.1", "grid = 4, 1100"))]:
+        code, cap = run(*command, "--config", ini(text, "b.ini"),
+                        "--out", str(tmp_path / "b"))
+        assert code == 2 and "n_bits must be in [1, 1022]" in cap.err, (
+            command, code, cap.err)
+        assert not (tmp_path / "b" / "manifest.json").exists()
+
+
 def test_noise_simulation_requires_seed(ini, run, tmp_path):
     noisy = ("[meta]\nversion = 1\n[dataset]\nbuiltin = iris\n"
              "[arch]\nsigma = 0.05\n")

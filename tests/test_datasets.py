@@ -47,6 +47,10 @@ def test_csv_rejects_malformed():
         loads_csv("f0,label\n1,1.5\n")       # fractional label
     with pytest.raises(DataError):
         loads_csv("f0,label\n")              # no data rows
+    for label in ("nan", "inf", "1e400"):    # non-finite label
+        with pytest.raises(DataError, match="line 3: label must be a "
+                           "non-negative integer"):
+            loads_csv(f"f0,label\n1,0\n2,{label}\n")
 
 
 def test_train_test_split_partitions():

@@ -57,7 +57,7 @@ from camforest.device import (
     reference_current,
 )
 from camforest.errors import CalibrationError
-from camforest.forest import to_json, train_forest, train_tree
+from camforest.forest import from_json, to_json, train_forest, train_tree
 from camforest.mapper import MapRow, ThresholdMap, compile_forest, pack_tiles
 
 D = DeviceModel()
@@ -1020,3 +1020,39 @@ def test_block_bytes_within_budget_on_benchmark_shapes(monkeypatch):
         for arch, n_samples in cases:
             compares, lines, _ = _chunk_bytes(arch, n_samples)
             assert compares <= budget >> shift and lines <= budget >> shift
+
+
+@pytest.mark.parametrize("leaf_only", [False, True])
+@pytest.mark.parametrize("prog", ["ideal", "sigma0.1"])
+def test_traces_vote_beside_single_leaf_trees(iris, leaf_only, prog,
+                                              monkeypatch):
+    """A single-leaf tree's row holds no terms: its word is all ones and it
+    matches every sample. Every trace's row matches, vote currents and
+    class are those of the batch kernel, read from its own sensed lines
+    without calling the packed kernel."""
+    forest, X = iris
+    obj = json.loads(to_json(forest))
+    obj["trees"] = ([{"label": 2}] * 2 if leaf_only
+                    else obj["trees"] + [{"label": 2}])
+    forest = from_json(json.dumps(obj))
+    arch = program(compile_forest(forest, 16, 16), D, CFG,
+                   forest.feature_bounds, forest.n_classes, seed=5,
+                   **PROGRAMS[prog])
+    X = np.vstack([X[::15], _threshold_inputs(forest, X[:10])])
+    leaf_row = arch.plan.tmap.trees == len(forest.trees) - 1
+    assert not np.isin(np.flatnonzero(leaf_row),
+                       np.concatenate([rows for rows, _ in arch.line_rows]))
+    matches, currents, predicted = _evaluate(arch, X)
+    assert matches[:, leaf_row].all()
+    kernel = []
+    monkeypatch.setattr(arch_module, "_sensed_words",
+                        lambda *args: kernel.append(args))
+    for k, x in enumerate(X):
+        trace = infer(arch, x)
+        assert np.array_equal(trace.row_matches, matches[k])
+        _assert_bit_identical(trace.vote_currents, currents[k])
+        assert trace.predicted == predicted[k]
+        assert trace.ml_outputs.keys() == trace.ml_voltages.keys()
+        for key, v_ml in trace.ml_voltages.items():
+            assert np.array_equal(trace.ml_outputs[key], v_ml > CFG.v_sa)
+    assert len(X) == 20 and kernel == []
