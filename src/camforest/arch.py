@@ -77,7 +77,7 @@ from .device import (
 from .errors import ConfigError, DataError
 from .forest import Forest, _integer_labels
 from .mapper import TiledPlan, compile_forest
-from .perf import CYCLES_PER_ARRAY
+from .perf import CYCLES_PER_ARRAY, V_ML0
 
 SWEEP_VARIABLES = ("sigma", "n_bits", "t_clk", "tile_h", "tile_w")
 
@@ -100,7 +100,7 @@ class ArchConfig:
     params: CellParams = CellParams()
     parasitics: Parasitics = Parasitics()
     t_clk: float = 1e-6
-    v_ml0: float = 0.8
+    v_ml0: float = V_ML0
     v_sa: float = 0.4
     v_read: float = 0.2
     vote_sigma: float = 0.0
@@ -693,15 +693,17 @@ def _evaluate(arch: ProgrammedArchitecture, X, t_clk=None) -> tuple:
     return matches[0], currents[0], np.argmax(currents[0], axis=1)
 
 
-def _vote(config: ArchConfig, currents, rng) -> np.ndarray:
-    """Predicted class per sample from its vote currents (argmax, ties
-    lowest), after vote noise drawn from ``rng`` when ``vote_sigma`` > 0."""
+def _vote(config: ArchConfig, currents, rngs) -> np.ndarray:
+    """Predicted class per (program, sample) from (programs, samples,
+    classes) vote currents (argmax, ties lowest), after vote noise drawn
+    for program p from ``rngs[p]`` when ``vote_sigma`` > 0."""
     if config.vote_sigma > 0:
-        if rng is None:
+        if None in rngs:
             raise ConfigError("vote_sigma > 0 requires an rng")
-        currents = currents * (
-            1.0 + rng.normal(0.0, config.vote_sigma, currents.shape))
-    return np.argmax(currents, axis=1)
+        currents = currents * (1.0 + np.array([
+            rng.normal(0.0, config.vote_sigma, currents.shape[1:])
+            for rng in rngs]))
+    return np.argmax(currents, axis=-1)
 
 
 def infer_batch(arch: ProgrammedArchitecture, X, t_clk=None,
@@ -709,7 +711,7 @@ def infer_batch(arch: ProgrammedArchitecture, X, t_clk=None,
     """Predicted class per sample (argmax of vote currents, ties lowest)."""
     v_in = _input_voltages(arch, X)
     _, currents = _evaluate_programs(arch, v_in, _clock(arch.config, t_clk))
-    return _vote(arch.config, currents[0], rng)
+    return _vote(arch.config, currents, [rng])[0]
 
 
 def infer(arch: ProgrammedArchitecture, sample, t_clk=None) -> InferenceTrace:
@@ -826,18 +828,14 @@ def sweep(forest: Forest, X, y, variable: str, grid, trials: int, seed: int,
         batch = _program_trials(
             enc, sg, [[seed, i, trial] for trial in range(n_programs)])
         _, currents = _evaluate_programs(batch, v_in, t)
-        if config.vote_sigma == 0.0:
-            # Every program scored at once: the row means are exact integer
-            # counts over len(y), as ``evaluate_accuracy`` gives them.
-            acc = np.mean(np.argmax(currents, axis=-1) == y, axis=1)
-            return [float(acc[min(trial, n_programs - 1)])
-                    for trial in range(trials)]
-        accs = []
-        for trial in range(trials):
-            pred = _vote(config, currents[min(trial, n_programs - 1)],
-                         np.random.default_rng([seed, i, trial, 1]))
-            accs.append(float(np.mean(pred == y)))
-        return accs
+        rngs = ([np.random.default_rng([seed, i, trial, 1])
+                 for trial in range(trials)]
+                if config.vote_sigma > 0 else None)
+        pred = _vote(config, np.broadcast_to(
+            currents, (trials,) + currents.shape[1:]), rngs)
+        # Row means of exact integer counts over len(y), as
+        # ``evaluate_accuracy`` gives them.
+        return np.mean(pred == y, axis=1).tolist()
 
     n_workers = workers or min(32, os.cpu_count() or 1)
     if n_workers > 1 and len(points) > 1:

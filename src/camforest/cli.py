@@ -41,7 +41,7 @@ from .errors import (
     InvariantError,
     ModelFormatError,
 )
-from .forest import MODEL_FORMAT, MODEL_VERSION, _from_obj, from_json, to_json, train_forest
+from .forest import MODEL_FORMAT, MODEL_VERSION, _from_obj, _loads, from_json, to_json, train_forest
 from .mapper import PLAN_FORMAT, PLAN_VERSION, _plan_from_obj, compile_forest, plan_to_json
 from .perf import ML_MODES, PerfConfig, perf_report
 
@@ -154,12 +154,6 @@ def _read_input(path: str) -> str:
         raise DataError(f"input file not found: {path}") from None
 
 
-def _device(cfg) -> DeviceModel:
-    d = cfg["device"]
-    return DeviceModel(g_hrs=d["g_hrs"], g_lrs=d["g_lrs"],
-                       n_levels=d["n_levels"])
-
-
 def _arch_config(cfg) -> ArchConfig:
     a = cfg["arch"]
     return ArchConfig(t_clk=a["t_clk"], vote_sigma=a["vote_sigma"])
@@ -177,7 +171,7 @@ def _program(cfg, plan, bounds, n_classes, noise_seed=None, ideal=False):
     [arch] sigma programming noise from ``noise_seed`` when one is given;
     ``ideal`` programs it exactly, without quantization or vote noise."""
     a = cfg["arch"]
-    device, config = _device(cfg), _arch_config(cfg)
+    device, config = DeviceModel(**cfg["device"]), _arch_config(cfg)
     if ideal:
         config = dataclasses.replace(config, vote_sigma=0.0)
     return program(plan, device, config, bounds, n_classes,
@@ -230,14 +224,8 @@ def _plan_from_input(args, cfg, unseeded_noise: bool = False) -> tuple:
     given on the command line; a model compiles with the [arch] tile and
     reorder keys. ``unseeded_noise`` raises ConfigError once the artifact's
     kind is known, before it is parsed."""
-    text = _read_input(args.input)
-    try:
-        obj = json.loads(text)
-        tag = obj.get("format")
-    except (json.JSONDecodeError, AttributeError):
-        raise ModelFormatError("input is not a JSON artifact") from None
-    except RecursionError:
-        raise ModelFormatError("input JSON nested too deeply") from None
+    obj = _loads(_read_input(args.input))
+    tag = obj.get("format") if isinstance(obj, dict) else None
     if tag not in (MODEL_FORMAT, PLAN_FORMAT):
         raise ModelFormatError(f"unrecognized artifact format {tag!r}")
     if unseeded_noise:
@@ -351,7 +339,7 @@ def cmd_sweep(args, cfg, seed):
                           max_depth=t["max_depth"], seed=seed)
     a = cfg["arch"]
     result = sweep(forest, X_ev, y_ev, s["variable"], s["grid"], s["trials"],
-                   seed, device=_device(cfg), config=_arch_config(cfg),
+                   seed, DeviceModel(**cfg["device"]), _arch_config(cfg),
                    tile_h=a["tile_h"], tile_w=a["tile_w"], n_bits=a["n_bits"],
                    sigma_rel=a["sigma"], reorder_map=a["reorder"],
                    workers=args.threads)

@@ -7,10 +7,14 @@ manifest, so no silent assumption leaves the process unrecorded.
 """
 
 import configparser
+import dataclasses
 import hashlib
 import math
 
+from .arch import ArchConfig
+from .device import DeviceModel
 from .errors import ConfigError
+from .perf import ML_MODES, PerfConfig
 
 CONFIG_VERSION = 1
 
@@ -60,7 +64,16 @@ def _to_float_list(raw: str):
     return [_to_float(t) for t in toks]
 
 
+def _fields(cls) -> dict:
+    """key -> (converter by annotated type, default) per field of ``cls``."""
+    convert = {float: _to_float, int: _to_int, bool: _to_bool}
+    return {f.name: (convert[f.type], f.default)
+            for f in dataclasses.fields(cls)}
+
+
 # section -> key -> (converter, default); _REQUIRED keys must appear.
+# [device] and the value keys of [perf] are the fields of the objects
+# they build, ``DeviceModel`` and ``PerfConfig``.
 SCHEMA = {
     "meta": {
         "version": (_to_int, _REQUIRED),
@@ -75,18 +88,14 @@ SCHEMA = {
         "n_trees": (_to_int, 15),
         "max_depth": (_to_int, 6),
     },
-    "device": {
-        "g_hrs": (_to_float, 0.5e-6),
-        "g_lrs": (_to_float, 200e-6),
-        "n_levels": (_to_int, 16),
-    },
+    "device": _fields(DeviceModel),
     "arch": {
-        "t_clk": (_to_float, 1e-6),
+        "t_clk": (_to_float, ArchConfig.t_clk),
         "tile_h": (_to_int, 16),
         "tile_w": (_to_int, 16),
         "n_bits": (_to_opt_int, None),
         "sigma": (_to_float, 0.0),
-        "vote_sigma": (_to_float, 0.0),
+        "vote_sigma": (_to_float, ArchConfig.vote_sigma),
         "reorder": (_to_bool, True),
     },
     "sweep": {
@@ -96,18 +105,8 @@ SCHEMA = {
         "plot": (_to_bool, True),
     },
     "perf": {
-        "v_dd": (_to_float, 0.8),
-        "v_sl_hi": (_to_float, 0.8),
-        "t_clk": (_to_float, 1e-9),
-        "r_out": (_to_float, 1e4),
-        "r_w": (_to_float, 1.4),
-        "c_dl": (_to_float, 1.9e-15),
-        "c_ml": (_to_float, 1.9e-15),
-        "pipelined": (_to_bool, False),
-        "power_scale": (_to_float, 1.0),
-        "cap_scale": (_to_float, 1.0),
-        "volt_scale": (_to_float, 1.0),
-        "ml_mode": (_to_str, "dimensional"),
+        **_fields(PerfConfig),
+        "ml_mode": (_to_str, ML_MODES[0]),
         "tile_h": (_to_opt_int, None),
         "tile_w": (_to_opt_int, None),
         "n_tiles": (_to_opt_int, None),

@@ -44,9 +44,9 @@ def _parse_csv(fh, name):
             lab = float(row[-1])
         except ValueError as exc:
             raise DataError(f"{name}: line {i}: {exc}") from None
-        if not (0 <= lab < np.inf and lab == int(lab)):
+        if not (0 <= lab < 2**63 and lab == int(lab)):
             raise DataError(f"{name}: line {i}: label must be a "
-                            "non-negative integer")
+                            "non-negative integer below 2**63")
         labels.append(int(lab))
     if not feats:
         raise DataError(f"{name}: no data rows")

@@ -1,8 +1,9 @@
 """Decision-tree and random-forest training on numeric features.
 
 Plain CART with Gini impurity: axis-aligned splits at midpoints between
-distinct sorted values, majority-label leaves. A forest bootstraps the rows
-and draws floor(sqrt(F)) candidate features per split. Split semantics are
+distinct sorted values (at the lower value where the midpoint rounds onto
+the upper), majority-label leaves. A forest bootstraps the rows and draws
+floor(sqrt(F)) candidate features per split. Split semantics are
 half-open: the left child keeps x <= threshold.
 
 Each training call ranks every feature once (one stable argsort). A node is
@@ -339,29 +340,25 @@ def _search(data, nodes, feats) -> list:
     f = feats.reshape(-1)[line]
     x0 = data.X[rows[line, cut], f].tolist()
     x1 = data.X[rows[line, cut + 1], f].tolist()
-    # Rows are sorted by value, so each left child (x <= th) is a prefix.
-    n_left = (cut + 1).tolist()
     thresholds = []
-    for s, i in enumerate(split):
-        th = 0.5 * (x0[s] + x1[s])
+    for a, b in zip(x0, x1):
+        th = 0.5 * (a + b)
         if not math.isfinite(th):
             # The sum overflowed; halving first cannot. Only such pairs take
             # this path, so every other threshold keeps its bits.
-            th = 0.5 * x0[s] + 0.5 * x1[s]
-        if th >= x1[s]:
-            # The midpoint rounded onto the upper value: rows equal to it
-            # go left too (the left child keeps x <= threshold).
-            xs = data.X[rows[line[s], :nodes[i][0].size], f[s]]
-            n_left[s] = int(np.searchsorted(xs, th, side="right"))
-        thresholds.append(th)
-    n_left = np.array(n_left)
-    lc = below.reshape(-1, c)[line * n + n_left - 1]
+            th = 0.5 * a + 0.5 * b
+        # A midpoint rounded onto the upper value would send it left too:
+        # the lower value keeps the left child the scored prefix.
+        thresholds.append(a if th >= b else th)
+    # Rows are sorted by value, so each left child (x <= th) is the prefix
+    # up to its cut.
+    lc = below.reshape(-1, c)[line * n + cut]
     child_counts = np.concatenate([lc, total[line] - lc])
     gini, label = _impurity(child_counts)
     gini, label = gini.tolist(), label.tolist()
     out = [None] * k
     for s, i in enumerate(split):
-        a, b, r = n_left[s], nodes[i][0].size, len(split) + s
+        a, b, r = cut[s] + 1, nodes[i][0].size, len(split) + s
         out[i] = (int(f[s]), thresholds[s],
                   (rows[line[s], :a].copy(), weights[line[s], :a].copy(),
                    child_counts[s], gini[s], label[s]),

@@ -89,10 +89,6 @@ class ThresholdMap:
             np.array_equal(getattr(self, name), getattr(other, name))
             for name in ("lo", "hi", "labels", "trees"))
 
-    def __hash__(self):
-        return hash((self.n_features, self.labels.tobytes(),
-                     self.trees.tobytes()))
-
     @property
     def n_rows(self) -> int:
         return self.labels.size

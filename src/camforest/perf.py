@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cell import CellParams
+from .cell import CellParams, Parasitics
 from .errors import ConfigError
 
 ML_MODES = ("dimensional", "as_printed")
@@ -41,9 +41,9 @@ class PerfConfig:
     v_sl_hi: float = 0.8
     t_clk: float = 1e-9
     r_out: float = 1e4
-    r_w: float = 1.4
-    c_dl: float = 1.9e-15
-    c_ml: float = 1.9e-15
+    r_w: float = Parasitics.r_wire
+    c_dl: float = Parasitics.c_line
+    c_ml: float = Parasitics.c_line
     pipelined: bool = False
     power_scale: float = 1.0
     cap_scale: float = 1.0

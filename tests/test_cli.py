@@ -490,6 +490,58 @@ def test_bad_plan_rows_exit_three(ini, run, tmp_path, commands, field, value,
         assert not (tmp_path / command / "manifest.json").exists()
 
 
+def _compiled_plan(ini, run, tmp_path):
+    """(config, plan path, plan object) of the default forest's plan."""
+    cfg = ini()
+    run("train", "--config", cfg, "--out", str(tmp_path / "m"))
+    run("compile", str(tmp_path / "m" / "model.json"), "--config", cfg,
+        "--out", str(tmp_path / "p"))
+    plan = tmp_path / "p" / "plan.json"
+    return cfg, plan, json.loads(plan.read_text())
+
+
+def test_plan_tile_layout_must_match_its_packing(ini, run, tmp_path):
+    cfg, plan, obj = _compiled_plan(ini, run, tmp_path)
+    tile = obj["groups"][0][0]
+    assert len(tile) > 1
+    obj["groups"][0][0] = tile[::-1]
+    plan.write_text(json.dumps(obj))
+    code, cap = run("simulate", str(plan), "--config", cfg,
+                    "--out", str(tmp_path / "s"))
+    assert code == 3 and "tile layout disagrees" in cap.err
+    assert not (tmp_path / "s" / "manifest.json").exists()
+
+
+def test_plan_without_feature_bounds_fails_only_simulate(ini, run, tmp_path):
+    """simulate needs the bounds to map inputs to voltages; perf reads
+    only the plan's geometry."""
+    cfg, plan, obj = _compiled_plan(ini, run, tmp_path)
+    del obj["feature_bounds"]
+    plan.write_text(json.dumps(obj))
+    code, cap = run("simulate", str(plan), "--config", cfg,
+                    "--out", str(tmp_path / "s"))
+    assert code == 3 and "plan lacks feature_bounds" in cap.err
+    assert not (tmp_path / "s" / "manifest.json").exists()
+    code, _ = run("perf", str(plan), "--config", cfg,
+                  "--out", str(tmp_path / "f"))
+    assert code == 0
+    assert (tmp_path / "f" / "perf.csv").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("not json", "not valid JSON"),
+    ('["camforest-plan"]', "unrecognized artifact format"),
+    ("", "not valid JSON")], ids=["text", "list", "empty"])
+def test_non_object_artifacts_exit_three(ini, run, tmp_path, text, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    for command in ("simulate", "perf"):
+        code, cap = run(command, str(bad), "--config", ini(),
+                        "--out", str(tmp_path / command))
+        assert code == 3 and message in cap.err, (command, code, cap.err)
+        assert not (tmp_path / command / "manifest.json").exists()
+
+
 def test_exit_codes(ini, run, tmp_path):
     code, cap = run("train", "--config",
                     ini("[meta]\nversion = 1\nbogus = 1\n", "a.ini"))
@@ -574,6 +626,31 @@ def test_non_finite_csv_label_exits_three(ini, run, tmp_path):
     cfg = ini(BASE.replace("builtin = iris", f"path = {data}"), "nan.ini")
     code, cap = run("train", "--config", cfg, "--out", str(tmp_path / "m"))
     assert code == 3 and "line 3" in cap.err, (code, cap.err)
+
+
+def test_csv_label_past_int64_exits_three(ini, run, tmp_path):
+    data = tmp_path / "huge_label.csv"
+    data.write_text("f0,f1,label\n0.1,0.2,0\n0.3,0.4,1e300\n")
+    cfg = ini(BASE.replace("builtin = iris", f"path = {data}"), "big.ini")
+    code, cap = run("train", "--config", cfg, "--out", str(tmp_path / "m"))
+    assert code == 3 and "line 3" in cap.err, (code, cap.err)
+    assert not (tmp_path / "m" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("max_depth", [1, 2, 3])
+@pytest.mark.parametrize("low", [123.456, 1.0], ids=["odd", "even"])
+def test_train_on_adjacent_float_values(ini, run, tmp_path, low, max_depth):
+    """Two rows one float apart train at any depth (a midpoint that rounds
+    onto the upper value once left a child empty)."""
+    data = tmp_path / "adjacent.csv"
+    save_csv(str(data), [[low], [float(np.nextafter(low, np.inf))]], [0, 1])
+    text = (BASE.replace("builtin = iris", f"path = {data}")
+            .replace("test_fraction = 0.25", "test_fraction = 0.0")
+            .replace("max_depth = 4", f"max_depth = {max_depth}"))
+    code, cap = run("train", "--config", ini(text, "adj.ini"),
+                    "--out", str(tmp_path / "m"))
+    assert code == 0, cap.err
+    assert (tmp_path / "m" / "model.json").exists()
 
 
 def test_n_bits_past_float_range_exits_two(ini, run, tmp_path):

@@ -47,7 +47,8 @@ def test_csv_rejects_malformed():
         loads_csv("f0,label\n1,1.5\n")       # fractional label
     with pytest.raises(DataError):
         loads_csv("f0,label\n")              # no data rows
-    for label in ("nan", "inf", "1e400"):    # non-finite label
+    for label in ("nan", "inf", "1e400",     # non-finite label
+                  "1e300", str(2**63)):      # past int64
         with pytest.raises(DataError, match="line 3: label must be a "
                            "non-negative integer"):
             loads_csv(f"f0,label\n1,0\n2,{label}\n")

@@ -187,6 +187,25 @@ def test_split_midpoint_of_huge_values_stays_finite():
         assert np.array_equal(from_json(to_json(model)).predict(X), y)
 
 
+@pytest.mark.parametrize("max_depth", [1, 2, 3])
+@pytest.mark.parametrize("low", [123.456, 1.0], ids=["odd", "even"])
+def test_adjacent_float_split_leaves_no_empty_child(low, max_depth):
+    """The midpoint of two adjacent floats rounds onto the upper one when
+    the lower's last mantissa bit is odd (123.456), else onto the lower
+    (1.0). Either way the split's threshold is the lower value, so each
+    child holds one of the two."""
+    high = float(np.nextafter(low, np.inf))
+    assert (0.5 * (low + high) == high) == (low == 123.456)
+    X, y = np.array([[low], [high]]), np.array([0, 1])
+    tree = train_tree(X, y, max_depth=max_depth)
+    assert tree.trees[0].threshold[0] == low
+    assert np.array_equal(tree.predict(X), y)
+    assert to_json(tree) == _oracle_json(tree, X, y, max_depth)
+    for seed in range(5):
+        model = train_forest(X, y, n_trees=6, max_depth=max_depth, seed=seed)
+        assert to_json(model) == _oracle_json(model, X, y, max_depth, 6, seed)
+
+
 def test_single_sample_gives_leaf():
     model = train_forest(np.array([[1.0, 2.0]]), np.array([1]),
                          n_trees=3, max_depth=4, n_classes=2)
@@ -302,6 +321,8 @@ def _oracle_best_split(X, y, feat_ids, n_classes):
         k = int(np.argmin(weighted))
         if best is None or weighted[k] < best[2] - 1e-15:
             th = 0.5 * (xs[cut[k]] + xs[cut[k] + 1])
+            if th >= xs[cut[k] + 1]:
+                th = xs[cut[k]]     # a midpoint rounded onto the upper value
             best = (int(f), float(th), float(weighted[k]))
     return best
 
@@ -837,6 +858,12 @@ def test_invalid_training_inputs():
         train_tree(np.ones((2, 2)), np.array([0, 1]), max_depth=0)
     with pytest.raises(DataError):
         train_tree(np.array([[np.nan], [1.0]]), np.array([0, 1]))
+
+
+def test_negative_labels_are_data_errors():
+    for train in (train_tree, train_forest):
+        with pytest.raises(DataError, match="non-negative"):
+            train(np.ones((2, 2)), np.array([0, -1]))
 
 
 def test_exactly_one_leaf_reached_per_tree():
