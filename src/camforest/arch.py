@@ -7,22 +7,24 @@ matrix) depends on the plan and quantization only, and each trial then adds
 its own programming noise.
 
 A branch's discharge current is a monotone function of the T1 current of
-its input, which depends on the input alone and is computed once per
-(sample, feature). ``device.band_edges`` gives the T1 current at which a
+its input, which calibration keeps strictly increasing in the DL voltage
+across the window. ``device.band_edges`` gives the T1 current at which a
 branch's current becomes exactly 0.0 and the one at which it alone pulls
-the match line to the sense threshold; each is the branch's conductance
-times a constant. Programming keeps as terms the branches that are not at
-0.0 A for every input in the DL window. Inference decides each (program,
-slot, sample) with two compares per term: the slot matches when every term
-draws 0.0 A, and mismatches when one term reaches the sense current, since
-currents are never negative and rounded adds are monotone. Only the slots
-left, with a term inside its band, run the cell law: every cell's lower
-plus upper current in a zeroed row of W cells, summed along the row, which
-is the every-cell evaluation's own expression, so every sensed bit equals
-it. A trace senses every line of its one sample that way and votes on them.
+the match line to the sense threshold, each the branch's conductance
+times a constant; ``cell.t1_inverse`` turns them into DL voltages.
+Programming keeps as terms the branches not at 0.0 A for every input in
+the window. Inference decides each (program, slot, sample) with two
+voltage compares per term, as a cell compares its data line with its
+stored window: the slot matches when every term draws 0.0 A, and
+mismatches when one term reaches the sense current, since currents are
+never negative and rounded adds are monotone. Only the slots left, with a
+term inside its band, run the cell law: every cell's lower plus upper
+current in a zeroed row of W cells, summed along the row, which is the
+every-cell evaluation's own expression, so every sensed bit equals it. A
+trace senses every line of its one sample that way and votes on them.
 
 Sensed bits live in packed words, 64 samples to a uint64. A kernel chunk
-compares each data line's T1 current with its compare rows (below) along
+compares each data line's voltages with its compare rows (below) along
 as many (program, 64 samples) words as its packed footprint allows within
 ``CHUNK_BYTES``, and packs their bits at once. Its undecided (line,
 program, sample) triples run the cell law together, ORing the lines that
@@ -35,10 +37,10 @@ A split threshold bounds every leaf below it, so one (data line,
 conductance) pair is stored in many rows: blobs16 holds 894 terms on 428
 distinct pairs, wide64 1,475 on 740 and the ideal Iris program 301 on 84.
 Programming builds a compare table of the distinct pairs, sorted on data
-line; chunks compute each data line's T1 current once and compare it in
-one broadcast with the thresholds of its rows, each distinct (data line,
-threshold) compared once, and gather the packed words back to terms before
-reducing them per line. Under programming noise every cell draws its own
+line; chunks compare each data line's row of voltages in one broadcast
+with the thresholds of its rows, each distinct (data line, threshold)
+compared once, and gather the packed words back to terms before reducing
+them per line. Under programming noise every cell draws its own
 conductance, so each term is its own compare row.
 
 The kernel reads one type, ``ProgrammedArchitecture``: the encoding and the
@@ -61,6 +63,7 @@ from .cell import (
     Parasitics,
     lower_branch_t1,
     t1_current,
+    t1_inverse,
     upper_branch_t1,
 )
 from .device import (
@@ -82,8 +85,9 @@ from .perf import CYCLES_PER_ARRAY, V_ML0
 SWEEP_VARIABLES = ("sigma", "n_bits", "t_clk", "tile_h", "tile_w")
 
 # Relative widening of the classifier's T1-current edges toward the band:
-# far above the cell law's rounding (about 1e-13 relative, the last bit of
-# np.exp included) and far below the bands' widths (1e-3 relative and more).
+# far above the rounding of the cell law and of its inverse (about 1e-13
+# relative, the last bit of np.exp included) and far below the bands'
+# widths (1e-3 relative and more).
 BAND_MARGIN = 1e-9
 
 # Byte budget of one kernel chunk's per-term arrays (see ``_chunk_shape``).
@@ -401,15 +405,25 @@ def _clock(config: ArchConfig, t_clk) -> float:
 
 
 def _input_voltages(arch, X) -> np.ndarray:
-    """(samples, F) DL voltages of finite (samples, F) ``X`` in original
-    feature order, mapped in place in one contiguous array. DL source F,
-    the padding columns, is driven at ``PAD_VOLTAGE`` by its readers."""
+    """(F + 1, samples) DL voltages of finite (samples, F) ``X``, one row
+    per DL source: row f is original feature f, mapped in place in one
+    contiguous array, and row F, the padding columns' source, holds
+    ``PAD_VOLTAGE``."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.ndim != 2 or X.shape[1] != arch.plan.tmap.n_features:
         raise DataError(f"samples must have {arch.plan.tmap.n_features} features")
     if not np.all(np.isfinite(X)):
         raise DataError("samples contain NaN or infinite features")
-    return feature_to_voltage(X, arch.feature_bounds, out=np.empty(X.shape))
+    v = np.empty((X.shape[1] + 1, X.shape[0]))
+    v[-1] = PAD_VOLTAGE
+    # Transposed 64 samples at a time, so that each block of X stays in
+    # cache while its columns are written out (a strided whole-array copy
+    # takes about four times as long).
+    for s0 in range(0, X.shape[0], 64):
+        v[:-1, s0:s0 + 64] = X[s0:s0 + 64].T
+    feature_to_voltage(v[:-1], np.asarray(arch.feature_bounds)[:, None],
+                       out=v[:-1])
+    return v
 
 
 def _line_voltages(arch: ProgrammedArchitecture, v_in, t: float, line, program,
@@ -423,7 +437,7 @@ def _line_voltages(arch: ProgrammedArchitecture, v_in, t: float, line, program,
     cfg = arch.config
     w = arch.plan.tile_w
     c_ml = cfg.parasitics.ml_capacitance(w)
-    n_features = v_in.shape[1]
+    n_samples = v_in.shape[1]
     _, batch = _undecided_shape(arch)
     v_ml = np.empty(line.size)
     zeroed = np.empty(min(batch, line.size) * w)
@@ -435,12 +449,8 @@ def _line_voltages(arch: ProgrammedArchitecture, v_in, t: float, line, program,
         term = np.arange(row.size) + np.repeat(
             first - np.cumsum(count) + count, count)
         cell = arch.term_cell[term]
-        source = arch.active_input[cell]
-        pad = source == n_features
-        v = np.take(v_in, sample[cut][row] * n_features
-                    + np.where(pad, 0, source))
-        v[pad] = PAD_VOLTAGE
-        i = t1_current(v, None, cfg.params)
+        i = t1_current(np.take(v_in, arch.active_input[cell] * n_samples
+                               + sample[cut][row]), None, cfg.params)
         g = np.take(arch.term_g, term * arch.term_g.shape[1]
                     + program[cut][row])
         at = row * w + arch.active_cell[cell] % w
@@ -474,39 +484,42 @@ def _chunk_shape(arch: ProgrammedArchitecture, n_samples: int) -> tuple:
 
 def _block_plan(arch: ProgrammedArchitecture, programs: int,
                 words: int) -> tuple:
-    """(runs, rows per piece, sources per window, lines per piece) of a
-    compare block of ``programs`` × ``words`` words. A piece of compare
-    rows, from a multiple of its size, holds the bools of both their
-    compares within a sixteenth of ``CHUNK_BYTES`` (or one row), a window
-    the T1 currents of that many DL sources (of F + 1), from a multiple of
-    it, within an eighth, and a piece of lines their terms' gathered words
-    within about a sixteenth. A run (first row, stop row, source) is the
-    rows of one source in one piece."""
+    """(runs, rows per piece, lines per piece) of a compare block of
+    ``programs`` × ``words`` words. A piece of compare rows, from a
+    multiple of its size, holds the bools of both their compares within a
+    sixteenth of ``CHUNK_BYTES`` (or one row), and a piece of lines their
+    terms' gathered words within about a sixteenth. A run (first row, stop
+    row, source) is the rows of one source in one piece."""
     source = arch.active_input[arch.term_cell[arch.compare_term]]
     rows = max(1, CHUNK_BYTES // (32 * programs * 64 * words))
     cuts = sorted({source.size, *range(0, source.size, rows), *(
         np.flatnonzero(source[1:] != source[:-1]) + 1).tolist()})
     return ([(a, b, int(source[a])) for a, b in zip(cuts[:-1], cuts[1:])],
-            rows, max(1, min(len(arch.feature_bounds) + 1,
-                             CHUNK_BYTES // (8 * 8 * 64 * words))),
-            max(1, CHUNK_BYTES * arch.term_slots.size // (
+            rows, max(1, CHUNK_BYTES * arch.term_slots.size // (
                 128 * programs * words * max(1, arch.term_cell.size))))
 
 
 def _row_thresholds(arch: ProgrammedArchitecture, t: float) -> np.ndarray:
-    """(2, compare rows, programs, 1) T1 currents that the kernel compares
-    with ``>=``. A lower row's branch draws exactly 0.0 A at or above
-    ``[0]`` and at least the sense current of clock ``t`` below ``[1]``; an
-    upper row's branch, whose current rises with T1, draws at least the
-    sense current at or above ``[0]`` and 0.0 A below ``[1]``. ``[1]`` is
-    the float just above its band edge, so that a T1 current is at most the
-    edge exactly where it is not at or above ``[1]``."""
+    """(2, compare rows, programs, 1) DL voltages that the kernel compares
+    with ``>=``, the ``_limits`` edges through ``t1_inverse``, in one
+    array. A lower row's branch draws exactly 0.0 A at or above ``[0]`` and
+    at least the sense current of clock ``t`` below ``[1]``; an upper
+    row's branch the sense current at or above ``[0]`` and 0.0 A below
+    ``[1]``. T1 is above 0 across the window (calibration), so an edge at
+    or below 0 A holds for every input (-inf), +inf for none. ``[1]`` is
+    the float just above its edge, so that an input is at most the edge
+    exactly where it is not at or above ``[1]``."""
     lower_zero, lower_full, upper_zero, upper_full = _limits(arch, t)
     g = arch.term_g[arch.compare_term]
     up = arch.term_upper[arch.compare_term, None]
     at = np.empty((2,) + g.shape)
     np.multiply(g, np.where(up, upper_full, lower_zero), out=at[0])
-    np.nextafter(g * np.where(up, upper_zero, lower_full), np.inf, out=at[1])
+    np.multiply(g, np.where(up, upper_zero, lower_full), out=at[1])
+    always = at <= 0
+    at[always] = 1.0                # any current > 0: no log of 0
+    t1_inverse(at, V_DL_MIN, arch.config.params, out=at)
+    at[always] = -np.inf
+    np.nextafter(at[1], np.inf, out=at[1])
     return at[..., None]
 
 
@@ -550,37 +563,31 @@ def _chunks(arch: ProgrammedArchitecture, n_samples: int):
 def _sensed_words(arch: ProgrammedArchitecture, v_in, t: float,
                   programs: slice, samples: slice) -> np.ndarray:
     """(lines, programs, words) sensed match bits of the slots holding
-    terms, for one chunk of ``arch``'s programs on DL inputs ``v_in`` at
-    sense time ``t``: 64 samples to a uint64 word in little-endian bit
-    order (bits past the last sample are undefined). Every other slot draws
-    exactly 0.0 A and matches.
+    terms, for one chunk of ``arch``'s programs on the (source, sample) DL
+    voltages ``v_in`` at sense time ``t``: 64 samples to a uint64 word in
+    little-endian bit order (bits past the last sample are undefined).
+    Every other slot draws exactly 0.0 A and matches.
 
-    The kernel computes the T1 current of each DL source once, a window of
-    sources at a time, and compares it with ``>=`` in one broadcast per run
-    of ``_block_plan`` against both ``_row_thresholds`` of the run's rows.
-    The bits are packed into words and the second side inverted, so that a
-    lower term's zero bits are its first words and an upper term's its
-    second (full bits the other way round). Gathered back to terms a piece
-    of lines at a time, they are reduced per line: the AND of zero bits
-    matches it, the OR of full bits mismatches it. Lines with neither are
-    held as (line, program, sample) triples and sensed together on
-    ``_line_voltages`` after the last piece, or once ``_undecided_shape``'s
-    count of them is held."""
-    n_features, n_rows = v_in.shape[1], arch.compare_term.size
+    The kernel compares each DL source's row of ``v_in`` with ``>=`` in one
+    broadcast per run of ``_block_plan`` against both ``_row_thresholds``
+    of the run's rows, in volts, as a cell compares its data line with its
+    stored window. The bits are packed into words and the second side
+    inverted, so that a lower term's zero bits are its first words and an
+    upper term's its second (full bits the other way round). Gathered back
+    to terms a piece of lines at a time, they are reduced per line: the AND
+    of zero bits matches it, the OR of full bits mismatches it. Lines with
+    neither are held as (line, program, sample) triples and sensed together
+    on ``_line_voltages`` after the last piece, or once
+    ``_undecided_shape``'s count of them is held."""
+    n_rows = arch.compare_term.size
     thresholds = _row_thresholds(arch, t)[:, :, programs]
     zero_row = arch.term_compare + n_rows * arch.term_upper
     full_row = arch.term_compare + n_rows * ~arch.term_upper
     n = samples.stop - samples.start
     n_programs, n_words = programs.stop - programs.start, -(-n // 64)
-    runs, piece, n_sources, per_piece = _block_plan(arch, n_programs, n_words)
+    runs, piece, per_piece = _block_plan(arch, n_programs, n_words)
     line_terms, n_lines = arch.line_terms, arch.term_slots.size
-    pad = (t1_current(PAD_VOLTAGE, None, arch.config.params)
-           if runs and runs[-1][2] == n_features else np.nan)
     held, _ = _undecided_shape(arch)
-    # The T1 law runs on CHUNK_BYTES / 256 values at a time, so that its
-    # temporaries stay small.
-    step = max(64, CHUNK_BYTES // (256 * n_sources))
-    t1 = np.empty((n_sources, n))
     bits = np.empty((2, min(piece, n_rows), n_programs, 64 * n_words),
                     dtype=bool)
     # Past the last sample every lower term draws 0.0 A and every upper
@@ -588,17 +595,9 @@ def _sensed_words(arch: ProgrammedArchitecture, v_in, t: float,
     bits[..., n:] = True
     packed = np.empty((2, n_rows, n_programs, n_words), dtype=np.uint64)
     lines = np.empty((n_lines, n_programs, n_words), dtype=np.uint64)
-    window = None
     for a, b, s in runs:
-        if s // n_sources != window:
-            window = s // n_sources
-            v = v_in[samples, window * n_sources:][:, :n_sources]
-            t1[v.shape[1]:] = pad
-            for c0 in range(0, n if v.size else 0, step):
-                t1[:v.shape[1], c0:c0 + step] = t1_current(
-                    v[c0:c0 + step].T, None, arch.config.params)
         p0 = a - a % piece
-        np.greater_equal(t1[s % n_sources], thresholds[:, a:b],
+        np.greater_equal(v_in[s, samples], thresholds[:, a:b],
                          out=bits[:, a - p0:b - p0, :, :n])
         if b % piece == 0 or b == n_rows:
             packed[:, p0:b] = np.packbits(
@@ -632,7 +631,7 @@ def _sensed_words(arch: ProgrammedArchitecture, v_in, t: float,
             _or_undecided(arch, v_in, t, lines, first, undecided)
             undecided, n_undecided = [], 0
     # Not held through the last batch.
-    t1 = packed = words = bits = None
+    packed = words = bits = None
     if undecided:
         _or_undecided(arch, v_in, t, lines, first, undecided)
     return lines
@@ -671,7 +670,7 @@ def _evaluate_programs(arch: ProgrammedArchitecture, v_in, t: float,
     """Every program of ``arch`` on DL inputs ``v_in`` at sense time ``t``:
     (row matches if ``keep_matches``, vote currents), each (programs,
     samples, ...)."""
-    n_programs, n_samples = arch.term_g.shape[1], len(v_in)
+    n_programs, n_samples = arch.term_g.shape[1], v_in.shape[1]
     matches = (np.empty((n_programs, n_samples, arch.plan.tmap.n_rows),
                         dtype=bool) if keep_matches else None)
     currents = np.empty((n_programs, n_samples, arch.n_classes))

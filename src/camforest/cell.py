@@ -95,6 +95,27 @@ def t1_current(v_dl, v_div, params: CellParams):
     )
 
 
+def t1_inverse(i_t1, v_regime, params: CellParams, out=None):
+    """DL voltage at which ``t1_current`` draws ``i_t1`` (> 0), by the
+    formula of the regime that holds ``v_regime`` alone. On one regime the
+    fit is strictly increasing where it is above 0, so for ``v_dl`` in that
+    regime t1_current(v_dl) >= i exactly where v_dl >= t1_inverse(i), up
+    to rounding (about 1e-15 relative in T1). Runs in place in ``out`` (a
+    new array when None)."""
+    if out is None:
+        out = np.empty(np.shape(i_t1))
+    if v_regime >= params.v_ohmic_min:
+        np.divide(i_t1, params.k1, out=out)
+        out += params.v_th_t1
+    else:
+        np.divide(i_t1, params.i_d0 if v_regime < params.v_sub_max
+                  else params.i_d0_prime, out=out)
+        np.log(out, out=out)
+        out *= params.alpha
+    out += params.v_sl_lo
+    return out
+
+
 def divider_node_t1(i_t1, g_m, params: CellParams):
     """Divider node where the memristor current g_m * (v_sl_hi - v) meets
     T1 current ``i_t1``. The fitted T1 law is drain-independent, so the

@@ -88,8 +88,9 @@ def feature_to_voltage(x, feature_bounds, clip: bool = True, out=None):
 
     Input samples are clipped into the window; stored thresholds are mapped
     with clip=False so widened bounds may extend into the calibration slack.
-    ``feature_bounds`` is one (min, max) pair or an (F, 2) array of them,
-    one per feature along the last axis of ``x``. The map runs in place in
+    ``feature_bounds`` is one (min, max) pair or a (..., 2) array of them
+    that broadcasts against ``x``: (F, 2) holds one per feature along the
+    last axis of ``x``, (F, 1, 2) along the first. The map runs in place in
     ``out`` (a new array when None) as V_DL_MIN + (x - min) *
     (V_DL_MAX - V_DL_MIN) / (max - min), in that operation order.
     """
@@ -216,17 +217,22 @@ def build_calibration(params: CellParams, device: DeviceModel,
 
     Raises CalibrationError when i_ref is out of reach of the discharge gate
     or the inverter, when a T1 regime boundary (where the law jumps) lies in
-    the domain, or when no in-domain edge of a branch fits in [g_hrs, g_lrs].
+    the domain, when T1 draws nothing at its low end (below the ohmic
+    threshold), or when no in-domain edge of a branch fits in [g_hrs,
+    g_lrs]. So T1 is strictly increasing and above 0 across the domain.
     """
     for b in (params.v_sub_max, params.v_ohmic_min):
         if CAL_V_LO < b <= CAL_V_HI:
             raise CalibrationError(f"T1 regime boundary {b} V inside the "
                                    "calibration domain; edges not monotone")
+    ends = t1_current(np.array([CAL_V_LO, CAL_V_HI]), None, params)
+    if not ends[0] > 0:
+        raise CalibrationError(f"T1 draws no current at {CAL_V_LO} V; edges "
+                               "below its threshold cannot be placed")
     if not 0 < _gate_for(params, i_ref * (1 - EDGE_MARGIN)) < INVERTER_RAIL:
         raise CalibrationError("upper branch: i_ref beyond the inverter rail")
     lower = band_edges(params, i_ref * (1 + EDGE_MARGIN)).lower_full
     upper = band_edges(params, i_ref * (1 - EDGE_MARGIN)).upper_full
-    ends = t1_current(np.array([CAL_V_LO, CAL_V_HI]), None, params)
     for side, divisor in (("lower", lower), ("upper", upper)):
         # The edge's divider node v_sl_hi - divisor must lie between the rails.
         if not 0 < divisor < params.v_sl_hi - params.v_sl_lo:

@@ -204,13 +204,13 @@ class _Training:
     them by value. Ranks take the smallest unsigned dtype that holds
     N - 1, so for N <= 65,536 numpy's stable sort radix-sorts them. Row N
     pads search blocks: its rank is the dtype's largest, so a stable sort
-    leaves it after every real row, and its label, ``n_classes``, counts
-    in no class.
+    leaves it after every real row, and it weighs 0 wherever it pads, so
+    its label, 0, counts in no class.
     """
 
     X: np.ndarray      # (N, F) float
     rank: np.ndarray   # (F, N + 1) unsigned
-    y: np.ndarray      # (N + 1,) unsigned
+    y: np.ndarray      # (N + 1,) intp
     n_classes: int
 
     @classmethod
@@ -225,7 +225,7 @@ class _Training:
             xs = X[order, f]
             np.cumsum(xs[1:] > xs[:-1], dtype=dtype, out=dense[1:])
             rank[f, order] = dense
-        y = np.append(y, n_classes).astype(np.min_scalar_type(n_classes))
+        y = np.append(y, 0).astype(np.intp)
         return cls(X, rank, y, n_classes)
 
 
@@ -271,17 +271,14 @@ def _search(data, nodes, feats) -> list:
     step = np.zeros((k * m, n), dtype=bool)
     np.less(ranks[:, :-1], ranks[:, 1:], out=step[:, :-1])
     step[line[:, 0], size - 1] = False
-    # Class counts of each position's left side: each row's class counts
-    # (its weight in its class; the padding row's are zero) from one table
-    # of (label, weight) pairs, summed along the line in place.
-    w1 = int(weight.max()) + 1
-    table = (np.eye(c + 1, c, dtype=np.intp)[:, None, :]
-             * np.arange(w1)[:, None]).reshape(-1, c)
-    key = data.y[rows].astype(np.intp)
-    key *= w1
-    key += weights
-    below = np.take(table, key, axis=0)
-    del key
+    # Class counts of each position's left side: each row's weight
+    # scattered into its class (the padding row's is 0), summed along the
+    # line in place.
+    below = np.zeros((k * m, n, c), dtype=np.intp)
+    at = np.arange(0, below.size, c).reshape(k * m, n)
+    at += data.y[rows]
+    below.reshape(-1)[at] = weights
+    del at
     np.cumsum(below, axis=1, out=below)
     n_l = np.cumsum(weights, axis=1, dtype=np.intp)
     total = np.repeat(np.array([node[2] for node in nodes]), m, axis=0)

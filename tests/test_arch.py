@@ -69,8 +69,8 @@ def test_iris_tree_exactly_one_row_matches():
 
 def test_input_voltages_are_feature_to_voltage_bit_for_bit():
     """The in-place map gives ``feature_to_voltage``'s bits in one
-    contiguous array, clipped inputs and bounds included; padding is driven
-    at mid-window."""
+    contiguous source-major array, clipped inputs and bounds included; the
+    padding source, its last row, is driven at mid-window."""
     model, arch, X, _ = _iris_tree_arch()
     rng = np.random.default_rng(8)
     bounds = np.array(model.feature_bounds)
@@ -79,9 +79,10 @@ def test_input_voltages_are_feature_to_voltage_bit_for_bit():
                                     (500, 4))])
     v = _input_voltages(arch, X)
     ref = feature_to_voltage(X, model.feature_bounds)
-    assert v.shape == X.shape and v.flags.c_contiguous
-    assert np.array_equal(v.view(np.int64), ref.view(np.int64))
+    assert v.shape == (X.shape[1] + 1, len(X)) and v.flags.c_contiguous
+    assert np.array_equal(v[:-1].view(np.int64), ref.T.view(np.int64))
     assert PAD_VOLTAGE == 0.5 * (V_DL_MIN + V_DL_MAX)
+    assert np.all(v[-1] == PAD_VOLTAGE)
     assert v.min() == V_DL_MIN and v.max() == V_DL_MAX
 
 
@@ -453,9 +454,9 @@ def test_sweep_rows_equal_per_trial_replay(variable, vote_sigma, workers,
 
 def _lines(arch, v_in, t):
     """(programs, samples, slots with terms) sensed bits of the kernel."""
-    out = np.empty((arch.term_g.shape[1], len(v_in), arch.term_slots.size),
-                   dtype=bool)
-    for programs, samples in _chunks(arch, len(v_in)):
+    out = np.empty((arch.term_g.shape[1], v_in.shape[1],
+                    arch.term_slots.size), dtype=bool)
+    for programs, samples in _chunks(arch, v_in.shape[1]):
         lines = _unpack(_sensed_words(arch, v_in, t, programs, samples),
                         samples.stop - samples.start)
         out[programs, samples] = lines.transpose(1, 2, 0)

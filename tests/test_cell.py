@@ -19,6 +19,7 @@ from camforest.cell import (
     row_total_current,
     solve_divider,
     t1_current,
+    t1_inverse,
     upper_branch_current,
     upper_branch_t1,
 )
@@ -62,6 +63,26 @@ def test_t1_current_ohmic_clamps_to_zero():
     # Gate overdrive below threshold: no conduction.
     p = replace(P, v_sl_lo=0.3)
     assert t1_current(0.6, 0.0, p) == 0.0
+
+
+@pytest.mark.parametrize("low, high", [(0.0, 0.29), (0.31, 0.49),
+                                       (0.51, 1.2)],
+                         ids=["subthreshold", "intermediate", "ohmic"])
+def test_t1_inverse_round_trips_on_each_regime(low, high):
+    """On each regime of the fit, chosen by any voltage in it, the inverse
+    gives back the DL voltage within a few ulp, and T1 of it the current
+    within 1e-14 relative, far inside the kernel's BAND_MARGIN (1e-9)."""
+    v = np.linspace(low, high, 2001)
+    i = t1_current(v, None, P)
+    assert np.all(np.diff(i) > 0)
+    for v_regime in (low, high):
+        back = t1_inverse(i, v_regime, P)
+        assert np.max(np.abs(back - v)) < 1e-15
+        assert np.allclose(t1_current(back, None, P), i, rtol=1e-14, atol=0)
+    out = np.empty_like(i)
+    assert t1_inverse(i, low, P, out=out) is out
+    assert np.array_equal(out, back)
+    assert t1_inverse(i[7], low, P) == back[7]
 
 
 def test_t1_current_broadcasts():

@@ -176,6 +176,21 @@ def test_calibration_fails_when_unreachable():
         build_calibration(CellParams(v_sub_max=0.35), D, I_REF16)
 
 
+def test_calibration_rejects_a_domain_where_t1_draws_nothing():
+    """With the ohmic fit across the domain and its threshold, 0.405 V,
+    inside it, T1 draws 0 A at the domain's low end, where no edge can be
+    placed and the kernel's thresholds could not be inverted; the
+    calibration rejects it. Below the domain's low end the threshold
+    leaves T1 above 0 across it, and the calibration accepts."""
+    p = CellParams(v_sub_max=0.1, v_ohmic_min=0.2)
+    assert t1_current(CAL_V_LO, None, p) == 0.0 < t1_current(CAL_V_HI, None, p)
+    with pytest.raises(CalibrationError, match="draws no current"):
+        build_calibration(p, D, I_REF16)
+    ohmic = CellParams(v_sub_max=0.1, v_ohmic_min=0.2, v_th_t1=0.1)
+    assert t1_current(CAL_V_LO, None, ohmic) > 0.0
+    build_calibration(ohmic, D, I_REF16)
+
+
 def test_threshold_range_semantics():
     # Half-open: a path predicate `f <= t` keeps t inside, `f > t` excludes it.
     tmap = ThresholdMap((MapRow((ThresholdRange(1.0, 2.0),), 0, 0),), 1)

@@ -560,6 +560,25 @@ def test_trainer_matches_oracle_with_many_classes_some_absent():
         assert to_json(model) == _oracle_json(model, X, y, 6, 5, case)
 
 
+def test_trainer_takes_labels_far_above_the_sample_count():
+    """Three rows labelled up to 70000: the split search scatters each
+    row's weight into its class, so its class counts grow with the class
+    count, not with its square (a table of every (label, weight) pair
+    would ask for about 36.5 GiB), and models stay the oracle's."""
+    X = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]])
+    y = np.array([70000, 3, 70000])
+    tracemalloc.start()
+    tree = train_tree(X, y, max_depth=3)
+    model = train_forest(X, y, n_trees=4, max_depth=3, seed=1)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert tree.n_classes == model.n_classes == 70001
+    assert peak < 128 << 20
+    assert to_json(tree) == _oracle_json(tree, X, y, 3)
+    assert to_json(model) == _oracle_json(model, X, y, 3, 4, 1)
+    assert np.array_equal(tree.predict(X), y)
+
+
 def _screen_and_float_winners(x, y, n_classes):
     """First cut (index into the distinct-value cuts of feature ``x``) of
     the integer screen's largest score and of the float Gini's first

@@ -1,6 +1,6 @@
 """Band-decided match kernel against the dense every-cell oracle.
 
-The kernel decides a slot from two T1-current compares per term, made once
+The kernel decides a slot from two DL-voltage compares per term, made once
 per row of its compare table of distinct (data line, conductance) pairs,
 and runs the cell law only on the slots left undecided, every cell of the
 row in a zeroed row of W currents. These tests evaluate every cell of the
@@ -20,6 +20,7 @@ import pytest
 import camforest.arch as arch_module
 from camforest.arch import (
     BAND_MARGIN,
+    PAD_VOLTAGE,
     ArchConfig,
     _encode,
     _evaluate,
@@ -44,6 +45,7 @@ from camforest.cell import (
     lower_branch_t1,
     row_total_current,
     t1_current,
+    t1_inverse,
     upper_branch_t1,
 )
 from camforest.datasets import gaussian_blobs, load_iris
@@ -194,8 +196,8 @@ def _edge_inputs(arch, X, t, n_terms, seed=0):
                 i = g * c * scale
                 if not 0 < i < np.inf:
                     continue
-                # T1 is exponential in the DL voltage across the window.
-                v = p.v_sl_lo + p.alpha * np.log(i / p.i_d0_prime)
+                # One regime of the T1 law holds the window.
+                v = t1_inverse(i, V_DL_MIN, p)
                 if not V_DL_MIN < v < V_DL_MAX:
                     continue
                 x0 = lo + (v - V_DL_MIN) * (hi - lo) / (V_DL_MAX - V_DL_MIN)
@@ -263,25 +265,35 @@ def test_thresholds_decide_branch_currents_at_float_neighbours(
     """From each term's zero threshold outward its branch law gives exactly
     0.0 A, and from its full threshold outward at least the sense current,
     which alone senses a mismatch: probed at the kernel's thresholds of the
-    term's compare row and their next float neighbours in T1 current. A
-    lower branch draws 0.0 A from ``at_least`` upward and the sense current
-    below ``above_most``; an upper branch the other way round."""
+    term's compare row and their next float neighbours in DL volts, on the
+    T1 law of the window's regime (``t1_current`` itself inside the
+    window). A lower branch draws 0.0 A from ``at_least`` upward and the
+    sense current below ``above_most``; an upper branch the other way
+    round."""
     forest, _ = request.getfixturevalue(data)
     arch = program(compile_forest(forest, 16, 16), D, CFG,
                    forest.feature_bounds, forest.n_classes, seed=5,
                    **PROGRAMS[prog])
     p, t = CFG.params, CFG.t_clk * t_scale
+    in_window = 0
     i_sense = reference_current(C_ML(16), CFG.v_ml0, CFG.v_sa, t)
     assert np.isinf(_limits(arch, t)[3]) == (t_scale == 1e-5)
     at_least, above_most = (x[arch.term_compare, 0, 0]
                             for x in _row_thresholds(arch, t))
-    at_most = np.nextafter(above_most, -np.inf)
+    with np.errstate(over="ignore"):    # below -max lies -inf
+        at_most = np.nextafter(above_most, -np.inf)
     up = arch.term_upper
     zero, full = np.where(up, at_most, at_least), np.where(up, at_least, at_most)
     rising = np.where(up, -np.inf, np.inf)      # away from a zero threshold
     g = arch.term_g[:, 0]
 
-    def law(i):
+    def law(v):
+        # The window's regime is the intermediate one.
+        i = p.i_d0_prime * np.exp((v - p.v_sl_lo) / p.alpha)
+        inside = (v >= V_DL_MIN) & (v <= V_DL_MAX)
+        assert np.array_equal(i[inside], t1_current(v[inside], None, p))
+        nonlocal in_window
+        in_window += inside.sum()
         return np.where(up, upper_branch_t1(i, g, p), lower_branch_t1(i, g, p))
 
     def outward(start, direction):
@@ -290,17 +302,19 @@ def test_thresholds_decide_branch_currents_at_float_neighbours(
             yield i
             i = np.nextafter(i, direction)
 
-    for i in outward(zero, rising):
-        assert np.all(law(i) == 0.0)
-    # Full thresholds beyond the reach of a T1 current (> 0) never apply:
-    # at the shortest clock no branch can reach the sense current.
-    reach = (full > 0) & np.isfinite(full)
+    for v in outward(zero, rising):
+        assert np.all(law(v) == 0.0)
+    # Full thresholds beyond the reach of a T1 current (> 0) are infinite
+    # and never apply: at the shortest clock no branch can reach the sense
+    # current.
+    reach = np.isfinite(full)
     assert reach.any() == (t_scale != 1e-5)
-    for i in outward(np.where(reach, full, 1.0), -rising):
-        current = law(i)[reach]
+    for v in outward(np.where(reach, full, PAD_VOLTAGE), -rising):
+        current = law(v)[reach]
         assert np.all(current >= i_sense)
         assert np.all(np.maximum(CFG.v_ml0 - current * t / C_ML(16), 0.0)
                       <= CFG.v_sa)
+    assert in_window > 0
 
 
 def test_branches_drawing_only_at_window_ends_are_terms():
@@ -366,6 +380,41 @@ def test_band_edges_closed_form_widths():
     assert band_edges(raised, i_sense).lower_zero == np.inf
     assert lower_branch_t1(1.0, g, raised) > 0.0
     assert band_edges(p, i_sense).upper_full < np.inf
+
+
+@pytest.mark.parametrize("regime", [
+    dict(v_sub_max=0.55, v_ohmic_min=0.6),
+    dict(v_sub_max=0.1, v_ohmic_min=0.2, v_th_t1=0.1)],
+    ids=["subthreshold", "ohmic"])
+def test_windows_on_other_t1_regimes_bit_identical_to_dense(iris, regime,
+                                                           monkeypatch):
+    """With the DL window on the subthreshold fit, or on the ohmic fit
+    above its threshold, the kernel's thresholds invert that regime's law:
+    Iris predicts as the software forest, and every sensed bit, row match,
+    vote current and trace voltage is the every-cell oracle's, on stored
+    bounds and at the thresholds' float neighbours too."""
+    forest, X = iris
+    cfg = replace(CFG, params=replace(CFG.params, **regime))
+    for sigma in (0.0, 0.1):
+        arch = program(compile_forest(forest, 16, 16), D, cfg,
+                       forest.feature_bounds, forest.n_classes,
+                       sigma_rel=sigma, seed=3)
+        if sigma == 0.0:
+            assert np.array_equal(infer_batch(arch, X), forest.predict(X))
+        for t_scale in (1.0, 1e-5):
+            t = cfg.t_clk * t_scale
+            probes = np.vstack([X, _threshold_inputs(forest, X[:60]),
+                                _single_threshold_inputs(forest, X),
+                                _edge_inputs(arch, X, t, n_terms=20)])
+            calls = _undecided_recorder(monkeypatch)
+            _assert_kernel_is_dense(arch, probes, t)
+            dense = _dense_ml_voltages(arch, probes, t)
+            assert _assert_undecided_voltages(calls, arch, dense) > 0
+            monkeypatch.undo()
+            for k in (0, len(probes) - 1):
+                _assert_bit_identical(
+                    _trace_voltages(infer(arch, probes[k], t_clk=t), arch),
+                    dense[k])
 
 
 def test_chunked_evaluation_matches_one_chunk(iris, monkeypatch):
@@ -576,7 +625,7 @@ def test_chunks_split_mid_batch_stay_bit_identical(data, request, monkeypatch):
     # Each chunk reduces its lines in several pieces and holds their
     # undecided lines, fewer than ``_undecided_shape`` holds, to sense them
     # in one call: one call per chunk, never spanning two.
-    assert _block_plan(arch, 1, 1)[3] < arch.term_slots.size
+    assert _block_plan(arch, 1, 1)[2] < arch.term_slots.size
     assert [sorted(set((sample // 64).tolist()))
             for _, _, sample, _ in calls] == [[0], [1], [2]]
     assert max(sample.size for _, _, sample, _ in calls) < \
@@ -705,7 +754,7 @@ def test_row_with_three_near_edge_cells(iris, monkeypatch):
         sample[f] = xs[np.flatnonzero((cur > 0) & (cur < 0.2 * i_ref))[0]]
     v_in = _input_voltages(arch, sample[None])
     terms = cell_current(m1[cells], m2[cells],
-                         v_in[0, arch.active_input[cells]], CFG.params)
+                         v_in[arch.active_input[cells], 0], CFG.params)
     assert np.count_nonzero(terms) >= 3
     v_ml = _trace_voltages(infer(arch, sample), arch)
     assert CFG.v_sa < v_ml[slot] < CFG.v_ml0
@@ -893,9 +942,9 @@ def test_one_sided_and_padding_runs_bit_identical_to_dense():
 @pytest.mark.parametrize("data", ["iris", "blobs64"])
 def test_infinite_thresholds_compare_exactly(data, request):
     """Past the inverter rail an upper row's full threshold is +inf and a
-    lower row's lies below every T1 current. ``x <= h`` is ``not x >=
-    nextafter(h, inf)`` for every finite x and any h, infinities included,
-    so the one compare per side is exact there too."""
+    lower row's T1 edge lies below 0 A, so its voltage is -inf. ``x <= h``
+    is ``not x >= nextafter(h, inf)`` for every finite x and any h,
+    infinities included, so the one compare per side is exact there too."""
     h = np.array([-np.inf, -1.5, -0.0, 0.0, 5e-324, 2e-6, np.inf])
     x = np.array([-1e300, -1.5, -0.0, 0.0, 5e-324, 1e-323, 2e-6, 1e300])
     assert np.array_equal(x[:, None] <= h,
@@ -906,11 +955,15 @@ def test_infinite_thresholds_compare_exactly(data, request):
     t = CFG.t_clk * 1e-5
     at_least, above_most = _row_thresholds(arch, t)[..., 0]
     upper = arch.term_upper[arch.compare_term]
-    assert np.all(np.isinf(at_least[upper])) and np.all(above_most[~upper] < 0)
+    assert np.all(np.isposinf(at_least[upper]))
+    assert np.all(above_most[~upper] == np.nextafter(-np.inf, np.inf))
     _, lower_full, upper_zero, _ = _limits(arch, t)
     edge = arch.term_g[arch.compare_term] * np.where(upper, upper_zero,
                                                      lower_full)[:, None]
-    assert np.array_equal(above_most, np.nextafter(edge, np.inf))
+    assert np.all((edge > 0) == upper[:, None])
+    edge_v = np.full(edge.shape, -np.inf)
+    edge_v[edge > 0] = t1_inverse(edge[edge > 0], V_DL_MIN, CFG.params)
+    assert np.array_equal(above_most, np.nextafter(edge_v, np.inf))
     _assert_kernel_is_dense(arch, np.vstack([X[:100], _threshold_inputs(
         forest, X[:40])]), t)
 
@@ -946,9 +999,9 @@ def test_leaf_only_forest_has_an_empty_compare_table():
 def test_multi_program_runs_split_into_pieces_bit_identical(iris,
                                                              monkeypatch):
     """With a small budget a batch of noisy trials compares each source's
-    rows in several runs, over T1 windows of fewer than all sources, in
-    chunks of fewer than all programs and samples; each trial's matches and
-    vote currents stay its own program's, and so the oracle's."""
+    rows in several runs, in chunks of fewer than all programs and samples;
+    each trial's matches and vote currents stay its own program's, and so
+    the oracle's."""
     forest, X = iris
     enc = _encode(compile_forest(forest, 16, 16), D, CFG,
                   forest.feature_bounds, forest.n_classes, None)
@@ -957,9 +1010,8 @@ def test_multi_program_runs_split_into_pieces_bit_identical(iris,
     X = np.vstack([X, _threshold_inputs(forest, X[:60])])
     monkeypatch.setattr(arch_module, "CHUNK_BYTES", 1 << 14)
     shape = _chunk_shape(batch, len(X))
-    runs, _, n_sources, _ = _block_plan(batch, *shape)
-    sources = [s for _, _, s in runs]
-    assert len(sources) > len(set(sources)) and n_sources <= len(X[0])
+    sources = [s for _, _, s in _block_plan(batch, *shape)[0]]
+    assert len(sources) > len(set(sources))
     assert shape[0] < 5 and 64 * shape[1] < len(X)
     v_in = _input_voltages(batch, X)
     matches, currents = _evaluate_programs(batch, v_in, CFG.t_clk, True)
@@ -973,25 +1025,25 @@ def test_multi_program_runs_split_into_pieces_bit_identical(iris,
 
 
 def _chunk_bytes(arch, n_samples):
-    """(bytes a chunk's compares hold at once: compare bools, packed words,
-    T1 currents; bytes its lines and rows hold: a packed word per line and
-    per map row, the largest class's rows unpacked; chunks per call)."""
+    """(bytes a chunk's compares hold at once: compare bools and packed
+    words; bytes its lines and rows hold: a packed word per line and per
+    map row, the largest class's rows unpacked; chunks per call)."""
     programs, words = _chunk_shape(arch, n_samples)
-    _, rows, n_sources, _ = _block_plan(arch, programs, words)
+    rows = _block_plan(arch, programs, words)[1]
     n_rows = arch.compare_term.size
     bools = 2 * min(rows, n_rows) * programs * 64 * words
     packed = 2 * n_rows * programs * words * 8
     class_rows = np.bincount(arch.plan.tmap.labels).max()
     lines = programs * words * (
         8 * (arch.term_slots.size + arch.plan.tmap.n_rows) + 64 * class_rows)
-    return (bools + packed + n_sources * 64 * words * 8, lines,
+    return (bools + packed, lines,
             len(list(_chunks(arch, n_samples))))
 
 
 def test_block_bytes_within_budget_on_benchmark_shapes(monkeypatch):
     """The Iris sweep's 50-trial batch on 150 samples and one program of
     the blobs16 and wide64 validate forests on 5,000 samples are each one
-    chunk. A chunk's bools, words and T1 currents, and its lines and rows,
+    chunk. A chunk's bools and words, and its lines and rows,
     each stay within ``CHUNK_BYTES``, there and at smaller budgets, also
     for the ideal Iris program on 5,000 samples, whose lines and rows
     outweigh its compare words."""
