@@ -37,11 +37,15 @@ A split threshold bounds every leaf below it, so one (data line,
 conductance) pair is stored in many rows: blobs16 holds 894 terms on 428
 distinct pairs, wide64 1,475 on 740 and the ideal Iris program 301 on 84.
 Programming builds a compare table of the distinct pairs, sorted on data
-line; chunks compare each data line's row of voltages in one broadcast
-with the thresholds of its rows, each distinct (data line, threshold)
-compared once, and gather the packed words back to terms before reducing
-them per line. Under programming noise every cell draws its own
-conductance, so each term is its own compare row.
+line; chunks compare each data line's row of voltages with the thresholds
+of its rows, each distinct (data line, threshold) compared once, and
+gather the packed words back to terms before reducing them per line.
+Under programming noise every cell draws its own conductance, so each
+term is its own compare row. A data line whose thresholds in a chunk
+number at least its samples (a sweep point's 50 trials on Iris's 150
+samples) sorts its samples once into a staircase of packed words, one row
+per count of samples below a threshold, and reads each threshold's words
+at its rank; any other compares in one broadcast per run of its rows.
 
 The kernel reads one type, ``ProgrammedArchitecture``: the encoding and the
 term layout of its programs, which lie on a leading axis. A single program
@@ -468,9 +472,11 @@ def _chunk_shape(arch: ProgrammedArchitecture, n_samples: int) -> tuple:
     """(programs, words) of a kernel chunk, which is one compare block.
 
     Per (program, word) a chunk holds both compares' packed words of every
-    compare row, beside the buffers of ``_block_plan``, and a packed word
-    per line and per map row and the largest class's rows unpacked; the
-    larger of the two footprints stays within ``CHUNK_BYTES``."""
+    compare row, beside the buffers of ``_block_plan`` or a source's
+    ``_staircase`` (at most one row more than its packed words), and a
+    packed word per line and per map row and the largest class's rows
+    unpacked; the larger of the two footprints stays within
+    ``CHUNK_BYTES``."""
     n_programs = arch.term_g.shape[1]
     n_words = max(1, -(-n_samples // 64))
     class_rows = np.bincount(arch.plan.tmap.labels).max(initial=1)
@@ -560,27 +566,49 @@ def _chunks(arch: ProgrammedArchitecture, n_samples: int):
                    slice(s0, min(s0 + 64 * chunk_words, n_samples)))
 
 
-def _sensed_words(arch: ProgrammedArchitecture, v_in, t: float,
+def _staircase(v, n_words: int) -> tuple:
+    """(sorted ``v``, (len(v) + 1, n_words) words) of one DL source's row of
+    voltages ``v``: row r holds the packed ``>=`` bits of a threshold above
+    exactly r samples, set on the samples at stable-sorted positions r and
+    later and on every bit past the last sample, in the byte layout of
+    ``np.packbits(..., bitorder="little")``."""
+    n = v.size
+    order = np.argsort(v, kind="stable")
+    table = np.zeros((n + 1, n_words), dtype=np.uint64)
+    table_bytes = table.view(np.uint8)
+    table_bytes[np.arange(n), order >> 3] = np.left_shift(
+        1, order & 7).astype(np.uint8)
+    table_bytes[n] = np.packbits(np.arange(64 * n_words) >= n,
+                                 bitorder="little")
+    np.bitwise_or.accumulate(table[::-1], axis=0, out=table[::-1])
+    return v[order], table
+
+
+def _sensed_words(arch: ProgrammedArchitecture, v_in, t: float, thresholds,
                   programs: slice, samples: slice) -> np.ndarray:
     """(lines, programs, words) sensed match bits of the slots holding
     terms, for one chunk of ``arch``'s programs on the (source, sample) DL
-    voltages ``v_in`` at sense time ``t``: 64 samples to a uint64 word in
+    voltages ``v_in`` at sense time ``t``, ``thresholds`` the chunk's
+    programs of ``_row_thresholds``: 64 samples to a uint64 word in
     little-endian bit order (bits past the last sample are undefined).
     Every other slot draws exactly 0.0 A and matches.
 
-    The kernel compares each DL source's row of ``v_in`` with ``>=`` in one
-    broadcast per run of ``_block_plan`` against both ``_row_thresholds``
-    of the run's rows, in volts, as a cell compares its data line with its
-    stored window. The bits are packed into words and the second side
-    inverted, so that a lower term's zero bits are its first words and an
-    upper term's its second (full bits the other way round). Gathered back
-    to terms a piece of lines at a time, they are reduced per line: the AND
-    of zero bits matches it, the OR of full bits mismatches it. Lines with
-    neither are held as (line, program, sample) triples and sensed together
-    on ``_line_voltages`` after the last piece, or once
-    ``_undecided_shape``'s count of them is held."""
+    The kernel compares each DL source's row of ``v_in`` with ``>=``, as a
+    cell compares its data line with its stored window, against both
+    thresholds of every compare row, in volts. A source whose thresholds in
+    the chunk number at least its samples reads each threshold's packed
+    words from its ``_staircase`` at the threshold's rank among the
+    samples (``searchsorted`` counts the samples below it); any other
+    source compares in one broadcast per run of ``_block_plan`` and packs
+    the bits. The second side is inverted, so that a lower term's zero
+    bits are its first words and an upper term's its second (full bits
+    the other way round). Gathered back to terms a piece of lines at a
+    time, they are reduced per line: the AND of zero bits matches it, the
+    OR of full bits mismatches it. Lines with neither are held as (line,
+    program, sample) triples and sensed together on ``_line_voltages``
+    after the last piece, or once ``_undecided_shape``'s count of them is
+    held."""
     n_rows = arch.compare_term.size
-    thresholds = _row_thresholds(arch, t)[:, :, programs]
     zero_row = arch.term_compare + n_rows * arch.term_upper
     full_row = arch.term_compare + n_rows * ~arch.term_upper
     n = samples.stop - samples.start
@@ -588,20 +616,30 @@ def _sensed_words(arch: ProgrammedArchitecture, v_in, t: float,
     runs, piece, per_piece = _block_plan(arch, n_programs, n_words)
     line_terms, n_lines = arch.line_terms, arch.term_slots.size
     held, _ = _undecided_shape(arch)
-    bits = np.empty((2, min(piece, n_rows), n_programs, 64 * n_words),
-                    dtype=bool)
-    # Past the last sample every lower term draws 0.0 A and every upper
-    # term the sense current: decided, never held.
-    bits[..., n:] = True
+    source_rows = {}
+    for a, b, s in runs:
+        source_rows[s] = source_rows.get(s, 0) + b - a
+    tables = {s: _staircase(v_in[s, samples], n_words)
+              for s, count in source_rows.items()
+              if 2 * count * n_programs >= n}
+    if len(tables) < len(source_rows):
+        bits = np.empty((2, min(piece, n_rows), n_programs, 64 * n_words),
+                        dtype=bool)
+        # Past the last sample every lower term draws 0.0 A and every upper
+        # term the sense current: decided, never held.
+        bits[..., n:] = True
     packed = np.empty((2, n_rows, n_programs, n_words), dtype=np.uint64)
     lines = np.empty((n_lines, n_programs, n_words), dtype=np.uint64)
     for a, b, s in runs:
-        p0 = a - a % piece
+        if s in tables:
+            sorted_v, table = tables[s]
+            packed[:, a:b] = table[np.searchsorted(sorted_v,
+                                                   thresholds[:, a:b, :, 0])]
+            continue
         np.greater_equal(v_in[s, samples], thresholds[:, a:b],
-                         out=bits[:, a - p0:b - p0, :, :n])
-        if b % piece == 0 or b == n_rows:
-            packed[:, p0:b] = np.packbits(
-                bits[:, :b - p0], axis=-1, bitorder="little").view(np.uint64)
+                         out=bits[:, :b - a, :, :n])
+        packed[:, a:b] = np.packbits(
+            bits[:, :b - a], axis=-1, bitorder="little").view(np.uint64)
     np.invert(packed[1], out=packed[1])
     words = packed.reshape(2 * n_rows, n_programs, n_words)
     first = (programs.start, samples.start)
@@ -631,7 +669,7 @@ def _sensed_words(arch: ProgrammedArchitecture, v_in, t: float,
             _or_undecided(arch, v_in, t, lines, first, undecided)
             undecided, n_undecided = [], 0
     # Not held through the last batch.
-    packed = words = bits = None
+    packed = words = bits = tables = table = None
     if undecided:
         _or_undecided(arch, v_in, t, lines, first, undecided)
     return lines
@@ -674,10 +712,11 @@ def _evaluate_programs(arch: ProgrammedArchitecture, v_in, t: float,
     matches = (np.empty((n_programs, n_samples, arch.plan.tmap.n_rows),
                         dtype=bool) if keep_matches else None)
     currents = np.empty((n_programs, n_samples, arch.n_classes))
+    thresholds = _row_thresholds(arch, t)
     for programs, samples in _chunks(arch, n_samples):
         n = samples.stop - samples.start
-        block, currents[programs, samples] = _vote_step(
-            arch, _sensed_words(arch, v_in, t, programs, samples), n)
+        block, currents[programs, samples] = _vote_step(arch, _sensed_words(
+            arch, v_in, t, thresholds[:, :, programs], programs, samples), n)
         if matches is not None:
             matches[programs, samples] = _unpack(block, n).transpose(1, 2, 0)
     return matches, currents

@@ -18,6 +18,7 @@ from camforest.arch import (
     _program_trials,
     _draw,
     _chunks,
+    _row_thresholds,
     _sensed_words,
     _unpack,
     evaluate_accuracy,
@@ -429,10 +430,10 @@ def test_sweep_rows_equal_per_trial_replay(variable, vote_sigma, workers,
     config = ArchConfig(vote_sigma=vote_sigma)
     calls = []  # (programs, samples) per kernel chunk
 
-    def recorded(arch, v_in, t, programs, samples):
+    def recorded(arch, v_in, t, thresholds, programs, samples):
         calls.append((programs.stop - programs.start,
                       samples.stop - samples.start))
-        return _sensed_words(arch, v_in, t, programs, samples)
+        return _sensed_words(arch, v_in, t, thresholds, programs, samples)
 
     monkeypatch.setattr("camforest.arch._sensed_words", recorded)
     res = sweep(forest, X, y, variable, grid, trials=4, seed=seed,
@@ -456,8 +457,11 @@ def _lines(arch, v_in, t):
     """(programs, samples, slots with terms) sensed bits of the kernel."""
     out = np.empty((arch.term_g.shape[1], v_in.shape[1],
                     arch.term_slots.size), dtype=bool)
+    thresholds = _row_thresholds(arch, t)
     for programs, samples in _chunks(arch, v_in.shape[1]):
-        lines = _unpack(_sensed_words(arch, v_in, t, programs, samples),
+        lines = _unpack(_sensed_words(arch, v_in, t,
+                                      thresholds[:, :, programs], programs,
+                                      samples),
                         samples.stop - samples.start)
         out[programs, samples] = lines.transpose(1, 2, 0)
     return out

@@ -1,9 +1,10 @@
 """Band-decided match kernel against the dense every-cell oracle.
 
 The kernel decides a slot from two DL-voltage compares per term, made once
-per row of its compare table of distinct (data line, conductance) pairs,
-and runs the cell law only on the slots left undecided, every cell of the
-row in a zeroed row of W currents. These tests evaluate every cell of the
+per row of its compare table of distinct (data line, conductance) pairs
+(in one broadcast, or read from a staircase of the data line's sorted
+samples), and runs the cell law only on the slots left undecided, every
+cell of the row in a zeroed row of W currents. These tests evaluate every cell of the
 full (tiles, H, W) grids with ``row_total_current`` and require the sensed
 bits, row matches and vote currents to be bit-identical, and traces to
 carry the every-cell ML voltages bit for bit. Probes sit on the classifier's
@@ -33,6 +34,7 @@ from camforest.arch import (
     _program_trials,
     _row_thresholds,
     _sensed_words,
+    _staircase,
     _unpack,
     evaluate_accuracy,
     infer,
@@ -118,8 +120,11 @@ def _kernel_lines(arch, X, t):
     n_slots = arch.plan.n_tiles * arch.plan.tile_h
     out = np.ones((arch.term_g.shape[1], len(X), n_slots), dtype=bool)
     v_in = _input_voltages(arch, np.asarray(X, dtype=float))
+    thresholds = _row_thresholds(arch, t)
     for programs, samples in _chunks(arch, len(X)):
-        lines = _unpack(_sensed_words(arch, v_in, t, programs, samples),
+        lines = _unpack(_sensed_words(arch, v_in, t,
+                                      thresholds[:, :, programs], programs,
+                                      samples),
                         samples.stop - samples.start)
         out[programs, samples][..., arch.term_slots] = lines.transpose(1, 2, 0)
     return out
@@ -612,9 +617,9 @@ def test_chunks_split_mid_batch_stay_bit_identical(data, request, monkeypatch):
     chunks = []
     original = arch_module._sensed_words
 
-    def recorded(arch, v_in, t, programs, samples):
+    def recorded(arch, v_in, t, thresholds, programs, samples):
         chunks.append((samples.start, samples.stop))
-        return original(arch, v_in, t, programs, samples)
+        return original(arch, v_in, t, thresholds, programs, samples)
 
     _set_budget(monkeypatch, arch, len(X), (1, 1))
     monkeypatch.setattr(arch_module, "_sensed_words", recorded)
@@ -875,9 +880,9 @@ def test_mixed_sigma_sweep_equals_per_trial_replay(iris, monkeypatch):
     batches = []
     original = arch_module._sensed_words
 
-    def recorded(arch, v_in, t, programs, samples):
+    def recorded(arch, v_in, t, thresholds, programs, samples):
         batches.append(arch)
-        return original(arch, v_in, t, programs, samples)
+        return original(arch, v_in, t, thresholds, programs, samples)
 
     monkeypatch.setattr(arch_module, "_sensed_words", recorded)
     grid, trials, seed = [0.0, 0.05, 0.0], 3, 11
@@ -989,11 +994,32 @@ def test_leaf_only_forest_has_an_empty_compare_table():
     assert arch.compare_term.size == 0
     assert _block_plan(arch, 1, 2)[0] == []
     v_in = _input_voltages(arch, X)
-    assert _sensed_words(arch, v_in, CFG.t_clk, slice(0, 1),
-                         slice(0, 70)).shape == (0, 1, 2)
+    assert _sensed_words(arch, v_in, CFG.t_clk, _row_thresholds(
+        arch, CFG.t_clk), slice(0, 1), slice(0, 70)).shape == (0, 1, 2)
     matches, currents = _evaluate_programs(arch, v_in, CFG.t_clk, True)
     assert matches.all()
     _assert_bit_identical(currents[0], _dense_currents(arch, matches[0]))
+
+
+def _path_recorder(monkeypatch):
+    """Record (sources, sources read from a staircase) of every kernel
+    chunk."""
+    chunks = []
+    sensed, staircase = arch_module._sensed_words, arch_module._staircase
+
+    def recorded(arch, v_in, t, thresholds, programs, samples):
+        runs = _block_plan(arch, programs.stop - programs.start,
+                           -(-(samples.stop - samples.start) // 64))[0]
+        chunks.append([len({s for _, _, s in runs}), 0])
+        return sensed(arch, v_in, t, thresholds, programs, samples)
+
+    def tabled(v, n_words):
+        chunks[-1][1] += 1
+        return staircase(v, n_words)
+
+    monkeypatch.setattr(arch_module, "_sensed_words", recorded)
+    monkeypatch.setattr(arch_module, "_staircase", tabled)
+    return chunks
 
 
 def test_multi_program_runs_split_into_pieces_bit_identical(iris,
@@ -1014,7 +1040,11 @@ def test_multi_program_runs_split_into_pieces_bit_identical(iris,
     assert len(sources) > len(set(sources))
     assert shape[0] < 5 and 64 * shape[1] < len(X)
     v_in = _input_voltages(batch, X)
+    paths = _path_recorder(monkeypatch)
     matches, currents = _evaluate_programs(batch, v_in, CFG.t_clk, True)
+    # Some chunk reads some sources from their staircases and compares
+    # the others.
+    assert any(0 < tabled < sources for sources, tabled in paths)
     for trial, seed in enumerate(seeds):
         arch = program(enc.plan, D, CFG, forest.feature_bounds,
                        forest.n_classes, sigma_rel=0.05, seed=seed)
@@ -1024,26 +1054,172 @@ def test_multi_program_runs_split_into_pieces_bit_identical(iris,
                               _dense_currents(arch, matches[trial]))
 
 
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 150])
+def test_staircase_words_are_the_packed_compare(n):
+    """A threshold's staircase row at its ``searchsorted`` rank holds the
+    packed ``>=`` words of the samples, every bit past the last sample set,
+    for tied samples, signed zeros, thresholds on samples and on their
+    float neighbours, and infinite thresholds."""
+    rng = np.random.default_rng(n)
+    v = rng.choice(np.append(rng.uniform(-1.0, 1.0, max(1, n // 3)),
+                             [0.0, -0.0]), n)
+    theta = np.concatenate([v, np.nextafter(v, -np.inf),
+                            np.nextafter(v, np.inf), rng.uniform(-2, 2, 20),
+                            [-np.inf, np.inf, 0.0, -0.0]])
+    n_words = -(-n // 64)
+    sorted_v, table = _staircase(v, n_words)
+    assert np.array_equal(sorted_v, np.sort(v))
+    assert table.shape == (n + 1, n_words) and table.dtype == np.uint64
+    bits = np.ones((theta.size, 64 * n_words), dtype=bool)
+    bits[:, :n] = v >= theta[:, None]
+    want = np.packbits(bits, axis=-1, bitorder="little").view(np.uint64)
+    assert np.array_equal(table[np.searchsorted(sorted_v, theta)], want)
+
+
+@pytest.mark.parametrize("t_scale", [1.0, 1e-5])
+def test_sweep_batch_reads_staircases_bit_identical_to_dense(iris, t_scale,
+                                                             monkeypatch):
+    """A 50-trial sweep batch on 150 samples is one chunk whose sources all
+    read their words from staircases; each trial's matches and vote
+    currents are its own program's every-cell evaluation."""
+    forest, X = iris
+    enc = _encode(compile_forest(forest, 16, 16), D, CFG,
+                  forest.feature_bounds, forest.n_classes, None)
+    seeds = [[4, 2, trial] for trial in range(50)]
+    batch = _program_trials(enc, 0.05, seeds)
+    t = CFG.t_clk * t_scale
+    paths = _path_recorder(monkeypatch)
+    matches, currents = _evaluate_programs(batch, _input_voltages(batch, X),
+                                           t, True)
+    assert len(paths) == 1 and paths[0][0] == paths[0][1] > 0
+    for trial, seed in enumerate(seeds):
+        arch = program(enc.plan, D, CFG, forest.feature_bounds,
+                       forest.n_classes, sigma_rel=0.05, seed=seed)
+        dense = _dense_ml_voltages(arch, X, t)
+        assert np.array_equal(matches[trial], _dense_matches(arch, dense))
+        _assert_bit_identical(currents[trial],
+                              _dense_currents(arch, matches[trial]))
+
+
+def test_samples_on_thresholds_decide_alike_on_both_paths(iris,
+                                                         monkeypatch):
+    """DL voltages set exactly on a noisy batch's thresholds in the window
+    and on their float neighbours: the batch reads every source's words
+    from its staircase, each trial programmed alone compares every source,
+    and both hold the same undecided (slot, sample) pairs of each trial and
+    sense every line as the cell law does."""
+    forest, _ = iris
+    enc = _encode(compile_forest(forest, 16, 16), D, CFG,
+                  forest.feature_bounds, forest.n_classes, None)
+    seeds = [[6, 0, trial] for trial in range(8)]
+    batch = _program_trials(enc, 0.05, seeds)
+    n, t = 256, CFG.t_clk
+    n_features = len(batch.feature_bounds)
+    at = _row_thresholds(batch, t)
+    source = batch.active_input[batch.term_cell[batch.compare_term]]
+    rng = np.random.default_rng(6)
+    v_in = np.full((n_features + 1, n), PAD_VOLTAGE)
+    for s in range(n_features):
+        on = at[:, source == s].ravel()
+        on = np.concatenate([on, np.nextafter(on, -np.inf),
+                             np.nextafter(on, np.inf)])
+        v_in[s] = rng.choice(on[(on >= V_DL_MIN) & (on <= V_DL_MAX)], n)
+    held = []
+    line_voltages = arch_module._line_voltages
+
+    def recorded(arch, v_in, t, line, program_ids, sample):
+        held.append((line, program_ids, sample))
+        return line_voltages(arch, v_in, t, line, program_ids, sample)
+
+    def sensed(arch):
+        """(paths, undecided (program, slot, sample)) of ``arch``'s one
+        chunk, whose sensed bits are checked against the cell law."""
+        held.clear()
+        paths = _path_recorder(monkeypatch)
+        monkeypatch.setattr(arch_module, "_line_voltages", recorded)
+        (programs, samples), = _chunks(arch, n)
+        words = arch_module._sensed_words(arch, v_in, t,
+                                          _row_thresholds(arch, t),
+                                          programs, samples)
+        monkeypatch.undo()
+        line, program_ids, sample = (a.ravel() for a in np.meshgrid(
+            np.arange(arch.term_slots.size), np.arange(arch.term_g.shape[1]),
+            np.arange(n), indexing="ij"))
+        law = line_voltages(arch, v_in, t, line, program_ids, sample)
+        assert np.array_equal(_unpack(words, n),
+                              law.reshape(words.shape[:2] + (n,)) > CFG.v_sa)
+        return paths, {(int(p), int(arch.term_slots[l]), int(k))
+                       for ls, ps, ks in held for l, p, k in zip(ls, ps, ks)}
+
+    paths, undecided = sensed(batch)
+    assert paths == [[n_features, n_features]] and undecided
+    for trial, seed in enumerate(seeds):
+        paths, own = sensed(_program_trials(enc, 0.05, [seed]))
+        assert paths == [[n_features, 0]]
+        assert own == {(0, slot, k) for p, slot, k in undecided
+                       if p == trial}
+
+
+def test_thresholds_once_per_call(iris, monkeypatch):
+    """A batch of several chunks computes its thresholds once per
+    evaluation and gives each chunk its programs' slice, with the bits of
+    a single chunk."""
+    forest, X = iris
+    enc = _encode(compile_forest(forest, 16, 16), D, CFG,
+                  forest.feature_bounds, forest.n_classes, None)
+    batch = _program_trials(enc, 0.05, [[3, 1, trial] for trial in range(6)])
+    v_in = _input_voltages(batch, X)
+    assert len(list(_chunks(batch, len(X)))) == 1
+    whole = _evaluate_programs(batch, v_in, CFG.t_clk, True)
+    calls = []
+    original = arch_module._row_thresholds
+
+    def recorded(arch, t):
+        calls.append(t)
+        return original(arch, t)
+
+    monkeypatch.setattr(arch_module, "_row_thresholds", recorded)
+    monkeypatch.setattr(arch_module, "CHUNK_BYTES", 1 << 14)
+    assert len(list(_chunks(batch, len(X)))) > 6
+    split = _evaluate_programs(batch, v_in, CFG.t_clk, True)
+    assert calls == [CFG.t_clk]
+    assert np.array_equal(whole[0], split[0])
+    _assert_bit_identical(whole[1], split[1])
+
+
+def _staircase_sources(arch, programs, n):
+    """Per DL source with compare rows: whether a chunk of ``programs``
+    programs on ``n`` samples reads its words from a staircase, as it
+    does when the source's thresholds number at least the samples."""
+    rows = np.bincount(arch.active_input[arch.term_cell[arch.compare_term]])
+    return 2 * rows[rows > 0] * programs >= n
+
+
 def _chunk_bytes(arch, n_samples):
-    """(bytes a chunk's compares hold at once: compare bools and packed
-    words; bytes its lines and rows hold: a packed word per line and per
-    map row, the largest class's rows unpacked; chunks per call)."""
+    """(bytes a chunk's compares hold at once: both compares' packed words,
+    compare bools when a source is compared, and a staircase of n + 1 rows
+    of words per source that reads its words from one; bytes its lines
+    and rows hold: a packed word per line and per map row, the largest
+    class's rows unpacked; chunks per call)."""
     programs, words = _chunk_shape(arch, n_samples)
     rows = _block_plan(arch, programs, words)[1]
     n_rows = arch.compare_term.size
-    bools = 2 * min(rows, n_rows) * programs * 64 * words
-    packed = 2 * n_rows * programs * words * 8
+    n = min(n_samples, 64 * words)
+    tabled = _staircase_sources(arch, programs, n)
+    compares = 2 * n_rows * programs * words * 8
+    if not tabled.all():
+        compares += 2 * min(rows, n_rows) * programs * 64 * words
+    compares += tabled.sum() * (n + 1) * words * 8
     class_rows = np.bincount(arch.plan.tmap.labels).max()
     lines = programs * words * (
         8 * (arch.term_slots.size + arch.plan.tmap.n_rows) + 64 * class_rows)
-    return (bools + packed, lines,
-            len(list(_chunks(arch, n_samples))))
+    return compares, lines, len(list(_chunks(arch, n_samples)))
 
 
 def test_block_bytes_within_budget_on_benchmark_shapes(monkeypatch):
     """The Iris sweep's 50-trial batch on 150 samples and one program of
     the blobs16 and wide64 validate forests on 5,000 samples are each one
-    chunk. A chunk's bools and words, and its lines and rows,
+    chunk. A chunk's bools, staircase and words, and its lines and rows,
     each stay within ``CHUNK_BYTES``, there and at smaller budgets, also
     for the ideal Iris program on 5,000 samples, whose lines and rows
     outweigh its compare words."""
@@ -1061,6 +1237,11 @@ def test_block_bytes_within_budget_on_benchmark_shapes(monkeypatch):
     budget = arch_module.CHUNK_BYTES
     for arch, n_samples in cases:
         assert _chunk_bytes(arch, n_samples)[2] == 1
+    # The sweep batch reads every source's words from its staircase, the
+    # validate programs compare every source.
+    assert [_staircase_sources(arch, _chunk_shape(arch, n_samples)[0],
+                               n_samples).mean()
+            for arch, n_samples in cases] == [1.0, 0.0, 0.0]
     ideal = _program_trials(enc, 0.0, [0])
     cases.append((ideal, 5000))
     # One chunk of 79 words, whose lines and rows outweigh both compares'
