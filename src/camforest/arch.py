@@ -30,8 +30,9 @@ as many (program, 64 samples) words as its packed footprint allows within
 program, sample) triples run the cell law together, ORing the lines that
 stay above v_sa into the words. Inference then ANDs each original row's
 words across its groups and reads the majority vote as per-class currents
-through the conductance matrix, unpacking only each class's rows to count
-them.
+through the conductance matrix, from exact counts of each class's matched
+rows, added in byte lanes: one byte per sample, eight to a uint64, at most
+255 rows to an add, so that no lane carries into the next.
 
 A split threshold bounds every leaf below it, so one (data line,
 conductance) pair is stored in many rows: blobs16 holds 894 terms on 428
@@ -42,10 +43,11 @@ of its rows, each distinct (data line, threshold) compared once, and
 gather the packed words back to terms before reducing them per line.
 Under programming noise every cell draws its own conductance, so each
 term is its own compare row. A data line whose thresholds in a chunk
-number at least its samples (a sweep point's 50 trials on Iris's 150
-samples) sorts its samples once into a staircase of packed words, one row
-per count of samples below a threshold, and reads each threshold's words
-at its rank; any other compares in one broadcast per run of its rows.
+number at least twice its samples (a sweep point's 50 trials on Iris's
+150 samples) sorts its samples once into a staircase of packed words, one
+row per count of samples below a threshold, and reads each threshold's
+words at its rank; any other compares in one broadcast per run of its
+rows.
 
 The kernel reads one type, ``ProgrammedArchitecture``: the encoding and the
 term layout of its programs, which lie on a leading axis. A single program
@@ -474,15 +476,15 @@ def _chunk_shape(arch: ProgrammedArchitecture, n_samples: int) -> tuple:
     Per (program, word) a chunk holds both compares' packed words of every
     compare row, beside the buffers of ``_block_plan`` or a source's
     ``_staircase`` (at most one row more than its packed words), and a
-    packed word per line and per map row and the largest class's rows
-    unpacked; the larger of the two footprints stays within
-    ``CHUNK_BYTES``."""
+    packed word per line and per map row and the byte lanes of up to 255
+    of a class's rows, a byte per sample; the larger of the two footprints
+    stays within ``CHUNK_BYTES``."""
     n_programs = arch.term_g.shape[1]
     n_words = max(1, -(-n_samples // 64))
     class_rows = np.bincount(arch.plan.tmap.labels).max(initial=1)
     per_word = max(32 * max(1, arch.compare_term.size),
                    8 * (arch.term_slots.size + arch.plan.tmap.n_rows)
-                   + 64 * int(class_rows))
+                   + 64 * min(255, int(class_rows)))
     cells = max(1, CHUNK_BYTES // per_word)
     words = min(cells, n_words)
     return max(1, min(cells // words, n_programs)), words
@@ -596,7 +598,7 @@ def _sensed_words(arch: ProgrammedArchitecture, v_in, t: float, thresholds,
     The kernel compares each DL source's row of ``v_in`` with ``>=``, as a
     cell compares its data line with its stored window, against both
     thresholds of every compare row, in volts. A source whose thresholds in
-    the chunk number at least its samples reads each threshold's packed
+    the chunk number at least twice its samples reads each threshold's packed
     words from its ``_staircase`` at the threshold's rank among the
     samples (``searchsorted`` counts the samples below it); any other
     source compares in one broadcast per run of ``_block_plan`` and packs
@@ -621,7 +623,7 @@ def _sensed_words(arch: ProgrammedArchitecture, v_in, t: float, thresholds,
         source_rows[s] = source_rows.get(s, 0) + b - a
     tables = {s: _staircase(v_in[s, samples], n_words)
               for s, count in source_rows.items()
-              if 2 * count * n_programs >= n}
+              if count * n_programs >= n}
     if len(tables) < len(source_rows):
         bits = np.empty((2, min(piece, n_rows), n_programs, 64 * n_words),
                         dtype=bool)
@@ -692,13 +694,24 @@ def _vote_step(arch: ProgrammedArchitecture, lines, n: int) -> tuple:
     del lines                       # not held through the counts
     # Exact-count evaluation of v_read * (matches @ vote_matrix): each vote
     # row holds g_lrs on its class and g_hrs elsewhere, so per-class
-    # currents follow from counts of matched rows. Those are sums of 0.0
-    # and 1.0 far below 2**53, exact in float64 in any summation order, so
-    # classes with equal counts get bitwise-equal currents and argmax ties
-    # resolve to the lowest index, not to float summation-order noise.
+    # currents follow from counts of matched rows. Those are integers far
+    # below 2**53, exact in float64 in any summation order, so classes with
+    # equal counts get bitwise-equal currents and argmax ties resolve to
+    # the lowest index, not to float summation-order noise. A class's rows
+    # are counted in byte lanes: unpacked to one byte per sample, eight
+    # samples to a uint64, and added 255 rows at a time, so that no lane
+    # passes 255 and no carry crosses into the next on any byte order;
+    # lanes past the n-th, the undefined bits past the last sample, are
+    # dropped.
     g_hrs, g_lrs = arch.device.g_hrs, arch.device.g_lrs
-    counts = np.array([_unpack(block[rows], n).sum(axis=0, dtype=np.intp)
-                       for rows in arch.class_rows])
+    counts = np.zeros((arch.n_classes,) + block.shape[1:-1] + (n,),
+                      dtype=np.intp)
+    for counted, rows in zip(counts, arch.class_rows):
+        for r0 in range(0, rows.size, 255):
+            lanes = np.add.reduce(np.unpackbits(
+                block[rows[r0:r0 + 255]].view(np.uint8), axis=-1,
+                bitorder="little").view(np.uint64))
+            counted += lanes.view(np.uint8)[..., :n]
     return block, np.moveaxis(arch.config.v_read * (
         g_hrs * counts.sum(axis=0) + (g_lrs - g_hrs) * counts), 0, -1)
 

@@ -295,9 +295,17 @@ def snap_to_levels(x, n_bits: int, lo: float, hi: float):
 
 
 def inject_noise(g, sigma_rel, device: DeviceModel, rng: np.random.Generator):
-    """g * (1 + N(0, sigma_rel)), clipped to the device's [g_hrs, g_lrs]."""
+    """g * (1 + N(0, sigma_rel)), clipped to the device's [g_hrs, g_lrs].
+    Drawn in place: ``rng.normal(0.0, sigma_rel)`` is ``0.0 + sigma_rel * z``
+    on the same stream of standard normals z, and 1.0 plus either zero is
+    1.0, so these are its bits with no temporaries."""
     g = np.asarray(g, dtype=float)
+    if sigma_rel < 0:               # as ``rng.normal`` refuses it
+        raise ConfigError("sigma_rel must be non-negative")
     if sigma_rel == 0:
         return g.copy()
-    noisy = g * (1.0 + rng.normal(0.0, sigma_rel, size=g.shape))
-    return np.clip(noisy, device.g_hrs, device.g_lrs)
+    noisy = rng.standard_normal(g.shape)
+    noisy *= sigma_rel
+    noisy += 1.0
+    noisy *= g
+    return np.clip(noisy, device.g_hrs, device.g_lrs, out=noisy)

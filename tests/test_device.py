@@ -252,6 +252,25 @@ def test_inject_noise_zero_sigma_copies():
     assert out is not g
 
 
+@pytest.mark.parametrize("sigma", [0.02, 0.05, 0.1, 1e-300, 3.0])
+def test_inject_noise_is_the_normal_expression_bit_for_bit(sigma):
+    """The in-place draw gives the bits of ``g * (1 + normal(0, sigma))``
+    clipped to the rails, on the same stream, values at the rails
+    included."""
+    g = np.concatenate([np.linspace(D.g_hrs, D.g_lrs, 61),
+                        [D.g_hrs, D.g_lrs, 0.5 * D.g_lrs]])
+    for k in range(200):
+        expected = np.clip(g * (1.0 + np.random.default_rng([1, 2, k]).normal(
+            0.0, sigma, size=g.shape)), D.g_hrs, D.g_lrs)
+        drawn = inject_noise(g, sigma, D, np.random.default_rng([1, 2, k]))
+        assert np.array_equal(drawn.view(np.int64), expected.view(np.int64))
+
+
+def test_inject_noise_refuses_negative_sigma():
+    with pytest.raises(ConfigError, match="non-negative"):
+        inject_noise(np.ones(3), -0.05, D, np.random.default_rng(0))
+
+
 def test_inject_noise_clips_at_rails():
     rng = np.random.default_rng(5)
     noisy = inject_noise(np.full(10_000, D.g_lrs), 0.15, D, rng)

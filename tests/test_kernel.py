@@ -14,6 +14,7 @@ stored bounds, under noise, quantisation and several clocks.
 
 import json
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from camforest.arch import (
     _sensed_words,
     _staircase,
     _unpack,
+    _vote_step,
     evaluate_accuracy,
     infer,
     infer_batch,
@@ -1054,6 +1056,60 @@ def test_multi_program_runs_split_into_pieces_bit_identical(iris,
                               _dense_currents(arch, matches[trial]))
 
 
+def _vote_arch(class_sizes, g_hrs, g_lrs, v_read, rng):
+    """The fields ``_vote_step`` reads, for map rows in one group whose
+    row r is line r, dealt at random to classes of ``class_sizes`` rows."""
+    label = rng.permutation(np.repeat(np.arange(len(class_sizes)),
+                                      class_sizes))
+    rows = np.arange(label.size)
+    return SimpleNamespace(
+        plan=SimpleNamespace(tmap=SimpleNamespace(n_rows=label.size)),
+        line_rows=((rows, rows),), n_classes=len(class_sizes),
+        class_rows=tuple(np.flatnonzero(label == c)
+                         for c in range(len(class_sizes))),
+        device=SimpleNamespace(g_hrs=g_hrs, g_lrs=g_lrs),
+        config=SimpleNamespace(v_read=v_read))
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+def test_vote_step_counts_equal_the_unpacked_sums(n):
+    """Classes of 0, 1, 254, 255, 256 and 600 rows, bits past the last
+    sample all set: the byte-lane counts of ``_vote_step`` equal the sums
+    of the unpacked bools, and so do its currents and their argmax, ties
+    to the lowest class (sample 0 matches no row, sample n - 1 one row of
+    every class but the empty one, and sample n // 2 every row)."""
+    rng = np.random.default_rng(n)
+    sizes = [0, 1, 254, 255, 256, 600]
+    n_programs, n_words = 3, -(-n // 64)
+    words = rng.integers(0, 2**64, (sum(sizes), n_programs, n_words),
+                         dtype=np.uint64)
+    bits = _unpack(words, 64 * n_words)
+    bits[..., n:] = True
+    bits[..., n // 2] = True
+    bits[..., 0] = False
+    for device in ((0.0, 1.0, 1.0), (D.g_hrs, D.g_lrs, CFG.v_read)):
+        arch = _vote_arch(sizes, *device, np.random.default_rng(n + 1))
+        if n > 1:
+            bits[..., n - 1] = False
+            bits[[rows[0] for rows in arch.class_rows[1:]], :, n - 1] = True
+        words = np.packbits(bits, axis=-1, bitorder="little").view(np.uint64)
+        block, currents = _vote_step(arch, words, n)
+        assert np.array_equal(block, words)
+        counts = np.array([_unpack(words[rows], n).sum(axis=0, dtype=np.intp)
+                           for rows in arch.class_rows])
+        g_hrs, g_lrs, v_read = device
+        expected = np.moveaxis(v_read * (g_hrs * counts.sum(axis=0)
+                                         + (g_lrs - g_hrs) * counts), 0, -1)
+        _assert_bit_identical(currents, expected)
+        if device[1] == 1.0:
+            assert np.array_equal(currents, np.moveaxis(counts, 0, -1))
+        assert np.array_equal(np.argmax(currents, axis=-1),
+                              np.argmax(counts, axis=0))
+    tied = {0: 0} if n == 1 else {0: 0, n - 1: 1, n // 2: 5}
+    assert (np.argmax(currents, axis=-1)[:, list(tied)]
+            == list(tied.values())).all()
+
+
 @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 150])
 def test_staircase_words_are_the_packed_compare(n):
     """A threshold's staircase row at its ``searchsorted`` rank holds the
@@ -1111,7 +1167,8 @@ def test_samples_on_thresholds_decide_alike_on_both_paths(iris,
     forest, _ = iris
     enc = _encode(compile_forest(forest, 16, 16), D, CFG,
                   forest.feature_bounds, forest.n_classes, None)
-    seeds = [[6, 0, trial] for trial in range(8)]
+    # 16 trials: each source then holds at least twice 256 thresholds.
+    seeds = [[6, 0, trial] for trial in range(16)]
     batch = _program_trials(enc, 0.05, seeds)
     n, t = 256, CFG.t_clk
     n_features = len(batch.feature_bounds)
@@ -1160,6 +1217,31 @@ def test_samples_on_thresholds_decide_alike_on_both_paths(iris,
                        if p == trial}
 
 
+def test_one_trial_programs_compare_where_their_batch_reads_staircases(
+        iris, monkeypatch):
+    """On the 150 Iris samples a noisy one-trial program holds more
+    thresholds than samples on some source but fewer than twice as many on
+    every one, where a staircase was measured slower than the broadcast:
+    it compares every source. Its 50-trial batch reads every source from
+    a staircase."""
+    forest, X = iris
+    enc = _encode(compile_forest(forest, 16, 16), D, CFG,
+                  forest.feature_bounds, forest.n_classes, None)
+    seeds = [[1, 2, trial] for trial in range(50)]
+    paths = _path_recorder(monkeypatch)
+    for seed in seeds[:5]:
+        arch = _program_trials(enc, 0.05, [seed])
+        source = arch.active_input[arch.term_cell[arch.compare_term]]
+        thresholds = 2 * np.bincount(source)
+        assert thresholds.max() > len(X) and thresholds.max() < 2 * len(X)
+        _evaluate_programs(arch, _input_voltages(arch, X), CFG.t_clk)
+    assert len(paths) == 5 and all(tabled == 0 for _, tabled in paths)
+    paths.clear()
+    batch = _program_trials(enc, 0.05, seeds)
+    _evaluate_programs(batch, _input_voltages(batch, X), CFG.t_clk)
+    assert paths and all(tabled == sources for sources, tabled in paths)
+
+
 def test_thresholds_once_per_call(iris, monkeypatch):
     """A batch of several chunks computes its thresholds once per
     evaluation and gives each chunk its programs' slice, with the bits of
@@ -1190,17 +1272,17 @@ def test_thresholds_once_per_call(iris, monkeypatch):
 def _staircase_sources(arch, programs, n):
     """Per DL source with compare rows: whether a chunk of ``programs``
     programs on ``n`` samples reads its words from a staircase, as it
-    does when the source's thresholds number at least the samples."""
+    does when the source's thresholds number at least twice the samples."""
     rows = np.bincount(arch.active_input[arch.term_cell[arch.compare_term]])
-    return 2 * rows[rows > 0] * programs >= n
+    return rows[rows > 0] * programs >= n
 
 
 def _chunk_bytes(arch, n_samples):
     """(bytes a chunk's compares hold at once: both compares' packed words,
     compare bools when a source is compared, and a staircase of n + 1 rows
     of words per source that reads its words from one; bytes its lines
-    and rows hold: a packed word per line and per map row, the largest
-    class's rows unpacked; chunks per call)."""
+    and rows hold: a packed word per line and per map row, the byte lanes
+    of up to 255 of a class's rows; chunks per call)."""
     programs, words = _chunk_shape(arch, n_samples)
     rows = _block_plan(arch, programs, words)[1]
     n_rows = arch.compare_term.size
@@ -1210,7 +1292,7 @@ def _chunk_bytes(arch, n_samples):
     if not tabled.all():
         compares += 2 * min(rows, n_rows) * programs * 64 * words
     compares += tabled.sum() * (n + 1) * words * 8
-    class_rows = np.bincount(arch.plan.tmap.labels).max()
+    class_rows = min(255, np.bincount(arch.plan.tmap.labels).max())
     lines = programs * words * (
         8 * (arch.term_slots.size + arch.plan.tmap.n_rows) + 64 * class_rows)
     return compares, lines, len(list(_chunks(arch, n_samples)))
